@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ComputationError, StratexpError, ValidationError
+from .errors import ComputationError, ConfigError, StratexpError, ValidationError
 from .report import (
     FORMAT_CHOICES,
     ORDER_CHOICES,
@@ -89,7 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help=f"joint sample space limit for exact verification (default {DEFAULT_ENUM_LIMIT})",
     )
-    parser.add_argument("--workers", type=int, help="Monte Carlo worker count")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        help="accepted and echoed in the report; changes neither results nor speed",
+    )
     return parser
 
 
@@ -123,6 +127,16 @@ _CONFIG_KEYS = {
     "workers",
 }
 
+#: JSON types of the scalar config keys; bool is not accepted as an integer
+_CONFIG_TYPES = {
+    "printed_mode": bool,
+    "optimize": bool,
+    "replicates": int,
+    "seed": int,
+    "max_enum": int,
+    "workers": int,
+}
+
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     file_cfg: dict = {}
@@ -131,6 +145,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(file_cfg) - _CONFIG_KEYS
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        for key, kind in _CONFIG_TYPES.items():
+            if key in file_cfg and type(file_cfg[key]) is not kind:
+                expected = "boolean" if kind is bool else "integer"
+                raise ConfigError(
+                    f"config {key} must be a JSON {expected}, got {file_cfg[key]!r}"
+                )
 
     population = args.population or file_cfg.get("population")
     if not population:
@@ -158,7 +178,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if not isinstance(texts, (list, tuple)):
         raise ValidationError("config estimators must be a list of strings")
     optimize_default = (
-        args.optimize if args.optimize is not None else bool(file_cfg.get("optimize"))
+        args.optimize if args.optimize is not None else file_cfg.get("optimize", False)
     )
     requests = []
     for text in texts:
@@ -178,11 +198,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         order=str(pick(args.order, "order", "both")),
         verify=str(pick(args.verify, "verify", "none")),
         replicates=pick(args.replicates, "replicates", None),
-        seed=int(pick(args.seed, "seed", 0)),
+        seed=pick(args.seed, "seed", 0),
         output_format=str(pick(args.format, "format", "table")),
-        printed_mode=bool(pick(args.printed_mode, "printed_mode", False)),
-        max_enum=int(pick(args.max_enum, "max_enum", DEFAULT_ENUM_LIMIT)),
-        workers=int(pick(args.workers, "workers", 1)),
+        printed_mode=pick(args.printed_mode, "printed_mode", False),
+        max_enum=pick(args.max_enum, "max_enum", DEFAULT_ENUM_LIMIT),
+        workers=pick(args.workers, "workers", 1),
     )
 
 

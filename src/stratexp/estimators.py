@@ -18,9 +18,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DegenerateAuxiliaryError, PopulationError
-from .population import StratifiedPopulation
+from .population import StratifiedPopulation, StratumPopulation
 
 
 class EstimatorKind(enum.Enum):
@@ -82,6 +83,13 @@ def t4s(theta: float) -> EstimatorSpec:
     return EstimatorSpec(EstimatorKind.T4S, theta=float(theta))
 
 
+def stratum_means(stratum: StratumPopulation, idx: Sequence[int]) -> tuple[float, float]:
+    """(ybar_h, xbar_h): the plain means of y and x over units ``idx`` of a stratum."""
+    units = stratum.units
+    n = stratum.small_n
+    return sum(units[i][1] for i in idx) / n, sum(units[i][0] for i in idx) / n
+
+
 @dataclass(frozen=True)
 class StratifiedSample:
     """A drawn sample: per-stratum index sets plus the derived means.
@@ -98,6 +106,23 @@ class StratifiedSample:
     xbar: float
 
     @classmethod
+    def from_means(
+        cls,
+        weights: Sequence[float],
+        index_sets: tuple[tuple[int, ...], ...],
+        means: Sequence[tuple[float, float]],
+    ) -> "StratifiedSample":
+        """The sample with per-stratum ``means`` (ybar_h, xbar_h) combined by ``weights``."""
+        ybar_strata, xbar_strata = zip(*means)
+        return cls(
+            index_sets=index_sets,
+            ybar_strata=ybar_strata,
+            xbar_strata=xbar_strata,
+            ybar=math.fsum(w * yb for w, yb in zip(weights, ybar_strata)),
+            xbar=math.fsum(w * xb for w, xb in zip(weights, xbar_strata)),
+        )
+
+    @classmethod
     def from_indices(
         cls, pop: StratifiedPopulation, index_sets: tuple[tuple[int, ...], ...]
     ) -> "StratifiedSample":
@@ -105,10 +130,12 @@ class StratifiedSample:
             raise PopulationError(
                 f"expected {len(pop.strata)} index sets, got {len(index_sets)}"
             )
-        ybar_strata = []
-        xbar_strata = []
         for s, idx in zip(pop.strata, index_sets):
-            if len(set(idx)) != s.small_n:
+            if any(not isinstance(i, int) or isinstance(i, bool) for i in idx):
+                raise PopulationError(
+                    f"stratum {s.id!r}: indices must be integers, got {idx!r}"
+                )
+            if len(idx) != s.small_n or len(set(idx)) != s.small_n:
                 raise PopulationError(
                     f"stratum {s.id!r}: need {s.small_n} distinct indices, got {idx!r}"
                 )
@@ -116,15 +143,10 @@ class StratifiedSample:
                 raise PopulationError(
                     f"stratum {s.id!r}: index out of range in {idx!r}"
                 )
-            ybar_strata.append(sum(s.units[i][1] for i in idx) / s.small_n)
-            xbar_strata.append(sum(s.units[i][0] for i in idx) / s.small_n)
-        weights = pop.weights
-        return cls(
-            index_sets=tuple(tuple(i) for i in index_sets),
-            ybar_strata=tuple(ybar_strata),
-            xbar_strata=tuple(xbar_strata),
-            ybar=math.fsum(w * yb for w, yb in zip(weights, ybar_strata)),
-            xbar=math.fsum(w * xb for w, xb in zip(weights, xbar_strata)),
+        return cls.from_means(
+            pop.weights,
+            tuple(tuple(idx) for idx in index_sets),
+            [stratum_means(s, idx) for s, idx in zip(pop.strata, index_sets)],
         )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .errors import ConfigError
@@ -118,7 +118,7 @@ class RunConfig:
     output_format: str = "table"
     printed_mode: bool = False
     max_enum: int = DEFAULT_ENUM_LIMIT
-    workers: int = 1
+    workers: int = 1  # echoed in the report; changes neither results nor speed
 
     def __post_init__(self) -> None:
         if self.order not in ORDER_CHOICES:
@@ -233,6 +233,7 @@ def run(config: RunConfig) -> ComparisonReport:
     v = v_table(pop)
 
     rows = []
+    verify_specs = []  # the spec each row's oracle columns evaluate
     all_outcomes: dict[str, dict[str, OptimizationOutcome]] = {}
     for request in config.estimators:
         spec1, spec2, outcomes = _resolved_specs(request, v, config)
@@ -262,26 +263,6 @@ def run(config: RunConfig) -> ComparisonReport:
             delta_b2 = bias2 - printed_b2
             delta_m2 = mse2 - printed_m2
 
-        bias_exact = mse_exact = None
-        mc_bias = mc_bias_se = mc_mse = mc_mse_se = None
-        mc_skipped = None
-        spec_verify = spec2 if spec2 is not None else spec1
-        if config.verify == "exact":
-            bias_exact, mse_exact = exact_bias_mse(
-                pop, spec_verify, limit=config.max_enum
-            )
-        elif config.verify == "mc":
-            mc = monte_carlo(
-                pop,
-                spec_verify,
-                replicates=config.replicates,
-                seed=config.seed,
-                workers=config.workers,
-            )
-            mc_bias, mc_bias_se = mc.bias.mean, mc.bias.standard_error
-            mc_mse, mc_mse_se = mc.mse.mean, mc.mse.standard_error
-            mc_skipped = mc.skipped
-
         rows.append(
             EstimatorRow(
                 label=request.label(),
@@ -296,16 +277,32 @@ def run(config: RunConfig) -> ComparisonReport:
                 printed_mse2=printed_m2,
                 printed_bias2_delta=delta_b2,
                 printed_mse2_delta=delta_m2,
-                bias_exact=bias_exact,
-                mse_exact=mse_exact,
-                mc_bias=mc_bias,
-                mc_bias_se=mc_bias_se,
-                mc_mse=mc_mse,
-                mc_mse_se=mc_mse_se,
-                mc_skipped=mc_skipped,
                 warnings=tuple(warnings),
             )
         )
+        verify_specs.append(spec2 if spec2 is not None else spec1)
+
+    if config.verify == "exact":
+        exact = exact_bias_mse(pop, verify_specs, limit=config.max_enum)
+        rows = [
+            replace(row, bias_exact=b, mse_exact=m)
+            for row, (b, m) in zip(rows, exact)
+        ]
+    elif config.verify == "mc":
+        mc = monte_carlo(
+            pop, verify_specs, replicates=config.replicates, seed=config.seed
+        )
+        rows = [
+            replace(
+                row,
+                mc_bias=b.mean,
+                mc_bias_se=b.standard_error,
+                mc_mse=m.mean,
+                mc_mse_se=m.standard_error,
+                mc_skipped=mc.skipped,
+            )
+            for row, b, m in zip(rows, mc.bias, mc.mse)
+        ]
 
     strata = tuple(
         (s.id, s.capital_n, s.small_n, w) for s, w in zip(pop.strata, pop.weights)

@@ -1,5 +1,8 @@
 """Independent oracles: exhaustive SRSWOR enumeration and seeded Monte Carlo.
 
+Both oracles take every estimator of a report at once and visit each
+sample a single time, evaluating all the estimators on it.
+
 The enumeration oracle realizes the design expectation exactly: strata are
 sampled independently, so the joint sample space is the Cartesian product
 of the per-stratum combinations, each joint sample equally likely.  It is
@@ -9,23 +12,24 @@ against.
 The Monte Carlo oracle is stochastic but fully reproducible: replicate r
 draws from a Philox4x64 counter-based generator keyed by (seed, r), so a
 replicate's sample depends on nothing but the seed and its own index.
-Results are therefore bit-identical for any worker count: per-replicate
-values land in an array slot indexed by r and every reduction runs over
-that array in index order with exactly-rounded summation.
+Replicates run in index order on the calling thread, and every reduction
+runs over them in that order with exactly-rounded summation.  There is no
+worker pool: the work is pure Python and threads would not run it any
+faster, so the command line's ``--workers`` changes neither results nor
+speed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ComputationError, EnumerationLimitError
-from .estimators import EstimatorSpec, StratifiedSample, estimate
+from .estimators import EstimatorSpec, StratifiedSample, estimate, stratum_means
 from .population import StratifiedPopulation
 
 DEFAULT_ENUM_LIMIT = 10**7
@@ -80,24 +84,16 @@ class ExactDesignDistribution:
         """Yield every joint sample once, lexicographically per stratum."""
         pop = self.population
         weights = pop.weights
-        per_stratum: list[list[tuple[tuple[int, ...], float, float]]] = []
-        for s in pop.strata:
-            combos = []
-            for idx in combinations(range(s.capital_n), s.small_n):
-                ybar = sum(s.units[i][1] for i in idx) / s.small_n
-                xbar = sum(s.units[i][0] for i in idx) / s.small_n
-                combos.append((idx, ybar, xbar))
-            per_stratum.append(combos)
+        per_stratum = [
+            [
+                (idx, stratum_means(s, idx))
+                for idx in combinations(range(s.capital_n), s.small_n)
+            ]
+            for s in pop.strata
+        ]
         for picks in product(*per_stratum):
-            ybar_strata = tuple(p[1] for p in picks)
-            xbar_strata = tuple(p[2] for p in picks)
-            yield StratifiedSample(
-                index_sets=tuple(p[0] for p in picks),
-                ybar_strata=ybar_strata,
-                xbar_strata=xbar_strata,
-                ybar=math.fsum(w * yb for w, yb in zip(weights, ybar_strata)),
-                xbar=math.fsum(w * xb for w, xb in zip(weights, xbar_strata)),
-            )
+            index_sets, means = zip(*picks)
+            yield StratifiedSample.from_means(weights, index_sets, means)
 
 
 def exact_expectation(
@@ -115,32 +111,36 @@ def exact_expectation(
 
 def exact_bias_mse(
     pop: StratifiedPopulation,
-    spec: EstimatorSpec,
+    specs: Sequence[EstimatorSpec],
     limit: int = DEFAULT_ENUM_LIMIT,
-) -> tuple[float, float]:
-    """Exact bias and MSE of one estimator under the design.
+) -> list[tuple[float, float]]:
+    """Exact (bias, MSE) of each estimator under the design, in ``specs`` order.
 
+    One pass over the sample space evaluates every estimator on each sample.
     Accumulates t - Ybar directly to avoid cancellation in the bias.
-    Aborts, naming the sample, if the estimator fails anywhere on the
-    sample space: exactness certifies, it does not skip.
+    Aborts, naming the estimator and the sample, if an estimator fails
+    anywhere on the sample space: exactness certifies, it does not skip.
     """
     dist = ExactDesignDistribution(pop, limit)
     ybar = pop.grand_y_mean
     xbar = pop.grand_x_mean
-    acc_d = _CompensatedSum()
-    acc_d2 = _CompensatedSum()
+    sums = [(_CompensatedSum(), _CompensatedSum()) for _ in specs]
     for sample in dist:
-        try:
-            t = estimate(spec, sample, xbar)
-        except ComputationError as exc:
-            raise ComputationError(
-                f"estimator {spec.label()} failed on sample with index sets "
-                f"{sample.index_sets}: {exc}"
-            ) from exc
-        d = t - ybar
-        acc_d.add(d)
-        acc_d2.add(d * d)
-    return acc_d.value() / dist.size, acc_d2.value() / dist.size
+        for spec, (acc_d, acc_d2) in zip(specs, sums):
+            try:
+                t = estimate(spec, sample, xbar)
+            except ComputationError as exc:
+                raise ComputationError(
+                    f"estimator {spec.label()} failed on sample with index sets "
+                    f"{sample.index_sets}: {exc}"
+                ) from exc
+            d = t - ybar
+            acc_d.add(d)
+            acc_d2.add(d * d)
+    return [
+        (acc_d.value() / dist.size, acc_d2.value() / dist.size)
+        for acc_d, acc_d2 in sums
+    ]
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,10 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    bias: McEstimate
-    mse: McEstimate
+    """Bias and MSE estimates, one of each per estimator, from the same replicates."""
+
+    bias: tuple[McEstimate, ...]
+    mse: tuple[McEstimate, ...]
     skipped: int
 
 
@@ -179,8 +181,6 @@ def draw_sample(
     raw = bg.random_raw(total)
     cursor = 0
     index_sets = []
-    ybar_strata = []
-    xbar_strata = []
     for s in pop.strata:
         n_cap, n = s.capital_n, s.small_n
         idx = list(range(n_cap))
@@ -188,49 +188,27 @@ def draw_sample(
             j = i + int(raw[cursor] % (n_cap - i))
             cursor += 1
             idx[i], idx[j] = idx[j], idx[i]
-        sel = idx[:n]
-        index_sets.append(tuple(sel))
-        ybar_strata.append(sum(s.units[k][1] for k in sel) / n)
-        xbar_strata.append(sum(s.units[k][0] for k in sel) / n)
-    weights = pop.weights
-    return StratifiedSample(
-        index_sets=tuple(index_sets),
-        ybar_strata=tuple(ybar_strata),
-        xbar_strata=tuple(xbar_strata),
-        ybar=math.fsum(w * yb for w, yb in zip(weights, ybar_strata)),
-        xbar=math.fsum(w * xb for w, xb in zip(weights, xbar_strata)),
+        index_sets.append(tuple(idx[:n]))
+    return StratifiedSample.from_means(
+        pop.weights,
+        tuple(index_sets),
+        [stratum_means(s, sel) for s, sel in zip(pop.strata, index_sets)],
     )
-
-
-def _replicate_deviation(
-    pop: StratifiedPopulation,
-    spec: EstimatorSpec,
-    xbar_pop: float,
-    ybar_pop: float,
-    seed: int,
-    rep: int,
-) -> float:
-    """t - Ybar for replicate ``rep``; NaN when the estimator is undefined."""
-    sample = draw_sample(pop, seed, rep)
-    try:
-        t = estimate(spec, sample, xbar_pop)
-    except ComputationError:
-        return math.nan
-    return t - ybar_pop
 
 
 def monte_carlo(
     pop: StratifiedPopulation,
-    spec: EstimatorSpec,
+    specs: Sequence[EstimatorSpec],
     replicates: int,
     seed: int,
-    workers: int = 1,
 ) -> MonteCarloResult:
-    """Seeded Monte Carlo bias and MSE with standard errors.
+    """Seeded Monte Carlo bias and MSE of each estimator, with standard errors.
 
-    Replicates whose estimator is undefined are skipped and counted; the
-    estimates use the remaining replicates.  Output is bit-identical for a
-    given (population, spec, replicates, seed) regardless of ``workers``.
+    Every estimator is evaluated on the same replicates.  A replicate on
+    which the estimators are undefined (Xbar + xbar_st = 0, whatever the
+    estimator) is skipped for all of them and counted once; the estimates
+    use the remaining replicates.  Output is bit-identical for a given
+    (population, specs, replicates, seed).
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
@@ -239,32 +217,19 @@ def monte_carlo(
     xbar_pop = pop.grand_x_mean
     ybar_pop = pop.grand_y_mean
 
-    deviations = np.empty(replicates, dtype=np.float64)
+    deviations = np.empty((len(specs), replicates), dtype=np.float64)
+    usable = np.ones(replicates, dtype=bool)
+    for r in range(replicates):
+        sample = draw_sample(pop, seed, r)
+        try:
+            for k, spec in enumerate(specs):
+                deviations[k, r] = estimate(spec, sample, xbar_pop) - ybar_pop
+        except ComputationError:
+            usable[r] = False
 
-    def run_block(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            deviations[r] = _replicate_deviation(
-                pop, spec, xbar_pop, ybar_pop, seed, r
-            )
-
-    if workers <= 1:
-        run_block(0, replicates)
-    else:
-        block = -(-replicates // workers)
-        bounds = [
-            (lo, min(lo + block, replicates)) for lo in range(0, replicates, block)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(run_block, lo, hi) for lo, hi in bounds]:
-                future.result()
-
-    valid = [d for d in deviations.tolist() if not math.isnan(d)]
-    skipped = replicates - len(valid)
-    if len(valid) < 2:
-        raise ComputationError(
-            f"only {len(valid)} usable replicates out of {replicates}"
-        )
-    n = len(valid)
+    n = int(usable.sum())
+    if n < 2:
+        raise ComputationError(f"only {n} usable replicates out of {replicates}")
 
     def summarize(values: list[float]) -> McEstimate:
         mean = math.fsum(values) / n
@@ -277,8 +242,9 @@ def monte_carlo(
             standard_error=math.sqrt(var / n),
         )
 
+    valid = [row.tolist() for row in deviations[:, usable]]
     return MonteCarloResult(
-        bias=summarize(valid),
-        mse=summarize([d * d for d in valid]),
-        skipped=skipped,
+        bias=tuple(summarize(d) for d in valid),
+        mse=tuple(summarize([x * x for x in d]) for d in valid),
+        skipped=replicates - n,
     )

@@ -1,4 +1,6 @@
+from stratexp.datasets import SYNTHETIC_SAMPLE_SIZES, synthetic_csv_path
 from stratexp.population import StratifiedPopulation, StratumPopulation
+from stratexp.report import EstimatorRequest, RunConfig, report_as_dict, run
 
 
 def make_population(*strata: tuple[str, list[float], list[float], int]) -> StratifiedPopulation:
@@ -9,3 +11,20 @@ def make_population(*strata: tuple[str, list[float], list[float], int]) -> Strat
             for label, xs, ys, n in strata
         )
     )
+
+
+def mc_report_without_workers(estimator: str, replicates: int, seed: int, workers: int) -> dict:
+    """A Monte Carlo report on the committed population, as a dict, with the
+    echoed worker count checked and removed."""
+    config = RunConfig(
+        population_path=synthetic_csv_path(),
+        sample_sizes=SYNTHETIC_SAMPLE_SIZES,
+        estimators=(EstimatorRequest.parse(estimator),),
+        verify="mc",
+        replicates=replicates,
+        seed=seed,
+        workers=workers,
+    )
+    out = report_as_dict(run(config))
+    assert out["config"].pop("workers") == workers
+    return out

@@ -38,6 +38,8 @@ from fractions import Fraction as F
 
 from stratexp.datasets import SYNTHETIC_SAMPLE_SIZES, synthetic_csv_path
 
+from helpers import mc_report_without_workers
+
 
 def verdict(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
@@ -155,7 +157,7 @@ def test_criterion_4_second_order_superiority(synthetic, synthetic_v):
     details = []
     ok = True
     for spec in (t1s(), t2s()):
-        bias_e, mse_e = exact_bias_mse(synthetic, spec)
+        bias_e, mse_e = exact_bias_mse(synthetic, [spec])[0]
         b1, b2 = bias(spec, synthetic_v, 1), bias(spec, synthetic_v, 2)
         m1, m2 = mse(spec, synthetic_v, 1), mse(spec, synthetic_v, 2)
         bias_ok = abs(b2 - bias_e) <= abs(b1 - bias_e)
@@ -203,9 +205,9 @@ def test_criterion_5_qualitative_ordering(synthetic, synthetic_v):
 
     # second-order (exact) ordering on the committed population
     a2 = optimize_alpha(synthetic_v, 2).parameter
-    _, mse_e_t3 = exact_bias_mse(synthetic, t3s(a2))
-    _, mse_e_t1 = exact_bias_mse(synthetic, t1s())
-    _, mse_e_t2 = exact_bias_mse(synthetic, t2s())
+    _, mse_e_t3 = exact_bias_mse(synthetic, [t3s(a2)])[0]
+    _, mse_e_t1 = exact_bias_mse(synthetic, [t1s()])[0]
+    _, mse_e_t2 = exact_bias_mse(synthetic, [t2s()])[0]
     second_order_ok = mse_e_t3 <= mse_e_t1 < mse_e_t2
 
     ok = first_order_ok and second_order_ok
@@ -262,14 +264,14 @@ def test_criterion_7_monte_carlo_consistency(synthetic):
     errors, and identical seeds give bit-identical results regardless of
     worker count."""
     spec = t1s()
-    bias_e, mse_e = exact_bias_mse(synthetic, spec)
-    mc = monte_carlo(synthetic, spec, replicates=200_000, seed=0)
-    bias_gap = abs(mc.bias.mean - bias_e) / mc.bias.standard_error
-    mse_gap = abs(mc.mse.mean - mse_e) / mc.mse.standard_error
+    bias_e, mse_e = exact_bias_mse(synthetic, [spec])[0]
+    mc = monte_carlo(synthetic, [spec], replicates=200_000, seed=0)
+    bias_gap = abs(mc.bias[0].mean - bias_e) / mc.bias[0].standard_error
+    mse_gap = abs(mc.mse[0].mean - mse_e) / mc.mse[0].standard_error
     consistent = bias_gap <= 3.0 and mse_gap <= 3.0
 
-    one = monte_carlo(synthetic, spec, replicates=20_000, seed=0, workers=1)
-    four = monte_carlo(synthetic, spec, replicates=20_000, seed=0, workers=4)
+    one = mc_report_without_workers("t1s", replicates=20_000, seed=0, workers=1)
+    four = mc_report_without_workers("t1s", replicates=20_000, seed=0, workers=4)
     deterministic = one == four
 
     ok = consistent and deterministic and mc.skipped == 0

@@ -139,3 +139,9 @@ class TestStratifiedSample:
             StratifiedSample.from_indices(pop, ((0, 5),))
         with pytest.raises(PopulationError, match="index sets"):
             StratifiedSample.from_indices(pop, ((0, 1), (0, 1)))
+        with pytest.raises(PopulationError, match="integers"):
+            StratifiedSample.from_indices(pop, ((0.0, 1),))
+        with pytest.raises(PopulationError, match="integers"):
+            StratifiedSample.from_indices(pop, ((0, True),))
+        with pytest.raises(PopulationError, match="distinct"):
+            StratifiedSample.from_indices(pop, ((0, 1, 1),))

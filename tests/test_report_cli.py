@@ -124,6 +124,46 @@ class TestPipeline:
         assert "-13/48" in text and "73/384" in text
         assert "cross-stratum" in text
 
+    def test_mc_draws_each_replicate_once_for_all_estimators(self, monkeypatch):
+        import stratexp.verify
+
+        calls = []
+        draw = stratexp.verify.draw_sample
+        monkeypatch.setattr(
+            stratexp.verify,
+            "draw_sample",
+            lambda *args: calls.append(args) or draw(*args),
+        )
+        report = run(base_config(verify="mc", replicates=50, seed=3))
+        assert len(report.rows) == 4
+        assert len(calls) == 50
+
+    def test_exact_builds_each_stratum_combination_once(self, monkeypatch):
+        import math
+
+        import stratexp.verify
+
+        calls = []
+        means = stratexp.verify.stratum_means
+        monkeypatch.setattr(
+            stratexp.verify,
+            "stratum_means",
+            lambda *args: calls.append(args) or means(*args),
+        )
+        report = run(base_config(verify="exact"))
+        assert len(report.rows) == 4
+        assert len(calls) == math.comb(6, 3) + math.comb(7, 3)  # N = (6, 7), n = (3, 3)
+
+    def test_mc_starts_no_thread(self, monkeypatch):
+        import threading
+
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        report = run(base_config(verify="mc", replicates=50, seed=3, workers=4))
+        assert report.rows[0].mc_skipped == 0
+
     def test_exact_verify_refused_over_limit(self):
         from stratexp.errors import EnumerationLimitError
 
@@ -264,6 +304,33 @@ class TestCli:
         cfg.write_text(json.dumps({"population": "x", "bogus": 1}))
         assert main(["--config", str(cfg)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("printed_mode", "false"),
+            ("optimize", "false"),
+            ("seed", 1.9),
+            ("workers", 2.7),
+            ("max_enum", True),
+            ("replicates", "100"),
+            ("replicates", 100.5),
+            ("seed", "abc"),
+        ],
+    )
+    def test_config_value_types(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "population": synthetic_csv_path(),
+            "sample_sizes": {"A": 3, "B": 3},
+            "verify": "mc",
+            "replicates": 10,
+            key: value,
+        }))
+        assert main(["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err
+        assert f"config {key} must be a JSON" in err
 
     def test_optimize_flag_upgrades_bare_requests(self, capsys):
         code = main([

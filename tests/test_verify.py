@@ -16,7 +16,7 @@ from stratexp.verify import (
     monte_carlo,
 )
 
-from helpers import make_population
+from helpers import make_population, mc_report_without_workers
 
 
 class TestEnumeration:
@@ -57,7 +57,7 @@ class TestEnumeration:
 
 class TestExactBiasMse:
     def test_zero_exponent_unbiased(self, synthetic, synthetic_v):
-        bias_e, mse_e = exact_bias_mse(synthetic, t3s(0.0))
+        bias_e, mse_e = exact_bias_mse(synthetic, [t3s(0.0)])[0]
         assert bias_e == pytest.approx(0.0, abs=1e-13)
         expected = synthetic.grand_y_mean ** 2 * synthetic_v[(2, 0)]
         assert mse_e == pytest.approx(expected, rel=1e-11)
@@ -70,7 +70,7 @@ class TestExactBiasMse:
         v = v_table(pop)
         expected = pop.grand_y_mean ** 2 * v[(2, 0)]
         for spec in (t1s(), t2s(), t3s(2.5), t4s(0.3)):
-            bias_e, mse_e = exact_bias_mse(pop, spec)
+            bias_e, mse_e = exact_bias_mse(pop, [spec])[0]
             assert bias_e == pytest.approx(0.0, abs=1e-13)
             assert mse_e == pytest.approx(expected, rel=1e-11)
 
@@ -78,53 +78,54 @@ class TestExactBiasMse:
         """x = {-3, 1, 2, 4} has mean 1; the sample {-3, 1} hits the pole."""
         pop = make_population(("A", [-3, 1, 2, 4], [1, 2, 3, 4], 2))
         with pytest.raises(ComputationError, match=r"index sets"):
-            exact_bias_mse(pop, t1s())
+            exact_bias_mse(pop, [t1s()])
 
 
 class TestMonteCarlo:
     def test_same_seed_bit_identical(self, synthetic):
-        a = monte_carlo(synthetic, t1s(), replicates=2000, seed=11)
-        b = monte_carlo(synthetic, t1s(), replicates=2000, seed=11)
+        a = monte_carlo(synthetic, [t1s()], replicates=2000, seed=11)
+        b = monte_carlo(synthetic, [t1s()], replicates=2000, seed=11)
         assert a == b
 
     def test_different_seed_differs(self, synthetic):
-        a = monte_carlo(synthetic, t1s(), replicates=2000, seed=11)
-        b = monte_carlo(synthetic, t1s(), replicates=2000, seed=12)
-        assert a.mse.mean != b.mse.mean
+        a = monte_carlo(synthetic, [t1s()], replicates=2000, seed=11)
+        b = monte_carlo(synthetic, [t1s()], replicates=2000, seed=12)
+        assert a.mse[0].mean != b.mse[0].mean
 
-    def test_worker_count_does_not_change_bits(self, synthetic):
-        one = monte_carlo(synthetic, t2s(), replicates=3000, seed=5, workers=1)
-        three = monte_carlo(synthetic, t2s(), replicates=3000, seed=5, workers=3)
-        assert one == three
+    def test_worker_count_does_not_change_bits(self):
+        """The worker count is only echoed in the report's config."""
+        one = mc_report_without_workers("t2s", replicates=3000, seed=5, workers=1)
+        four = mc_report_without_workers("t2s", replicates=3000, seed=5, workers=4)
+        assert one == four
 
     def test_reduction_identity_shares_streams(self, synthetic):
         """The tunable estimator at unit exponent reproduces the ratio type
         replicate for replicate."""
-        a = monte_carlo(synthetic, t1s(), replicates=1500, seed=3)
-        b = monte_carlo(synthetic, t3s(1.0), replicates=1500, seed=3)
+        a = monte_carlo(synthetic, [t1s()], replicates=1500, seed=3)
+        b = monte_carlo(synthetic, [t3s(1.0)], replicates=1500, seed=3)
         assert a.bias == b.bias
         assert a.mse == b.mse
 
     def test_estimates_consistent_with_enumeration(self, synthetic):
-        bias_e, mse_e = exact_bias_mse(synthetic, t1s())
-        mc = monte_carlo(synthetic, t1s(), replicates=30000, seed=2024)
-        assert abs(mc.bias.mean - bias_e) <= 3.5 * mc.bias.standard_error
-        assert abs(mc.mse.mean - mse_e) <= 3.5 * mc.mse.standard_error
+        bias_e, mse_e = exact_bias_mse(synthetic, [t1s()])[0]
+        mc = monte_carlo(synthetic, [t1s()], replicates=30000, seed=2024)
+        assert abs(mc.bias[0].mean - bias_e) <= 3.5 * mc.bias[0].standard_error
+        assert abs(mc.mse[0].mean - mse_e) <= 3.5 * mc.mse[0].standard_error
         assert mc.skipped == 0
 
     def test_standard_error_definition(self, synthetic):
-        mc = monte_carlo(synthetic, t1s(), replicates=500, seed=1)
-        assert mc.bias.standard_error == pytest.approx(
-            math.sqrt(mc.bias.variance / mc.bias.replicates), rel=1e-15
+        mc = monte_carlo(synthetic, [t1s()], replicates=500, seed=1)
+        assert mc.bias[0].standard_error == pytest.approx(
+            math.sqrt(mc.bias[0].variance / mc.bias[0].replicates), rel=1e-15
         )
 
     def test_skipped_replicates_counted(self):
         """Samples hitting the exponent pole are skipped, not fatal."""
         pop = make_population(("A", [-3, 1, 2, 4], [1, 2, 3, 4], 2))
-        mc = monte_carlo(pop, t1s(), replicates=600, seed=9)
+        mc = monte_carlo(pop, [t1s()], replicates=600, seed=9)
         assert mc.skipped > 0
-        assert mc.bias.replicates == 600 - mc.skipped
-        assert math.isfinite(mc.bias.mean)
+        assert mc.bias[0].replicates == 600 - mc.skipped
+        assert math.isfinite(mc.bias[0].mean)
 
     def test_sample_draw_is_valid_srswor(self, synthetic):
         for rep in range(50):
@@ -148,7 +149,7 @@ class TestMonteCarlo:
 
     def test_replicate_floor(self, synthetic):
         with pytest.raises(ValueError):
-            monte_carlo(synthetic, t1s(), replicates=1, seed=0)
+            monte_carlo(synthetic, [t1s()], replicates=1, seed=0)
 
     def test_variance_halves_when_replicates_double(self, synthetic):
         """Across 20 fixed seeds, the spread of the MC-MSE estimate shrinks
@@ -156,11 +157,11 @@ class TestMonteCarlo:
         both sizes, so the longer runs extend the shorter ones and the
         variance ratio concentrates near 2."""
         small = [
-            monte_carlo(synthetic, t1s(), replicates=400, seed=s).mse.mean
+            monte_carlo(synthetic, [t1s()], replicates=400, seed=s).mse[0].mean
             for s in range(20)
         ]
         large = [
-            monte_carlo(synthetic, t1s(), replicates=800, seed=s).mse.mean
+            monte_carlo(synthetic, [t1s()], replicates=800, seed=s).mse[0].mean
             for s in range(20)
         ]
 
