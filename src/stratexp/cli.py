@@ -129,6 +129,9 @@ _CONFIG_KEYS = {
 
 #: JSON types of the scalar config keys; bool is not accepted as an integer
 _CONFIG_TYPES = {
+    "order": str,
+    "verify": str,
+    "format": str,
     "printed_mode": bool,
     "optimize": bool,
     "replicates": int,
@@ -136,6 +139,8 @@ _CONFIG_TYPES = {
     "max_enum": int,
     "workers": int,
 }
+
+_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", str: "string"}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -147,7 +152,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         for key, kind in _CONFIG_TYPES.items():
             if key in file_cfg and type(file_cfg[key]) is not kind:
-                expected = "boolean" if kind is bool else "integer"
+                expected = _JSON_TYPE_NAMES[kind]
                 raise ConfigError(
                     f"config {key} must be a JSON {expected}, got {file_cfg[key]!r}"
                 )
@@ -195,11 +200,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         population_path=str(population),
         sample_sizes=sample_sizes,
         estimators=tuple(requests),
-        order=str(pick(args.order, "order", "both")),
-        verify=str(pick(args.verify, "verify", "none")),
+        order=pick(args.order, "order", "both"),
+        verify=pick(args.verify, "verify", "none"),
         replicates=pick(args.replicates, "replicates", None),
         seed=pick(args.seed, "seed", 0),
-        output_format=str(pick(args.format, "format", "table")),
+        output_format=pick(args.format, "format", "table"),
         printed_mode=pick(args.printed_mode, "printed_mode", False),
         max_enum=pick(args.max_enum, "max_enum", DEFAULT_ENUM_LIMIT),
         workers=pick(args.workers, "workers", 1),

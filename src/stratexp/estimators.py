@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateAuxiliaryError, PopulationError
+from .errors import ComputationError, DegenerateAuxiliaryError, PopulationError
 from .population import StratifiedPopulation, StratumPopulation
 
 
@@ -84,10 +84,12 @@ def t4s(theta: float) -> EstimatorSpec:
 
 
 def stratum_means(stratum: StratumPopulation, idx: Sequence[int]) -> tuple[float, float]:
-    """(ybar_h, xbar_h): the plain means of y and x over units ``idx`` of a stratum."""
-    units = stratum.units
+    """(ybar_h, xbar_h): the plain means of y and x over units ``idx`` of a stratum.
+
+    Each mean is a left-to-right ``sum`` of the selected values over n_h.
+    """
     n = stratum.small_n
-    return sum(units[i][1] for i in idx) / n, sum(units[i][0] for i in idx) / n
+    return sum(stratum.y.take(idx).tolist()) / n, sum(stratum.x.take(idx).tolist()) / n
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,12 @@ class StratifiedSample:
 
 
 def estimate(spec: EstimatorSpec, sample: StratifiedSample, xbar_pop: float) -> float:
-    """Evaluate one estimator on a drawn sample, given the known grand x-mean."""
+    """Evaluate one estimator on a drawn sample, given the known grand x-mean.
+
+    Raises :class:`DegenerateAuxiliaryError` when Xbar + xbar_st = 0, and
+    :class:`ComputationError` naming the estimator when its value is not a
+    finite float (an exponent too large for ``math.exp``, say).
+    """
     denom = xbar_pop + sample.xbar
     if denom == 0.0:
         raise DegenerateAuxiliaryError(
@@ -159,12 +166,21 @@ def estimate(spec: EstimatorSpec, sample: StratifiedSample, xbar_pop: float) -> 
         )
     z = (xbar_pop - sample.xbar) / denom
     kind = spec.kind
-    if kind is EstimatorKind.T1S:
-        return sample.ybar * math.exp(z)
-    if kind is EstimatorKind.T2S:
-        return sample.ybar * math.exp(-z)
-    if kind is EstimatorKind.T3S:
-        return sample.ybar * math.exp(spec.alpha * z)
-    # T4S: the literal mixture of the two exponential branches
-    theta = spec.theta
-    return theta * sample.ybar * math.exp(z) + (1.0 - theta) * sample.ybar * math.exp(-z)
+    try:
+        if kind is EstimatorKind.T1S:
+            t = sample.ybar * math.exp(z)
+        elif kind is EstimatorKind.T2S:
+            t = sample.ybar * math.exp(-z)
+        elif kind is EstimatorKind.T3S:
+            t = sample.ybar * math.exp(spec.alpha * z)
+        else:
+            # T4S: the literal mixture of the two exponential branches
+            theta = spec.theta
+            t = theta * sample.ybar * math.exp(z) + (1.0 - theta) * sample.ybar * math.exp(-z)
+    except OverflowError:
+        t = math.inf
+    if not math.isfinite(t):
+        raise ComputationError(
+            f"estimator {spec.label()} overflows the float range (z = {z!r})"
+        )
+    return t

@@ -1,9 +1,17 @@
 """Stratified finite populations: loading, validation, per-stratum summaries.
 
-A population is a list of strata; each stratum carries its full unit list
-of (x, y) pairs, its size ``N_h`` and its planned SRSWOR sample size
-``n_h``.  Stratum weights are ``W_h = N_h / N`` so that the stratified
-sample mean is design-unbiased for the grand mean.
+A population is a tuple of strata.  Each stratum holds its units as two
+read-only float64 columns, ``x`` and ``y``, in input order, plus its
+planned SRSWOR sample size ``n_h``; its size ``N_h`` is the column length.
+Stratum weights are ``W_h = N_h / N`` so that the stratified sample mean is
+design-unbiased for the grand mean.
+
+A stratum mean is a corrected two-pass mean, ``m = fsum(col) / N`` and then
+``m += fsum(col - m) / N``.  The correction makes the mean of a constant
+column that constant exactly, so its deviations, and every central moment
+that involves it, are exactly zero.  The central moments are formed from
+the deviation columns with NumPy and each one is reduced with ``math.fsum``,
+an exactly rounded sum.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable, Mapping
 
+import numpy as np
+
 from .errors import PopulationError
 
 CSV_HEADER = ("stratum", "x", "y")
@@ -22,50 +32,60 @@ CSV_HEADER = ("stratum", "x", "y")
 MAX_MOMENT_ORDER = 4
 
 
-@dataclass(frozen=True)
-class StratumPopulation:
-    """One stratum: its full unit list and planned sample size.
+def _corrected_mean(col: np.ndarray) -> float:
+    """Mean of a column, with one exactly summed correction pass."""
+    n = col.size
+    m = math.fsum(col.tolist()) / n
+    return m + math.fsum((col - m).tolist()) / n
 
-    ``units`` holds (x, y) pairs in input order.  ``small_n`` is the SRSWOR
-    sample size n_h; it must satisfy 1 <= n_h < N_h.
+
+@dataclass(frozen=True, eq=False)
+class StratumPopulation:
+    """One stratum: its x and y columns and planned sample size.
+
+    ``x`` and ``y`` accept any sequence of numbers and are stored as
+    read-only float64 arrays of equal length, in input order.  ``small_n``
+    is the SRSWOR sample size n_h; it must satisfy 1 <= n_h < N_h.
     """
 
     id: str
-    units: tuple[tuple[float, float], ...]
+    x: np.ndarray
+    y: np.ndarray
     small_n: int
 
     def __post_init__(self) -> None:
-        if not self.units:
+        x = np.array(self.x, dtype=np.float64)
+        y = np.array(self.y, dtype=np.float64)
+        if x.ndim != 1 or x.shape != y.shape:
+            raise PopulationError(
+                f"stratum {self.id!r}: x and y must be columns of equal length"
+            )
+        if not x.size:
             raise PopulationError(f"stratum {self.id!r} has no units")
-        if not (1 <= self.small_n < len(self.units)):
+        if not (1 <= self.small_n < x.size):
             raise PopulationError(
                 f"stratum {self.id!r}: sample size n={self.small_n} must satisfy "
-                f"1 <= n < N={len(self.units)}"
+                f"1 <= n < N={x.size}"
             )
-        for x, y in self.units:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise PopulationError(f"stratum {self.id!r} contains non-finite values")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise PopulationError(f"stratum {self.id!r} contains non-finite values")
+        x.flags.writeable = False
+        y.flags.writeable = False
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def capital_n(self) -> int:
         """Stratum size N_h (always equals the number of unit records)."""
-        return len(self.units)
+        return self.x.size
 
-    @property
-    def xs(self) -> tuple[float, ...]:
-        return tuple(u[0] for u in self.units)
-
-    @property
-    def ys(self) -> tuple[float, ...]:
-        return tuple(u[1] for u in self.units)
-
-    @property
+    @cached_property
     def x_mean(self) -> float:
-        return math.fsum(self.xs) / self.capital_n
+        return _corrected_mean(self.x)
 
-    @property
+    @cached_property
     def y_mean(self) -> float:
-        return math.fsum(self.ys) / self.capital_n
+        return _corrected_mean(self.y)
 
 
 @dataclass(frozen=True)
@@ -116,12 +136,11 @@ class StratifiedPopulation:
         mixed-sign x can put a sample mean on the exponent's pole.
         """
         for s in self.strata:
-            for x, _ in s.units:
-                if x <= 0:
-                    raise PopulationError(
-                        f"stratum {s.id!r} contains x <= 0; exponential "
-                        "ratio/product estimators require a positive auxiliary"
-                    )
+            if s.x.min() <= 0:
+                raise PopulationError(
+                    f"stratum {s.id!r} contains x <= 0; exponential "
+                    "ratio/product estimators require a positive auxiliary"
+                )
 
 
 @dataclass(frozen=True)
@@ -144,6 +163,12 @@ class StratumSummary:
         return self.central_moments[(a, b)]
 
 
+def _powers(d: np.ndarray) -> list[float | np.ndarray]:
+    """[1, d, d^2, d^3, d^4], formed by products."""
+    d2 = d * d
+    return [1.0, d, d2, d2 * d, d2 * d2]
+
+
 def summarize_stratum(stratum: StratumPopulation) -> StratumSummary:
     """Compute means, (co)variances and central moments up to total order 4."""
     n = stratum.capital_n
@@ -151,8 +176,8 @@ def summarize_stratum(stratum: StratumPopulation) -> StratumSummary:
         raise PopulationError(f"stratum {stratum.id!r}: need at least 2 units, got {n}")
     x_mean = stratum.x_mean
     y_mean = stratum.y_mean
-    dx = [x - x_mean for x in stratum.xs]
-    dy = [y - y_mean for y in stratum.ys]
+    dy = _powers(stratum.y - y_mean)
+    dx = _powers(stratum.x - x_mean)
 
     central: dict[tuple[int, int], float] = {}
     for a in range(MAX_MOMENT_ORDER + 1):
@@ -163,9 +188,7 @@ def summarize_stratum(stratum: StratumPopulation) -> StratumSummary:
                 # first central moments vanish identically
                 central[(a, b)] = 0.0
             else:
-                central[(a, b)] = math.fsum(
-                    dyi**a * dxi**b for dyi, dxi in zip(dy, dx)
-                ) / n
+                central[(a, b)] = math.fsum((dy[a] * dx[b]).tolist()) / n
 
     bessel = n / (n - 1)
     return StratumSummary(
@@ -198,53 +221,64 @@ def load_population(
             f"line 1: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
         )
 
-    units_by_label: dict[str, list[tuple[float, float]]] = {}
+    # label -> (x column, y column), in first-appearance order
+    columns: dict[str, tuple[list[float], list[float]]] = {}
+    isfinite = math.isfinite
     for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
-        if len(row) != 3:
-            raise PopulationError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        label = row[0].strip()
+        try:
+            label, x_text, y_text = row
+        except ValueError:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # blank line
+            raise PopulationError(
+                f"line {lineno}: expected 3 fields, got {len(row)}"
+            ) from None
+        label = label.strip()
         if not label:
             raise PopulationError(f"line {lineno}: empty stratum label")
         try:
-            x = float(row[1])
-            y = float(row[2])
+            x = float(x_text)
+            y = float(y_text)
         except ValueError:
             raise PopulationError(
-                f"line {lineno}: cannot parse x={row[1]!r}, y={row[2]!r} as numbers"
+                f"line {lineno}: cannot parse x={x_text!r}, y={y_text!r} as numbers"
             ) from None
-        if not (math.isfinite(x) and math.isfinite(y)):
+        if not (isfinite(x) and isfinite(y)):
             raise PopulationError(f"line {lineno}: non-finite value")
-        units_by_label.setdefault(label, []).append((x, y))
+        col = columns.get(label)
+        if col is None:
+            col = columns[label] = ([], [])
+        col[0].append(x)
+        col[1].append(y)
 
-    if not units_by_label:
+    if not columns:
         raise PopulationError("population stream has no data rows")
 
-    unknown = sorted(set(design) - set(units_by_label))
+    unknown = sorted(set(design) - set(columns))
     if unknown:
         raise PopulationError(f"design names unknown strata: {unknown}")
-    missing = [label for label in units_by_label if label not in design]
+    missing = [label for label in columns if label not in design]
     if missing:
         raise PopulationError(f"design is missing sample sizes for strata: {missing}")
 
     strata = []
-    for label, units in units_by_label.items():
+    for label, (xs, ys) in columns.items():
         n_h = design[label]
         if not isinstance(n_h, int) or isinstance(n_h, bool):
             raise PopulationError(f"stratum {label!r}: sample size must be an integer")
-        if n_h >= len(units):
+        if n_h >= len(xs):
             raise PopulationError(
-                f"stratum {label!r}: sample size n={n_h} must be smaller than N={len(units)}"
+                f"stratum {label!r}: sample size n={n_h} must be smaller than N={len(xs)}"
             )
-        strata.append(StratumPopulation(id=label, units=tuple(units), small_n=n_h))
+        strata.append(StratumPopulation(id=label, x=xs, y=ys, small_n=n_h))
     return StratifiedPopulation(strata=tuple(strata))
 
 
 def load_population_file(path: str, design: Mapping[str, int]) -> StratifiedPopulation:
-    """Open ``path`` as UTF-8 CSV and delegate to :func:`load_population`."""
+    """Open ``path`` as UTF-8 CSV, with or without a byte-order mark, and
+    delegate to :func:`load_population`."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return load_population(fh, design)
     except OSError as exc:
         raise PopulationError(f"cannot read population file {path!r}: {exc}") from exc

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ComputationError, EnumerationLimitError
+from .errors import ComputationError, DegenerateAuxiliaryError, EnumerationLimitError
 from .estimators import EstimatorSpec, StratifiedSample, estimate, stratum_means
 from .population import StratifiedPopulation
 
@@ -207,8 +207,9 @@ def monte_carlo(
     Every estimator is evaluated on the same replicates.  A replicate on
     which the estimators are undefined (Xbar + xbar_st = 0, whatever the
     estimator) is skipped for all of them and counted once; the estimates
-    use the remaining replicates.  Output is bit-identical for a given
-    (population, specs, replicates, seed).
+    use the remaining replicates.  Any other failure, such as an estimator
+    overflowing the float range, aborts the run.  Output is bit-identical
+    for a given (population, specs, replicates, seed).
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
@@ -224,7 +225,7 @@ def monte_carlo(
         try:
             for k, spec in enumerate(specs):
                 deviations[k, r] = estimate(spec, sample, xbar_pop) - ybar_pop
-        except ComputationError:
+        except DegenerateAuxiliaryError:
             usable[r] = False
 
     n = int(usable.sum())

@@ -7,7 +7,7 @@ def make_population(*strata: tuple[str, list[float], list[float], int]) -> Strat
     """Build a population from (label, xs, ys, n) tuples."""
     return StratifiedPopulation(
         strata=tuple(
-            StratumPopulation(id=label, units=tuple(zip(xs, ys)), small_n=n)
+            StratumPopulation(id=label, x=xs, y=ys, small_n=n)
             for label, xs, ys, n in strata
         )
     )

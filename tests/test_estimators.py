@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stratexp.errors import DegenerateAuxiliaryError, PopulationError
+from stratexp.errors import ComputationError, DegenerateAuxiliaryError, PopulationError
 from stratexp.estimators import (
     EstimatorKind,
     EstimatorSpec,
@@ -84,6 +84,14 @@ class TestPointValues:
         s = sample_with(ybar=9.0, xbar=-4.0)
         with pytest.raises(DegenerateAuxiliaryError, match="degenerate auxiliary"):
             estimate(t1s(), s, 4.0)
+
+    @pytest.mark.parametrize("spec", [t3s(1e6), t4s(1e308)], ids=["exp", "product"])
+    def test_overflow_is_a_typed_error_naming_the_estimator(self, spec):
+        """exp(1e6 z) overflows math.exp; theta = 1e308 overflows the product."""
+        s = sample_with(ybar=9.0, xbar=2.0)
+        with pytest.raises(ComputationError, match=r"estimator t[34]s\(.*\) overflows") as info:
+            estimate(spec, s, 4.0)
+        assert not isinstance(info.value, DegenerateAuxiliaryError)
 
 
 class TestReductionIdentities:

@@ -182,7 +182,7 @@ class TestVTableExactness:
     def test_two_strata_match_enumeration(self, synthetic, synthetic_v):
         """Cross-stratum products make the order-4 entries exact too."""
         strata = [
-            ([int(y) for _, y in s.units], [int(x) for x, _ in s.units], s.small_n)
+            ([int(y) for y in s.y.tolist()], [int(x) for x in s.x.tolist()], s.small_n)
             for s in synthetic.strata
         ]
         for a, b in VTABLE_KEYS:
@@ -232,7 +232,7 @@ class TestVTableInvariances:
     def test_scaling_y_leaves_table_unchanged(self, synthetic, synthetic_v):
         scaled = make_population(
             *(
-                (s.id, list(s.xs), [7.5 * y for y in s.ys], s.small_n)
+                (s.id, s.x.tolist(), [7.5 * y for y in s.y.tolist()], s.small_n)
                 for s in synthetic.strata
             )
         )

@@ -115,7 +115,7 @@ class TestNumericSearch:
 
         scaled = make_population(
             *(
-                (s.id, list(s.xs), [4.0 * y for y in s.ys], s.small_n)
+                (s.id, s.x.tolist(), [4.0 * y for y in s.y.tolist()], s.small_n)
                 for s in synthetic.strata
             )
         )

@@ -2,20 +2,28 @@
 
 import io
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratexp.errors import PopulationError
+from stratexp.errors import DegenerateAuxiliaryError, PopulationError
+from stratexp.moments import v_table
+from stratexp.optimize import optimize_alpha
 from stratexp.population import (
     StratifiedPopulation,
     StratumPopulation,
     load_population,
+    load_population_file,
     summarize_stratum,
 )
 
 from helpers import make_population
+
+
+PLAIN_CSV = "stratum,x,y\nA,1.5,2\nA,2.25,4\nA,3,6\nB,4,1\nB,5,2\nB,6,3.5\n"
 
 
 def load_csv(text: str, design: dict[str, int]) -> StratifiedPopulation:
@@ -73,11 +81,33 @@ class TestLoadPopulation:
 
     def test_unit_order_preserved(self):
         pop = load_csv("stratum,x,y\nA,9,1\nA,1,2\nA,5,3\nA,2,4\n", {"A": 2})
-        assert pop.strata[0].xs == (9.0, 1.0, 5.0, 2.0)
+        assert tuple(pop.strata[0].x.tolist()) == (9.0, 1.0, 5.0, 2.0)
 
     def test_blank_lines_skipped(self):
         pop = load_csv("stratum,x,y\nA,1,2\n\nA,2,4\nA,3,6\n", {"A": 1})
         assert pop.strata[0].capital_n == 3
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            ("\ufeff" + PLAIN_CSV).encode("utf-8"),
+            PLAIN_CSV.replace("\n", "\r\n").encode("utf-8"),
+            PLAIN_CSV.replace("A,", '"A",').replace(",2.25,", ',"2.25",').encode("utf-8"),
+        ],
+        ids=["bom", "crlf", "quoted"],
+    )
+    def test_file_encodings_load_same_columns(self, tmp_path, data):
+        design = {"A": 2, "B": 2}
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(PLAIN_CSV.encode("utf-8"))
+        odd = tmp_path / "odd.csv"
+        odd.write_bytes(data)
+
+        def columns(path):
+            pop = load_population_file(str(path), design)
+            return [(s.id, s.x.tolist(), s.y.tolist(), s.small_n) for s in pop.strata]
+
+        assert columns(odd) == columns(plain)
 
     def test_positive_auxiliary_guard(self):
         pop = load_csv("stratum,x,y\nA,1,2\nA,-2,4\nA,3,6\n", {"A": 1})
@@ -88,24 +118,24 @@ class TestLoadPopulation:
 class TestValidation:
     def test_stratum_needs_units(self):
         with pytest.raises(PopulationError):
-            StratumPopulation(id="A", units=(), small_n=1)
+            StratumPopulation(id="A", x=(), y=(), small_n=1)
 
     def test_sample_size_bounds(self):
-        units = ((1.0, 2.0), (3.0, 4.0))
+        xs, ys = (1.0, 3.0), (2.0, 4.0)
         with pytest.raises(PopulationError):
-            StratumPopulation(id="A", units=units, small_n=0)
+            StratumPopulation(id="A", x=xs, y=ys, small_n=0)
         with pytest.raises(PopulationError):
-            StratumPopulation(id="A", units=units, small_n=2)
+            StratumPopulation(id="A", x=xs, y=ys, small_n=2)
 
     def test_duplicate_labels_rejected(self):
-        s = StratumPopulation(id="A", units=((1.0, 2.0), (3.0, 4.0)), small_n=1)
+        s = StratumPopulation(id="A", x=(1.0, 3.0), y=(2.0, 4.0), small_n=1)
         with pytest.raises(PopulationError, match="duplicate"):
             StratifiedPopulation(strata=(s, s))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(PopulationError):
             StratumPopulation(
-                id="A", units=((1.0, math.inf), (3.0, 4.0)), small_n=1
+                id="A", x=(1.0, 3.0), y=(math.inf, 4.0), small_n=1
             )
 
 
@@ -142,20 +172,70 @@ class TestSummaries:
         sm = summarize_stratum(pop.strata[0])
         assert sm.c(1, 1) ** 2 <= sm.c(2, 0) * sm.c(0, 2) * (1 + 1e-12)
 
+    def test_matches_exact_rational_moments(self):
+        """Every C_ab against exact rational arithmetic on the same floats.
+
+        The bound, 1e-12 of the mean of |dy|^a |dx|^b, is a few thousand
+        float64 epsilons: room for ulp-level errors in the mean and in each
+        product, none for a wrong term."""
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(1.0, 10.0, 64).tolist()
+        ys = [2.0 * x + e for x, e in zip(xs, rng.normal(0.0, 3.0, 64).tolist())]
+        sm = summarize_stratum(make_population(("A", xs, ys, 2)).strata[0])
+        fx = [Fraction(x) for x in xs]
+        fy = [Fraction(y) for y in ys]
+        mx, my = sum(fx) / 64, sum(fy) / 64
+        assert sm.x_mean == pytest.approx(float(mx), rel=1e-15)
+        assert sm.y_mean == pytest.approx(float(my), rel=1e-15)
+        for (a, b), value in sm.central_moments.items():
+            exact = sum((y - my) ** a * (x - mx) ** b for x, y in zip(fx, fy)) / 64
+            scale = sum(abs(y - my) ** a * abs(x - mx) ** b for x, y in zip(fx, fy)) / 64
+            assert abs(value - float(exact)) <= 1e-12 * float(scale), (a, b)
+
     def test_degenerate_stratum(self):
         s = StratumPopulation.__new__(StratumPopulation)
         object.__setattr__(s, "id", "A")
-        object.__setattr__(s, "units", ((1.0, 2.0),))
+        object.__setattr__(s, "x", np.array([1.0]))
+        object.__setattr__(s, "y", np.array([2.0]))
         object.__setattr__(s, "small_n", 1)
         with pytest.raises(PopulationError, match="at least 2"):
             summarize_stratum(s)
+
+
+class TestConstantColumns:
+    """A constant column has exactly zero deviations, so nothing that
+    involves it may come out as rounding noise."""
+
+    def test_constant_x_is_exactly_degenerate(self):
+        pop = make_population(
+            ("A", [0.1] * 4, [1.0, 2.5, 4.0, 3.0], 2),
+            ("B", [0.1] * 6, [2.0, 7.0, 1.5, 3.25, 9.0, 4.0], 2),
+        )
+        for s in pop.strata:
+            sm = summarize_stratum(s)
+            assert sm.x_mean == 0.1
+            for (a, b), value in sm.central_moments.items():
+                if b >= 1:
+                    assert value == 0.0, (s.id, a, b)
+        v = v_table(pop)
+        assert v[(0, 2)] == 0.0
+        assert v[(1, 1)] == 0.0
+        assert v[(1, 2)] == 0.0
+        with pytest.raises(DegenerateAuxiliaryError, match="V02 = 0"):
+            optimize_alpha(v, 1)
+
+    def test_constant_x_scale_equivariance(self):
+        """The scale-equivariance property, unchanged, at a constant column."""
+        TestInvariants.test_scale_equivariance.hypothesis.inner_test(
+            TestInvariants(), c=3.0, xs=[2.2] * 5
+        )
 
 
 class TestInvariants:
     def test_weighted_mean_reconstruction(self, synthetic):
         """Σ W_h Ȳ_h equals the pooled mean of y over all units."""
         pooled = math.fsum(
-            y for s in synthetic.strata for _, y in s.units
+            y for s in synthetic.strata for y in s.y.tolist()
         ) / synthetic.total_n
         assert synthetic.grand_y_mean == pytest.approx(pooled, rel=1e-12)
 

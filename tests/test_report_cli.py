@@ -274,6 +274,25 @@ class TestCli:
         assert code == 2
         assert "Monte Carlo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "verify",
+        [["--verify", "exact"], ["--verify", "mc", "--replicates", "10"]],
+        ids=["exact", "mc"],
+    )
+    def test_estimator_overflow_exit_two(self, capsys, verify):
+        """exp(1e6 z) overflows: a typed error with exit 2, never skipped as a replicate."""
+        code = main([
+            "--population", synthetic_csv_path(),
+            "--n", "A=3", "--n", "B=3",
+            "--estimator", "t3s:1e6",
+            *verify,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "computation failed: ComputationError" in err
+        assert "t3s(alpha=1e+06) overflows" in err
+        assert "Traceback" not in err
+
     def test_bad_design_string(self, capsys):
         code = main(["--population", synthetic_csv_path(), "--n", "A3"])
         assert code == 1
@@ -316,6 +335,9 @@ class TestCli:
             ("replicates", "100"),
             ("replicates", 100.5),
             ("seed", "abc"),
+            ("order", 1),
+            ("verify", 0),
+            ("format", None),
         ],
     )
     def test_config_value_types(self, tmp_path, capsys, key, value):

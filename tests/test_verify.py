@@ -38,7 +38,7 @@ class TestEnumeration:
         got = exact_expectation(pop, lambda s: ((s.xbar - xbar) / xbar) ** 3)
         cap, n = 7, 2
         k1 = ((cap - n) * (cap - 2 * n)) / (n * n * (cap - 1) * (cap - 2))
-        mu3 = math.fsum((x - xbar) ** 3 for x in pop.strata[0].xs) / cap
+        mu3 = math.fsum((x - xbar) ** 3 for x in pop.strata[0].x.tolist()) / cap
         assert got == pytest.approx(k1 * mu3 / xbar**3, rel=1e-12)
 
     def test_visits_every_sample_once(self, synthetic):
