@@ -16,6 +16,21 @@ rational power series and truncating at total degree 2*order gives
 
 where expectations of monomials e0^a e1^b are read off the moment table.
 
+The weights of bias/Ybar and MSE/Ybar^2 on each monomial depend only on
+(kind, quantity, order), so ``coefficient_table`` derives each table once
+per process by the symbolic expansion, with the tuning constant kept as a
+polynomial variable: order 1 is the degree-2 slice of order 2 (truncation
+by total degree commutes with products), and the ratio and product types
+are the tunable exponent at alpha = +1 and -1.  ``bias`` and ``mse``
+evaluate a table at the exact rational value Fraction(parameter), round
+each weight to float once and take an exactly summed (``math.fsum``) dot
+product with the moment table.  Substitution commutes with the ring
+operations, so every weight is the rational that expanding the concrete
+estimator gives, and the results are bit-identical to expanding afresh on
+every call.  ``mse_parameter_polynomial`` is the column sums of the order-2
+MSE table, and the printed closed forms below are tables of the same shape
+that go through the same evaluator.
+
 Coefficients stay exact rationals until the final dot product with the
 moment table.  For exp(u) the quadratic-and-below coefficients are the
 familiar ones (e1: -1/2, e1^2: 3/8, e0e1: -1/2); exact composition gives
@@ -27,6 +42,7 @@ here: it is the version certified by the enumeration oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -318,90 +334,176 @@ def _check_order(order: int) -> None:
         raise ValueError(f"approximation order must be 1 or 2, got {order}")
 
 
+#: rows (monomial, numerators, denominator): the weight of E[e0^a e1^b] is
+#: the polynomial sum_k numerators[k] * parameter^k / denominator, exactly;
+#: kinds without a tuning constant have one numerator per row
+CoefficientTable = tuple[tuple[Monomial, tuple[int, ...], int], ...]
+
+
+def _table_of(poly: SeriesPolynomial) -> CoefficientTable:
+    rows = []
+    for mono, c in poly.items():
+        coeffs = c.coeffs if isinstance(c, ParameterPolynomial) else (c,)
+        den = math.lcm(*(f.denominator for f in coeffs))
+        nums = tuple(f.numerator * (den // f.denominator) for f in coeffs)
+        rows.append((mono, nums, den))
+    return tuple(rows)
+
+
+def _horner(nums: tuple[int, ...], den: int, p: int, q: int) -> tuple[int, int]:
+    """The weight at parameter p/q, as an unreduced integer ratio."""
+    acc = nums[-1]
+    qk = 1
+    for n in nums[-2::-1]:
+        qk *= q
+        acc = acc * p + n * qk
+    return acc, den * qk
+
+
+@functools.cache
+def coefficient_table(
+    kind: EstimatorKind, quantity: str, order: int
+) -> CoefficientTable:
+    """Exact weights of bias/Ybar ("bias") or MSE/Ybar^2 ("mse").
+
+    Each weight multiplies E[e0^a e1^b] and is a polynomial in the tuning
+    constant.  The table is derived once per (kind, quantity, order) by the
+    symbolic expansion and kept for the life of the process.
+    """
+    _check_order(order)
+    if quantity not in ("bias", "mse"):
+        raise ValueError(f"quantity must be 'bias' or 'mse', got {quantity!r}")
+    if order == 1:
+        # truncation by total degree commutes with products, so the
+        # degree-2 slice of the order-2 table is the order-1 table
+        return tuple(
+            row for row in coefficient_table(kind, quantity, 2) if sum(row[0]) <= 2
+        )
+    if kind in (EstimatorKind.T1S, EstimatorKind.T2S):
+        # the ratio and product types are the tunable exponent at alpha = +-1
+        alpha = 1 if kind is EstimatorKind.T1S else -1
+        rows = []
+        for mono, nums, den in coefficient_table(EstimatorKind.T3S, quantity, 2):
+            n, d = _horner(nums, den, alpha, 1)
+            if n:
+                rows.append((mono, (n,), d))
+        return tuple(rows)
+    series = expand_estimator_symbolic(kind, max_degree=4)
+    if quantity == "mse":
+        series = series.square(4)
+    return _table_of(series)
+
+
+def _evaluate(
+    table: CoefficientTable, spec: EstimatorSpec, v: VTable, scale: float
+) -> float:
+    """scale * sum of weight(parameter) * E[e0^a e1^b], exactly summed.
+
+    Each weight is evaluated at the exact rational value of the parameter
+    in integers and rounded to float once (int / int is correctly rounded),
+    so each term is the one the concrete expansion of ``spec`` gives.
+    """
+    try:
+        if spec.parameter is None:
+            p = q = 1
+        else:
+            p, q = Fraction(spec.parameter).as_integer_ratio()
+        terms = []
+        for (a, b), nums, den in table:
+            n, d = _horner(nums, den, p, q)
+            if n:
+                terms.append(n / d * _moment(v, a, b))
+        result = scale * math.fsum(terms)
+    except (OverflowError, ValueError):
+        result = math.nan
+    if not math.isfinite(result):
+        raise ComputationError(
+            f"estimator {spec.label()} overflows the float range "
+            "in its series expansion"
+        )
+    return result
+
+
 def bias(spec: EstimatorSpec, v: VTable, order: int) -> float:
     """Series bias: expectation of the expansion truncated at degree 2*order."""
-    _check_order(order)
-    poly = expand_estimator(spec, max_degree=2 * order)
-    return v.ybar * expectation_of(poly, v)
+    return _evaluate(coefficient_table(spec.kind, "bias", order), spec, v, v.ybar)
 
 
 def mse(spec: EstimatorSpec, v: VTable, order: int) -> float:
     """Series MSE: expectation of the squared expansion, same truncation."""
-    _check_order(order)
-    poly = expand_estimator(spec, max_degree=2 * order)
-    return v.ybar**2 * expectation_of(poly.square(2 * order), v)
+    return _evaluate(coefficient_table(spec.kind, "mse", order), spec, v, v.ybar**2)
 
 
 def mse_parameter_polynomial(kind: EstimatorKind, v: VTable) -> list[float]:
     """Second-order MSE as a polynomial in the tuning constant.
 
     Returns ascending coefficients (quartic for the tunable exponent,
-    quadratic for the mixture), already scaled by Ybar^2.  Each coefficient
-    is an exactly-summed dot product of rational weights with table entries.
+    quadratic for the mixture), already scaled by Ybar^2: the column sums
+    of the order-2 MSE table, each an exactly-summed dot product of
+    rational weights with table entries.
     """
-    poly = expand_estimator_symbolic(kind, max_degree=4).square(4)
     buckets: list[list[float]] = []
-    for (a, b), c in poly.items():
+    for (a, b), nums, den in coefficient_table(kind, "mse", 2):
         m = _moment(v, a, b)
-        if isinstance(c, ParameterPolynomial):
-            cs = c.coeffs
-        else:
-            cs = (c,)
-        for k, ck in enumerate(cs):
+        for k, n in enumerate(nums):
             while len(buckets) <= k:
                 buckets.append([])
-            buckets[k].append(float(ck) * m)
+            buckets[k].append(n / den * m)
     scale = v.ybar**2
     return [scale * math.fsum(vals) for vals in buckets]
 
 
+def _printed(**weights: Fraction) -> CoefficientTable:
+    """A constant table from weights keyed by moment-table name (``V12``)."""
+    return tuple(
+        ((int(name[1]), int(name[2])), (c.numerator,), c.denominator)
+        for name, c in weights.items()
+    )
+
+
 # Legacy closed-form second-order expressions, evaluated literally for
-# comparison reporting.  Keys are moment-table names, values the printed
-# rational coefficients.  Their cubic/quartic entries embed the -7/48 and
-# 25/384 exponent-series coefficients instead of the exact -13/48 / 73/384,
-# and the ratio-type MSE form has no V03 term at all.
-PRINTED_SECOND_ORDER: dict[EstimatorKind, dict[str, dict[str, Fraction]]] = {
-    EstimatorKind.T1S: {
-        # bias tables hold the literal bracket contents of Ybar/2 * [...]
-        "bias": {
-            "V11": Fraction(-1),
-            "V02": Fraction(3, 4),
-            "V12": Fraction(3, 4),
-            "V03": Fraction(-7, 24),
-            "V13": Fraction(-7, 24),
-            "V04": Fraction(25, 192),
-        },
-        "mse": {
-            "V20": Fraction(1),
-            "V02": Fraction(1, 4),
-            "V11": Fraction(-1),
-            "V22": Fraction(1),
-            "V21": Fraction(-1),
-            "V12": Fraction(5, 4),
-            "V13": Fraction(-25, 24),
-            "V04": Fraction(55, 192),
-        },
-    },
-    EstimatorKind.T2S: {
-        "bias": {
-            "V11": Fraction(1),
-            "V02": Fraction(-1, 4),
-            "V12": Fraction(-1, 4),
-            "V13": Fraction(-5, 24),
-            "V04": Fraction(1, 192),
-            "V03": Fraction(-5, 24),
-        },
-        "mse": {
-            "V20": Fraction(1),
-            "V02": Fraction(1, 4),
-            "V11": Fraction(1),
-            "V04": Fraction(23, 192),
-            "V03": Fraction(-1, 8),
-            "V12": Fraction(1, 4),
-            "V13": Fraction(-1, 24),
-            "V21": Fraction(1),
-        },
-    },
+# comparison reporting, in the shape of ``coefficient_table(kind, q, 2)``.
+# Their cubic/quartic entries embed the -7/48 and 25/384 exponent-series
+# coefficients instead of the exact -13/48 / 73/384, and the ratio-type MSE
+# form has no V03 term at all.  The bias weights are half the printed
+# bracket contents of Ybar/2 * [...].
+PRINTED_SECOND_ORDER: dict[tuple[EstimatorKind, str], CoefficientTable] = {
+    (EstimatorKind.T1S, "bias"): _printed(
+        V11=Fraction(-1, 2),
+        V02=Fraction(3, 8),
+        V12=Fraction(3, 8),
+        V03=Fraction(-7, 48),
+        V13=Fraction(-7, 48),
+        V04=Fraction(25, 384),
+    ),
+    (EstimatorKind.T1S, "mse"): _printed(
+        V20=Fraction(1),
+        V02=Fraction(1, 4),
+        V11=Fraction(-1),
+        V22=Fraction(1),
+        V21=Fraction(-1),
+        V12=Fraction(5, 4),
+        V13=Fraction(-25, 24),
+        V04=Fraction(55, 192),
+    ),
+    (EstimatorKind.T2S, "bias"): _printed(
+        V11=Fraction(1, 2),
+        V02=Fraction(-1, 8),
+        V12=Fraction(-1, 8),
+        V13=Fraction(-5, 48),
+        V04=Fraction(1, 384),
+        V03=Fraction(-5, 48),
+    ),
+    (EstimatorKind.T2S, "mse"): _printed(
+        V20=Fraction(1),
+        V02=Fraction(1, 4),
+        V11=Fraction(1),
+        V04=Fraction(23, 192),
+        V03=Fraction(-1, 8),
+        V12=Fraction(1, 4),
+        V13=Fraction(-1, 24),
+        V21=Fraction(1),
+    ),
 }
 
 #: exponent-series coefficients of exp(-e1/(2+e1)): exact vs legacy values
@@ -417,19 +519,14 @@ RATIO_SERIES_COEFFS_PRINTED: dict[int, Fraction] = {
 
 def printed_second_order(spec: EstimatorSpec, v: VTable) -> tuple[float, float]:
     """Evaluate the legacy closed forms; ratio and product types only."""
-    if spec.kind not in PRINTED_SECOND_ORDER:
+    if (spec.kind, "bias") not in PRINTED_SECOND_ORDER:
         raise ValueError(
             f"printed-mode formulas exist only for t1s and t2s, not {spec.kind.value}"
         )
-    table = PRINTED_SECOND_ORDER[spec.kind]
-    names = {f"V{a}{b}": (a, b) for (a, b) in v.entries}
-    bias_val = 0.5 * v.ybar * math.fsum(
-        float(c) * v.entries[names[name]] for name, c in table["bias"].items()
+    return (
+        _evaluate(PRINTED_SECOND_ORDER[spec.kind, "bias"], spec, v, v.ybar),
+        _evaluate(PRINTED_SECOND_ORDER[spec.kind, "mse"], spec, v, v.ybar**2),
     )
-    mse_val = v.ybar**2 * math.fsum(
-        float(c) * v.entries[names[name]] for name, c in table["mse"].items()
-    )
-    return bias_val, mse_val
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ second order no closed form is attempted: the objective is an exact
 polynomial in the constant (quartic for the exponent, quadratic for the
 mixture), minimized by an 801-point grid over a fixed bracket followed by
 golden-section refinement around the best grid point.  Grid ties break
-toward the smaller absolute parameter.
+toward the smaller absolute parameter.  When V02 = 0 exactly (a constant
+auxiliary column) the MSE does not depend on the constant, and both
+orders raise DegenerateAuxiliaryError.
 """
 
 from __future__ import annotations
@@ -117,12 +119,14 @@ def _optimize(
     v02 = v.entries[(0, 2)]
     v11 = v.entries[(1, 1)]
     make = t3s if kind is EstimatorKind.T3S else t4s
+    if v02 == 0.0:
+        # xbar_st never varies, so every e1 moment vanishes and the MSE is
+        # flat in the constant at either order
+        raise DegenerateAuxiliaryError(
+            "degenerate auxiliary variance: V02 = 0, no informative optimum"
+        )
 
     if order == 1:
-        if v02 == 0.0:
-            raise DegenerateAuxiliaryError(
-                "degenerate auxiliary variance: V02 = 0, no informative optimum"
-            )
         if kind is EstimatorKind.T3S:
             param = 2.0 * v11 / v02
         else:

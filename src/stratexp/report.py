@@ -94,6 +94,8 @@ class EstimatorRequest:
             raise ConfigError(
                 f"estimator {text!r}: parameter must be a number or 'optimize'"
             ) from None
+        if not math.isfinite(value):
+            raise ConfigError(f"estimator {text!r}: parameter must be finite")
         return EstimatorRequest(kind=kind, parameter=value)
 
     def label(self) -> str:

@@ -6,13 +6,18 @@ expansion of the scalar function), and the first-order closed forms are
 verified as exact rational identities, symbolic in the tuning constant.
 """
 
+import collections
 import math
+import re
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
-from stratexp.estimators import EstimatorKind, t1s, t2s, t3s, t4s
+from stratexp import expansion
+from stratexp.datasets import SYNTHETIC_SAMPLE_SIZES, synthetic_csv_path
+from stratexp.errors import ComputationError
+from stratexp.estimators import EstimatorKind, EstimatorSpec, t1s, t2s, t3s, t4s
 from stratexp.expansion import (
     PARAMETER,
     ParameterPolynomial,
@@ -29,6 +34,7 @@ from stratexp.expansion import (
     printed_second_order,
 )
 from stratexp.moments import VTABLE_KEYS, VTable
+from stratexp.report import EstimatorRequest, RunConfig, report_as_dict, run
 from stratexp.verify import exact_expectation
 
 
@@ -301,6 +307,36 @@ class TestPrintedMode:
             assert derived.mse2 != printed.mse2
             assert printed.mode == "printed"
 
+    def test_equals_the_printed_bracket_formulas(self, synthetic_v, desk_v):
+        """bias = Ybar/2 * [bracket], mse = Ybar^2 * [...], with the printed
+        bracket weights written out by name."""
+        brackets = {
+            EstimatorKind.T1S: (
+                dict(V11=F(-1), V02=F(3, 4), V12=F(3, 4), V03=F(-7, 24),
+                     V13=F(-7, 24), V04=F(25, 192)),
+                dict(V20=F(1), V02=F(1, 4), V11=F(-1), V22=F(1), V21=F(-1),
+                     V12=F(5, 4), V13=F(-25, 24), V04=F(55, 192)),
+            ),
+            EstimatorKind.T2S: (
+                dict(V11=F(1), V02=F(-1, 4), V12=F(-1, 4), V13=F(-5, 24),
+                     V04=F(1, 192), V03=F(-5, 24)),
+                dict(V20=F(1), V02=F(1, 4), V11=F(1), V04=F(23, 192),
+                     V03=F(-1, 8), V12=F(1, 4), V13=F(-1, 24), V21=F(1)),
+            ),
+        }
+        for v in (synthetic_v, desk_v):
+            for spec in (t1s(), t2s()):
+                bias_bracket, mse_bracket = brackets[spec.kind]
+
+                def dot(weights):
+                    return math.fsum(
+                        float(c) * v[(int(name[1]), int(name[2]))]
+                        for name, c in weights.items()
+                    )
+
+                expected = (0.5 * v.ybar * dot(bias_bracket), v.ybar**2 * dot(mse_bracket))
+                assert printed_second_order(spec, v) == expected
+
     def test_t1s_bias_delta_formula(self, synthetic_v):
         """The ratio-type bias gap is exactly
         Ybar * [(c3d - c3p)(V03 + V13) + (c4d - c4p) V04]."""
@@ -349,3 +385,111 @@ class TestParameterPolynomial:
                     assert float(subbed.coefficient(*mono)) == pytest.approx(
                         float(concrete.coefficient(*mono)), rel=1e-12
                     )
+
+
+def _moment_or_zero(v: VTable, a: int, b: int) -> float:
+    return 1.0 if a + b == 0 else 0.0 if a + b == 1 else v[(a, b)]
+
+
+TABLE_PARAMETERS = (0.0, 1.0, -1.0, 0.5, -0.5, 1 / 3, 2.75)
+
+
+def _specs_of(kind: EstimatorKind) -> list[EstimatorSpec]:
+    if kind is EstimatorKind.T3S:
+        return [t3s(p) for p in TABLE_PARAMETERS]
+    if kind is EstimatorKind.T4S:
+        return [t4s(p) for p in TABLE_PARAMETERS]
+    return [EstimatorSpec(kind)]
+
+
+class TestCoefficientTables:
+    """The cached tables reproduce a fresh derivation bit for bit."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("quantity", ["bias", "mse"])
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+    def test_table_is_the_symbolic_expansion(self, kind, quantity, order):
+        series = expand_estimator_symbolic(kind, max_degree=2 * order)
+        if quantity == "mse":
+            series = series.square(2 * order)
+        expected = {
+            mono: c.coeffs if isinstance(c, ParameterPolynomial) else (c,)
+            for mono, c in series.items()
+        }
+        table = {
+            mono: tuple(F(n, den) for n in nums)
+            for mono, nums, den in expansion.coefficient_table(kind, quantity, order)
+        }
+        assert table == expected
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("quantity", ["bias", "mse"])
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+    def test_evaluation_equals_fresh_expansion(
+        self, synthetic_v, desk_v, kind, quantity, order
+    ):
+        for v in (synthetic_v, desk_v):
+            for spec in _specs_of(kind):
+                poly = expand_estimator(spec, max_degree=2 * order)
+                if quantity == "bias":
+                    expected = v.ybar * expectation_of(poly, v)
+                    got = bias(spec, v, order)
+                else:
+                    expected = v.ybar**2 * expectation_of(poly.square(2 * order), v)
+                    got = mse(spec, v, order)
+                assert got == expected, (spec.label(), v.ybar)
+
+    @pytest.mark.parametrize("kind", [EstimatorKind.T3S, EstimatorKind.T4S], ids=["t3s", "t4s"])
+    def test_parameter_polynomial_equals_symbolic_square(self, synthetic_v, desk_v, kind):
+        for v in (synthetic_v, desk_v):
+            poly = expand_estimator_symbolic(kind, max_degree=4).square(4)
+            buckets: list[list[float]] = []
+            for (a, b), c in poly.items():
+                cs = c.coeffs if isinstance(c, ParameterPolynomial) else (c,)
+                for k, ck in enumerate(cs):
+                    while len(buckets) <= k:
+                        buckets.append([])
+                    buckets[k].append(float(ck) * _moment_or_zero(v, a, b))
+            expected = [v.ybar**2 * math.fsum(vals) for vals in buckets]
+            assert mse_parameter_polynomial(kind, v) == expected
+
+    def test_each_table_is_derived_once(self, monkeypatch):
+        """Repeated reports reuse the tables: the symbolic expansion runs once
+        per (kind, quantity) with a tuning constant, and never again."""
+        derivations = collections.Counter()
+        real = expansion.expand_estimator_symbolic
+
+        def counting(kind, max_degree=4):
+            derivations[kind] += 1
+            return real(kind, max_degree)
+
+        monkeypatch.setattr(expansion, "expand_estimator_symbolic", counting)
+        expansion.coefficient_table.cache_clear()
+        config = RunConfig(
+            population_path=synthetic_csv_path(),
+            sample_sizes=SYNTHETIC_SAMPLE_SIZES,
+            estimators=tuple(
+                EstimatorRequest.parse(e)
+                for e in ("t1s", "t2s", "t3s:optimize", "t4s:optimize", "t3s:0.5")
+            ),
+            printed_mode=True,
+        )
+        first = report_as_dict(run(config))
+        after_first = dict(derivations)
+        for _ in range(3):
+            assert report_as_dict(run(config)) == first
+        assert dict(derivations) == after_first == {
+            EstimatorKind.T3S: 2,
+            EstimatorKind.T4S: 2,
+        }
+        info = expansion.coefficient_table.cache_info()
+        assert info.misses == info.currsize == 16  # 4 kinds x 2 quantities x 2 orders
+
+    @pytest.mark.parametrize(
+        "spec, label",
+        [(t3s(1e200), "t3s(alpha=1e+200)"), (t4s(1e308), "t4s(theta=1e+308)")],
+    )
+    def test_overflowing_weight_is_a_typed_error(self, synthetic_v, spec, label):
+        for order in (1, 2):
+            with pytest.raises(ComputationError, match=rf"{re.escape(label)} overflows"):
+                mse(spec, synthetic_v, order)

@@ -38,6 +38,14 @@ class TestClosedForms:
         with pytest.raises(DegenerateAuxiliaryError, match="degenerate auxiliary variance"):
             optimize_alpha(v, order=1)
 
+    @pytest.mark.parametrize("optimize", [optimize_alpha, optimize_theta])
+    def test_degenerate_auxiliary_variance_second_order(self, optimize):
+        """With V02 = 0 every e1 moment vanishes and the quartic is flat."""
+        v = toy_vtable(V20=0.02, V30=0.001)
+        assert mse_parameter_polynomial(EstimatorKind.T3S, v)[1:] == [0.0] * 4
+        with pytest.raises(DegenerateAuxiliaryError, match="degenerate auxiliary variance"):
+            optimize(v, order=2)
+
     def test_objective_matches_recomputed_mse(self, synthetic_v):
         out = optimize_alpha(synthetic_v, order=1)
         assert out.objective == pytest.approx(

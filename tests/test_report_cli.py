@@ -293,6 +293,61 @@ class TestCli:
         assert "t3s(alpha=1e+06) overflows" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def _estimator_argv(tmp_path, source: str, estimator: str) -> list[str]:
+        """Argv requesting one estimator by flag or through a config file."""
+        if source == "flag":
+            return [
+                "--population", synthetic_csv_path(),
+                "--n", "A=3", "--n", "B=3",
+                "--estimator", estimator,
+            ]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "population": synthetic_csv_path(),
+            "sample_sizes": {"A": 3, "B": 3},
+            "estimators": [estimator],
+        }))
+        return ["--config", str(cfg)]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("estimator", ["t3s:inf", "t3s:-inf", "t3s:nan", "t4s:inf"])
+    def test_non_finite_parameter_is_a_config_error(self, tmp_path, capsys, source, estimator):
+        assert main(self._estimator_argv(tmp_path, source, estimator)) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err
+        assert "parameter must be finite" in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "estimator, label",
+        [("t3s:1e200", "t3s(alpha=1e+200)"), ("t4s:1e308", "t4s(theta=1e+308)")],
+    )
+    def test_series_overflow_exit_two(self, tmp_path, capsys, source, estimator, label):
+        """A weight beyond the float range is a typed error naming the estimator."""
+        assert main(self._estimator_argv(tmp_path, source, estimator)) == 2
+        err = capsys.readouterr().err
+        assert "computation failed: ComputationError" in err
+        assert f"{label} overflows" in err
+
+    @pytest.mark.parametrize("order", ["1", "2"])
+    @pytest.mark.parametrize("estimator", ["t3s:optimize", "t4s:optimize"])
+    def test_constant_auxiliary_has_no_optimum(self, tmp_path, capsys, order, estimator):
+        """x = 0.1 everywhere: V02 = 0 exactly, and neither order picks a constant."""
+        csv = tmp_path / "flat.csv"
+        ys = {"A": [1.0, 2.5, 4.0, 3.0], "B": [2.0, 7.0, 1.5, 3.25, 9.0, 4.0]}
+        csv.write_text("stratum,x,y\n" + "".join(
+            f"{label},0.1,{y}\n" for label, col in ys.items() for y in col
+        ))
+        code = main([
+            "--population", str(csv), "--n", "A=2", "--n", "B=2",
+            "--estimator", estimator, "--order", order,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "DegenerateAuxiliaryError" in err
+        assert "V02 = 0" in err
+
     def test_bad_design_string(self, capsys):
         code = main(["--population", synthetic_csv_path(), "--n", "A3"])
         assert code == 1
