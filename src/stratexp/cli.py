@@ -142,6 +142,19 @@ _CONFIG_TYPES = {
 
 _JSON_TYPE_NAMES = {bool: "boolean", int: "integer", str: "string"}
 
+#: config key (also the flag's argparse dest) -> RunConfig field, for the
+#: options whose defaults RunConfig holds
+_RUN_OPTIONS = {
+    "order": "order",
+    "verify": "verify",
+    "replicates": "replicates",
+    "seed": "seed",
+    "format": "output_format",
+    "printed_mode": "printed_mode",
+    "max_enum": "max_enum",
+    "workers": "workers",
+}
+
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     file_cfg: dict = {}
@@ -185,29 +198,21 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     optimize_default = (
         args.optimize if args.optimize is not None else file_cfg.get("optimize", False)
     )
-    requests = []
-    for text in texts:
-        if optimize_default and str(text).strip().lower() in ("t3s", "t4s"):
-            text = f"{str(text).strip().lower()}:optimize"
-        requests.append(EstimatorRequest.parse(str(text)))
+    requests = [EstimatorRequest.parse(str(text), optimize_default) for text in texts]
 
-    def pick(flag_value, key: str, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
+    # only the options a flag or the file sets; RunConfig holds the defaults
+    options = {}
+    for key, name in _RUN_OPTIONS.items():
+        value = getattr(args, key)
+        if value is None:
+            value = file_cfg.get(key)
+        if value is not None:
+            options[name] = value
     return RunConfig(
         population_path=str(population),
         sample_sizes=sample_sizes,
         estimators=tuple(requests),
-        order=pick(args.order, "order", "both"),
-        verify=pick(args.verify, "verify", "none"),
-        replicates=pick(args.replicates, "replicates", None),
-        seed=pick(args.seed, "seed", 0),
-        output_format=pick(args.format, "format", "table"),
-        printed_mode=pick(args.printed_mode, "printed_mode", False),
-        max_enum=pick(args.max_enum, "max_enum", DEFAULT_ENUM_LIMIT),
-        workers=pick(args.workers, "workers", 1),
+        **options,
     )
 
 

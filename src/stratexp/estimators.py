@@ -41,25 +41,16 @@ class EstimatorKind(enum.Enum):
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """An estimator kind plus its tuning constant where one is required."""
+    """An estimator kind plus its tuning constant, for the kinds that take one."""
 
     kind: EstimatorKind
-    alpha: float | None = None
-    theta: float | None = None
+    parameter: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is EstimatorKind.T3S:
-            if self.alpha is None or self.theta is not None:
-                raise ValueError("T3S takes alpha and only alpha")
-        elif self.kind is EstimatorKind.T4S:
-            if self.theta is None or self.alpha is not None:
-                raise ValueError("T4S takes theta and only theta")
-        elif self.alpha is not None or self.theta is not None:
-            raise ValueError(f"{self.kind.value} takes no tuning parameter")
-
-    @property
-    def parameter(self) -> float | None:
-        return self.alpha if self.kind is EstimatorKind.T3S else self.theta
+        name = self.kind.parameter_name
+        if (self.parameter is None) != (name is None):
+            wanted = f"a tuning constant {name}" if name else "no tuning constant"
+            raise ValueError(f"{self.kind.value} takes {wanted}")
 
     def label(self) -> str:
         if self.parameter is None:
@@ -76,11 +67,11 @@ def t2s() -> EstimatorSpec:
 
 
 def t3s(alpha: float) -> EstimatorSpec:
-    return EstimatorSpec(EstimatorKind.T3S, alpha=float(alpha))
+    return EstimatorSpec(EstimatorKind.T3S, float(alpha))
 
 
 def t4s(theta: float) -> EstimatorSpec:
-    return EstimatorSpec(EstimatorKind.T4S, theta=float(theta))
+    return EstimatorSpec(EstimatorKind.T4S, float(theta))
 
 
 def stratum_means(stratum: StratumPopulation, idx: Sequence[int]) -> tuple[float, float]:
@@ -172,10 +163,10 @@ def estimate(spec: EstimatorSpec, sample: StratifiedSample, xbar_pop: float) -> 
         elif kind is EstimatorKind.T2S:
             t = sample.ybar * math.exp(-z)
         elif kind is EstimatorKind.T3S:
-            t = sample.ybar * math.exp(spec.alpha * z)
+            t = sample.ybar * math.exp(spec.parameter * z)
         else:
             # T4S: the literal mixture of the two exponential branches
-            theta = spec.theta
+            theta = spec.parameter
             t = theta * sample.ybar * math.exp(z) + (1.0 - theta) * sample.ybar * math.exp(-z)
     except OverflowError:
         t = math.inf

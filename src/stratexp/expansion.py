@@ -156,17 +156,6 @@ class SeriesPolynomial:
     def items(self):
         return self.coefficients.items()
 
-    def __add__(self, other: "SeriesPolynomial") -> "SeriesPolynomial":
-        deg = min(self.max_total_degree, other.max_total_degree)
-        out: dict[Monomial, Coefficient] = dict(self.coefficients)
-        for mono, c in other.coefficients.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return SeriesPolynomial(_clean(out, deg), deg)
-
-    def scale(self, factor: Coefficient) -> "SeriesPolynomial":
-        out = {m: factor * c for m, c in self.coefficients.items()}
-        return SeriesPolynomial(_clean(out, self.max_total_degree), self.max_total_degree)
-
     def __mul__(self, other: "SeriesPolynomial") -> "SeriesPolynomial":
         deg = min(self.max_total_degree, other.max_total_degree)
         out: dict[Monomial, Coefficient] = {}
@@ -186,10 +175,6 @@ class SeriesPolynomial:
                 if a + b <= deg:
                     out[(a, b)] = out.get((a, b), Fraction(0)) + c1 * c2
         return SeriesPolynomial(_clean(out, deg), deg)
-
-    def truncate(self, max_degree: int) -> "SeriesPolynomial":
-        out = {m: c for m, c in self.coefficients.items() if m[0] + m[1] <= max_degree}
-        return SeriesPolynomial(out, max_degree)
 
     def substitute(self, value: Fraction) -> "SeriesPolynomial":
         """Evaluate any symbolic coefficients at ``value``."""
@@ -299,7 +284,7 @@ def expand_estimator_symbolic(
     kind: EstimatorKind, max_degree: int = 4
 ) -> SeriesPolynomial:
     """Like :func:`expand_estimator` but with the tuning constant symbolic."""
-    param = PARAMETER if kind in (EstimatorKind.T3S, EstimatorKind.T4S) else None
+    param = None if kind.parameter_name is None else PARAMETER
     mult = _multiplier_series(kind, param, max_degree)
     return _assemble(mult, max_degree)
 

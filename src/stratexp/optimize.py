@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAuxiliaryError
-from .estimators import EstimatorKind, EstimatorSpec, t3s, t4s
+from .estimators import EstimatorKind, EstimatorSpec
 from .expansion import mse, mse_parameter_polynomial
 from .moments import VTable
 
@@ -118,7 +118,6 @@ def _optimize(
 ) -> OptimizationOutcome:
     v02 = v.entries[(0, 2)]
     v11 = v.entries[(1, 1)]
-    make = t3s if kind is EstimatorKind.T3S else t4s
     if v02 == 0.0:
         # xbar_st never varies, so every e1 moment vanishes and the MSE is
         # flat in the constant at either order
@@ -131,7 +130,7 @@ def _optimize(
             param = 2.0 * v11 / v02
         else:
             param = v11 / v02 + 0.5
-        objective = mse(make(param), v, 1)
+        objective = mse(EstimatorSpec(kind, param), v, 1)
         return OptimizationOutcome(
             parameter=param,
             objective=objective,
@@ -146,7 +145,7 @@ def _optimize(
         raise ValueError(f"order must be 1 or 2, got {order}")
     coeffs = mse_parameter_polynomial(kind, v)
     param, iterations = _grid_then_refine(coeffs, bracket)
-    objective = mse(make(param), v, 2)
+    objective = mse(EstimatorSpec(kind, param), v, 2)
     return OptimizationOutcome(
         parameter=param,
         objective=objective,
@@ -175,8 +174,3 @@ def optimize_spec(spec_kind: EstimatorKind, v: VTable, order: int) -> Optimizati
         return optimize_theta(v, order)
     raise ValueError(f"{spec_kind.value} has no tuning constant to optimize")
 
-
-def optimized_spec(spec_kind: EstimatorKind, outcome: OptimizationOutcome) -> EstimatorSpec:
-    if spec_kind is EstimatorKind.T3S:
-        return t3s(outcome.parameter)
-    return t4s(outcome.parameter)

@@ -119,16 +119,6 @@ class StratifiedPopulation:
     def grand_y_mean(self) -> float:
         return math.fsum(w * s.y_mean for w, s in zip(self.weights, self.strata))
 
-    @property
-    def sample_sizes(self) -> tuple[int, ...]:
-        return tuple(s.small_n for s in self.strata)
-
-    def stratum(self, label: str) -> StratumPopulation:
-        for s in self.strata:
-            if s.id == label:
-                return s
-        raise KeyError(label)
-
     def require_positive_auxiliary(self) -> None:
         """Reject populations with any x <= 0.
 

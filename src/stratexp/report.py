@@ -18,14 +18,15 @@ from typing import Mapping
 from .errors import ConfigError
 from .estimators import EstimatorKind, EstimatorSpec
 from .expansion import (
+    PRINTED_SECOND_ORDER,
     RATIO_SERIES_COEFFS_DERIVED,
     RATIO_SERIES_COEFFS_PRINTED,
     bias,
     mse,
     printed_second_order,
 )
-from .moments import VTABLE_KEYS, VTable, v_table, vkey_name
-from .optimize import OptimizationOutcome, optimize_spec, optimized_spec
+from .moments import VTable, v_table
+from .optimize import OptimizationOutcome, optimize_spec
 from .population import StratifiedPopulation, load_population_file
 from .verify import DEFAULT_ENUM_LIMIT, exact_bias_mse, monte_carlo
 
@@ -63,8 +64,7 @@ class EstimatorRequest:
     optimize: bool = False
 
     def __post_init__(self) -> None:
-        takes_param = self.kind in (EstimatorKind.T3S, EstimatorKind.T4S)
-        if takes_param:
+        if self.kind.parameter_name is not None:
             if self.optimize == (self.parameter is not None):
                 raise ConfigError(
                     f"{self.kind.value} needs either a numeric "
@@ -74,9 +74,12 @@ class EstimatorRequest:
             raise ConfigError(f"{self.kind.value} takes no tuning parameter")
 
     @staticmethod
-    def parse(text: str) -> "EstimatorRequest":
-        """Parse 't1s', 't3s:0.5', 't4s:optimize', ..."""
-        name, _, param = text.strip().lower().partition(":")
+    def parse(text: str, optimize: bool = False) -> "EstimatorRequest":
+        """Parse 't1s', 't3s:0.5', 't4s:optimize', ...
+
+        With ``optimize``, a bare tunable kind means ':optimize': 't3s' is 't3s:optimize'.
+        """
+        name, sep, param = text.strip().lower().partition(":")
         try:
             kind = EstimatorKind(name)
         except ValueError:
@@ -85,7 +88,8 @@ class EstimatorRequest:
                 f"{[k.value for k in EstimatorKind]}"
             ) from None
         if not param:
-            return EstimatorRequest(kind=kind)
+            bare_tunable = not sep and kind.parameter_name is not None
+            return EstimatorRequest(kind=kind, optimize=optimize and bare_tunable)
         if param == "optimize":
             return EstimatorRequest(kind=kind, optimize=True)
         try:
@@ -102,7 +106,10 @@ class EstimatorRequest:
         if self.optimize:
             return f"{self.kind.value}:optimize"
         if self.parameter is not None:
-            return f"{self.kind.value}:{self.parameter:g}"
+            text = f"{self.parameter:g}"
+            if float(text) != self.parameter:
+                text = repr(self.parameter)  # ':g' would merge nearby constants
+            return f"{self.kind.value}:{text}"
         return self.kind.value
 
 
@@ -142,8 +149,9 @@ class RunConfig:
                 raise ConfigError("replicates must be at least 2")
         elif self.replicates is not None:
             raise ConfigError("replicates is only meaningful with verify=mc")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        if not 0 <= self.seed < 2**64:
+            # the Monte Carlo generator is keyed by a 64-bit word
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.max_enum < 1:
             raise ConfigError("max_enum must be positive")
         if self.workers < 1:
@@ -203,28 +211,15 @@ def _resolved_specs(
 ) -> tuple[EstimatorSpec | None, EstimatorSpec | None, dict[str, OptimizationOutcome]]:
     """Concrete spec per requested order, optimizing where asked."""
     outcomes: dict[str, OptimizationOutcome] = {}
-    if not request.optimize:
-        spec = (
-            EstimatorSpec(request.kind)
-            if request.parameter is None
-            else (
-                EstimatorSpec(request.kind, alpha=request.parameter)
-                if request.kind is EstimatorKind.T3S
-                else EstimatorSpec(request.kind, theta=request.parameter)
-            )
-        )
-        spec1 = spec if config.include_order1 else None
-        spec2 = spec if config.include_order2 else None
-        return spec1, spec2, outcomes
-    spec1 = spec2 = None
-    if config.include_order1:
-        out1 = optimize_spec(request.kind, v, 1)
-        outcomes["order1"] = out1
-        spec1 = optimized_spec(request.kind, out1)
-    if config.include_order2:
-        out2 = optimize_spec(request.kind, v, 2)
-        outcomes["order2"] = out2
-        spec2 = optimized_spec(request.kind, out2)
+
+    def resolve(order: int) -> EstimatorSpec:
+        if not request.optimize:
+            return EstimatorSpec(request.kind, request.parameter)
+        outcome = outcomes[f"order{order}"] = optimize_spec(request.kind, v, order)
+        return EstimatorSpec(request.kind, outcome.parameter)
+
+    spec1 = resolve(1) if config.include_order1 else None
+    spec2 = resolve(2) if config.include_order2 else None
     return spec1, spec2, outcomes
 
 
@@ -259,7 +254,7 @@ def run(config: RunConfig) -> ComparisonReport:
         if (
             config.printed_mode
             and spec2 is not None
-            and request.kind in (EstimatorKind.T1S, EstimatorKind.T2S)
+            and (request.kind, "bias") in PRINTED_SECOND_ORDER
         ):
             printed_b2, printed_m2 = printed_second_order(spec2, v)
             delta_b2 = bias2 - printed_b2
@@ -429,7 +424,7 @@ def report_as_dict(report: ComparisonReport) -> dict:
                 for label, n_cap, n, w in report.strata
             ],
         },
-        "moments": {vkey_name(k): report.moments.entries[k] for k in VTABLE_KEYS},
+        "moments": report.moments.as_json_dict(),
         "estimators": row_dicts,
         "optimizer": {
             label: {order: _outcome_dict(out) for order, out in outs.items()}

@@ -120,6 +120,8 @@ def exact_bias_mse(
     Accumulates t - Ybar directly to avoid cancellation in the bias.
     Aborts, naming the estimator and the sample, if an estimator fails
     anywhere on the sample space: exactness certifies, it does not skip.
+    Aborts, naming the estimator, if a bias or MSE is not finite; a
+    squared deviation that overflows leaves its sum non-finite.
     """
     dist = ExactDesignDistribution(pop, limit)
     ybar = pop.grand_y_mean
@@ -137,10 +139,16 @@ def exact_bias_mse(
             d = t - ybar
             acc_d.add(d)
             acc_d2.add(d * d)
-    return [
-        (acc_d.value() / dist.size, acc_d2.value() / dist.size)
-        for acc_d, acc_d2 in sums
-    ]
+    results = []
+    for spec, (acc_d, acc_d2) in zip(specs, sums):
+        b, m = acc_d.value() / dist.size, acc_d2.value() / dist.size
+        if not (math.isfinite(b) and math.isfinite(m)):
+            raise ComputationError(
+                f"estimator {spec.label()} overflows the float range "
+                "in its exact bias or MSE"
+            )
+        results.append((b, m))
+    return results
 
 
 @dataclass(frozen=True)
@@ -163,21 +171,19 @@ class MonteCarloResult:
     skipped: int
 
 
-_MASK64 = (1 << 64) - 1
-
-
 def draw_sample(
     pop: StratifiedPopulation, seed: int, rep: int
 ) -> StratifiedSample:
     """Draw the stratified SRSWOR sample for replicate ``rep``.
 
-    The draw identity is frozen: Philox4x64 keyed (seed, rep) supplies one
-    64-bit word per selection step of a partial Fisher-Yates shuffle, in
-    stratum order; step i of stratum h swaps position i with
-    i + raw mod (N_h - i) and the first n_h positions are the sample.
+    The draw identity is frozen: Philox4x64 keyed (seed, rep), both below
+    2**64, supplies one 64-bit word per selection step of a partial
+    Fisher-Yates shuffle, in stratum order; step i of stratum h swaps
+    position i with i + raw mod (N_h - i) and the first n_h positions are
+    the sample.
     """
     total = sum(s.small_n for s in pop.strata)
-    bg = np.random.Philox(key=np.array([seed & _MASK64, rep], dtype=np.uint64))
+    bg = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))
     raw = bg.random_raw(total)
     cursor = 0
     index_sets = []
@@ -208,13 +214,14 @@ def monte_carlo(
     which the estimators are undefined (Xbar + xbar_st = 0, whatever the
     estimator) is skipped for all of them and counted once; the estimates
     use the remaining replicates.  Any other failure, such as an estimator
-    overflowing the float range, aborts the run.  Output is bit-identical
+    overflowing the float range or a bias or MSE summary that leaves it,
+    aborts the run, naming the estimator.  Output is bit-identical
     for a given (population, specs, replicates, seed).
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     xbar_pop = pop.grand_x_mean
     ybar_pop = pop.grand_y_mean
 
@@ -232,9 +239,17 @@ def monte_carlo(
     if n < 2:
         raise ComputationError(f"only {n} usable replicates out of {replicates}")
 
-    def summarize(values: list[float]) -> McEstimate:
-        mean = math.fsum(values) / n
-        var = math.fsum((x - mean) ** 2 for x in values) / (n - 1)
+    def summarize(spec: EstimatorSpec, values: list[float]) -> McEstimate:
+        try:
+            mean = math.fsum(values) / n
+            var = math.fsum((x - mean) ** 2 for x in values) / (n - 1)
+        except (OverflowError, ValueError):
+            mean = var = math.nan
+        if not (math.isfinite(mean) and math.isfinite(var)):
+            raise ComputationError(
+                f"estimator {spec.label()} overflows the float range "
+                "in its Monte Carlo bias, MSE or their standard errors"
+            )
         return McEstimate(
             mean=mean,
             variance=var,
@@ -245,7 +260,7 @@ def monte_carlo(
 
     valid = [row.tolist() for row in deviations[:, usable]]
     return MonteCarloResult(
-        bias=tuple(summarize(d) for d in valid),
-        mse=tuple(summarize([x * x for x in d]) for d in valid),
+        bias=tuple(summarize(s, d) for s, d in zip(specs, valid)),
+        mse=tuple(summarize(s, [x * x for x in d]) for s, d in zip(specs, valid)),
         skipped=replicates - n,
     )

@@ -39,9 +39,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EstimatorSpec(EstimatorKind.T4S)
         with pytest.raises(ValueError):
-            EstimatorSpec(EstimatorKind.T1S, alpha=1.0)
-        with pytest.raises(ValueError):
-            EstimatorSpec(EstimatorKind.T3S, alpha=1.0, theta=0.5)
+            EstimatorSpec(EstimatorKind.T1S, 1.0)
         assert t3s(0.5).parameter == 0.5
         assert t4s(0.25).parameter == 0.25
         assert t1s().parameter is None

@@ -40,6 +40,20 @@ class TestEstimatorRequest:
         assert EstimatorRequest.parse("t4s:optimize").optimize
         assert EstimatorRequest.parse("t3s:-1.5").label() == "t3s:-1.5"
 
+    def test_label_keeps_every_digit_of_the_constant(self):
+        labels = [EstimatorRequest.parse(t).label() for t in ("t3s:0.1234567", "t3s:0.1234568")]
+        assert labels == ["t3s:0.1234567", "t3s:0.1234568"]
+        # constants that ':g' already renders exactly keep that text
+        for text, label in [
+            ("t3s:0.5", "t3s:0.5"),
+            ("t4s:0.25", "t4s:0.25"),
+            ("t3s:-0.5", "t3s:-0.5"),
+            ("t4s:0.75", "t4s:0.75"),
+            ("t3s:1.5", "t3s:1.5"),
+            ("t3s:1e6", "t3s:1e+06"),
+        ]:
+            assert EstimatorRequest.parse(text).label() == label
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ConfigError):
             EstimatorRequest.parse("t9s")
@@ -292,6 +306,67 @@ class TestCli:
         assert "computation failed: ComputationError" in err
         assert "t3s(alpha=1e+06) overflows" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "estimator, verify",
+        [
+            ("t3s:12000", ["--verify", "exact"]),
+            ("t3s:8000", ["--verify", "mc", "--replicates", "50"]),
+        ],
+        ids=["exact", "mc"],
+    )
+    def test_oracle_overflow_exit_two(self, capsys, estimator, verify):
+        """Finite estimates whose squares leave the float range: exit 2, not nan or a traceback."""
+        code = main([
+            "--population", synthetic_csv_path(),
+            "--n", "A=3", "--n", "B=3",
+            "--estimator", estimator, "--format", "json",
+            *verify,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "computation failed: ComputationError" in captured.err
+        assert f"t3s(alpha={estimator[4:]}) overflows" in captured.err
+
+    def test_close_constants_keep_distinct_labels(self, capsys):
+        code = main([
+            "--population", synthetic_csv_path(),
+            "--n", "A=3", "--n", "B=3",
+            "--estimator", "t3s:0.1234567", "--estimator", "t3s:0.1234568",
+            "--format", "json",
+        ])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        labels = ["t3s:0.1234567", "t3s:0.1234568"]
+        assert out["config"]["estimators"] == labels
+        assert [row["estimator"] for row in out["estimators"]] == labels
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_seed_beyond_64_bits_is_a_config_error(self, tmp_path, capsys, source):
+        """2**64 would draw the replicates of seed 0 while echoing another seed."""
+        def argv(seed: int) -> list[str]:
+            if source == "flag":
+                return [
+                    "--population", synthetic_csv_path(),
+                    "--n", "A=3", "--n", "B=3",
+                    "--verify", "mc", "--replicates", "5", "--seed", str(seed),
+                ]
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({
+                "population": synthetic_csv_path(),
+                "sample_sizes": {"A": 3, "B": 3},
+                "verify": "mc",
+                "replicates": 5,
+                "seed": seed,
+            }))
+            return ["--config", str(cfg)]
+
+        assert main(argv(2**64)) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err
+        assert "seed must be in [0, 2**64)" in err
+        assert main(argv(2**64 - 1)) == 0
 
     @staticmethod
     def _estimator_argv(tmp_path, source: str, estimator: str) -> list[str]:

@@ -81,6 +81,13 @@ class TestExactBiasMse:
             exact_bias_mse(pop, [t1s()])
 
 
+    def test_squared_deviation_overflow_names_the_estimator(self, synthetic):
+        """alpha = 12000: every estimate is finite, but d * d overflows and the
+        compensated sum would turn inf - inf into nan."""
+        with pytest.raises(ComputationError, match=r"t3s\(alpha=12000\) overflows"):
+            exact_bias_mse(synthetic, [t1s(), t3s(12000.0)])
+
+
 class TestMonteCarlo:
     def test_same_seed_bit_identical(self, synthetic):
         a = monte_carlo(synthetic, [t1s()], replicates=2000, seed=11)
@@ -146,6 +153,17 @@ class TestMonteCarlo:
                 counts[i] += 1
         for c in counts:
             assert c / reps == pytest.approx(0.4, abs=0.02)
+
+    def test_summary_overflow_names_the_estimator(self, synthetic):
+        """alpha = 8000: the variance of the squared deviations leaves the float range."""
+        with pytest.raises(ComputationError, match=r"t3s\(alpha=8000\) overflows"):
+            monte_carlo(synthetic, [t1s(), t3s(8000.0)], replicates=50, seed=0)
+
+    def test_seed_must_fit_the_64_bit_key(self, synthetic):
+        """2**64 would key Philox like seed 0; it is refused, 2**64 - 1 is not."""
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo(synthetic, [t1s()], replicates=2, seed=2**64)
+        assert monte_carlo(synthetic, [t1s()], replicates=2, seed=2**64 - 1).skipped == 0
 
     def test_replicate_floor(self, synthetic):
         with pytest.raises(ValueError):
