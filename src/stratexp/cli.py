@@ -1,15 +1,24 @@
 """Command-line front end.
 
 One command: load a population CSV and a sampling design, run the
-estimator comparison pipeline, print the report.  Every option can come
-from a JSON config file (``--config``) and any flag given on the command
-line overrides the file.  Exit codes: 0 success, 1 invalid input, 2 a
-computation failed.
+estimator comparison pipeline, print the report.
+
+Every run option takes one path into :class:`RunConfig`.  A JSON config
+file (``--config``) gives a dict whose keys and JSON types are those of
+``_CONFIG_TYPES``.  Each flag's argparse ``dest`` is the config key it
+overrides, so the flags that are given are laid over that dict, and
+``RunConfig(**settings)`` alone checks the allowed values, so ``--order 3``
+and ``{"order": "3"}`` fail with one message.  A flag argparse cannot parse
+is a ``ConfigError`` too, as a file value of the wrong JSON type is.
+
+Exit codes: 0 success, 1 invalid input (flags, config files, populations,
+designs), 2 a computation failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .errors import ComputationError, ConfigError, StratexpError, ValidationError
@@ -26,6 +35,24 @@ from .verify import DEFAULT_ENUM_LIMIT
 
 DEFAULT_ESTIMATORS = ("t1s", "t2s", "t3s:optimize", "t4s:optimize")
 
+#: every config key with its JSON type; bool is not accepted as an integer
+_CONFIG_TYPES = {
+    "population": str,
+    "sample_sizes": dict,
+    "estimators": list,
+    "order": str,
+    "verify": str,
+    "format": str,
+    "printed_mode": bool,
+    "optimize": bool,
+    "replicates": int,
+    "seed": int,
+    "max_enum": int,
+    "workers": int,
+}
+
+_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", str: "string", dict: "object", list: "array"}
+
 
 def _parse_design_entry(text: str) -> tuple[str, int]:
     label, sep, size = text.partition("=")
@@ -38,68 +65,77 @@ def _parse_design_entry(text: str) -> tuple[str, int]:
     return label, n
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stratexp",
-        description=(
-            "Compare exponential ratio/product estimators of a stratified "
-            "population mean: exact design moments, first/second-order bias "
-            "and MSE, optimized tuning constants, and enumeration or Monte "
-            "Carlo verification."
-        ),
-    )
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--population", help="population CSV (header stratum,x,y)")
-    parser.add_argument(
-        "--n",
-        action="append",
-        metavar="STRATUM=SIZE",
-        help="per-stratum sample size; repeatable, replaces config sizes",
-    )
-    parser.add_argument(
-        "--estimator",
-        action="append",
-        metavar="SPEC",
-        help=(
-            "estimator to report: t1s, t2s, t3s:<alpha|optimize>, "
-            "t4s:<theta|optimize>; repeatable (default: "
-            + " ".join(DEFAULT_ESTIMATORS)
-            + ")"
-        ),
-    )
-    parser.add_argument("--order", choices=ORDER_CHOICES, help="approximation order(s)")
-    parser.add_argument(
-        "--optimize",
-        action="store_true",
-        default=None,
-        help="treat parameterless t3s/t4s requests as :optimize",
-    )
-    parser.add_argument("--verify", choices=VERIFY_CHOICES, help="verification oracle")
-    parser.add_argument("--replicates", type=int, help="Monte Carlo replicates")
-    parser.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
-    parser.add_argument("--format", choices=FORMAT_CHOICES, help="output format")
-    parser.add_argument(
-        "--printed-mode",
-        action="store_true",
-        default=None,
-        help="add legacy closed-form second-order columns for t1s/t2s",
-    )
-    parser.add_argument(
-        "--max-enum",
-        type=int,
-        help=f"joint sample space limit for exact verification (default {DEFAULT_ENUM_LIMIT})",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        help="accepted and echoed in the report; changes neither results nor speed",
-    )
-    return parser
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ``ConfigError`` (exit 1), not ``SystemExit(2)``."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _choices(values: tuple[str, ...]) -> str:
+    return "{" + ",".join(values) + "}"
+
+
+_PARSER = _Parser(
+    prog="stratexp",
+    description=(
+        "Compare exponential ratio/product estimators of a stratified "
+        "population mean: exact design moments, first/second-order bias "
+        "and MSE, optimized tuning constants, and enumeration or Monte "
+        "Carlo verification."
+    ),
+)
+_PARSER.add_argument("--config", help="JSON config file; flags override it")
+_PARSER.add_argument("--population", help="population CSV (header stratum,x,y)")
+_PARSER.add_argument(
+    "--n",
+    dest="sample_sizes",
+    action="append",
+    type=_parse_design_entry,
+    metavar="STRATUM=SIZE",
+    help="per-stratum sample size; repeatable, replaces config sizes",
+)
+_PARSER.add_argument(
+    "--estimator",
+    dest="estimators",
+    action="append",
+    metavar="SPEC",
+    help=(
+        "estimator to report: t1s, t2s, t3s:<alpha|optimize>, "
+        "t4s:<theta|optimize>; repeatable (default: " + " ".join(DEFAULT_ESTIMATORS) + ")"
+    ),
+)
+_PARSER.add_argument("--order", metavar=_choices(ORDER_CHOICES), help="approximation order(s)")
+_PARSER.add_argument(
+    "--optimize",
+    action="store_true",
+    default=None,
+    help="treat parameterless t3s/t4s requests as :optimize",
+)
+_PARSER.add_argument("--verify", metavar=_choices(VERIFY_CHOICES), help="verification oracle")
+_PARSER.add_argument("--replicates", type=int, help="Monte Carlo replicates")
+_PARSER.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
+_PARSER.add_argument("--format", metavar=_choices(FORMAT_CHOICES), help="output format")
+_PARSER.add_argument(
+    "--printed-mode",
+    action="store_true",
+    default=None,
+    help="add legacy closed-form second-order columns for t1s/t2s",
+)
+_PARSER.add_argument(
+    "--max-enum",
+    type=int,
+    help=f"joint sample space limit for exact verification (default {DEFAULT_ENUM_LIMIT})",
+)
+_PARSER.add_argument(
+    "--workers",
+    type=int,
+    help="accepted and echoed in the report; changes neither results nor speed",
+)
 
 
 def _load_config_file(path: str) -> dict:
-    import json
-
+    """The config file's dict, with every key known and of its JSON type."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -109,118 +145,44 @@ def _load_config_file(path: str) -> dict:
         raise ValidationError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"config file {path!r} must hold a JSON object")
+    unknown = set(data) - set(_CONFIG_TYPES)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        kind = _CONFIG_TYPES[key]
+        if type(value) is not kind:
+            raise ConfigError(
+                f"config {key} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}"
+            )
     return data
 
 
-_CONFIG_KEYS = {
-    "population",
-    "sample_sizes",
-    "estimators",
-    "order",
-    "verify",
-    "replicates",
-    "seed",
-    "format",
-    "printed_mode",
-    "optimize",
-    "max_enum",
-    "workers",
-}
-
-#: JSON types of the scalar config keys; bool is not accepted as an integer
-_CONFIG_TYPES = {
-    "order": str,
-    "verify": str,
-    "format": str,
-    "printed_mode": bool,
-    "optimize": bool,
-    "replicates": int,
-    "seed": int,
-    "max_enum": int,
-    "workers": int,
-}
-
-_JSON_TYPE_NAMES = {bool: "boolean", int: "integer", str: "string"}
-
-#: config key (also the flag's argparse dest) -> RunConfig field, for the
-#: options whose defaults RunConfig holds
-_RUN_OPTIONS = {
-    "order": "order",
-    "verify": "verify",
-    "replicates": "replicates",
-    "seed": "seed",
-    "format": "output_format",
-    "printed_mode": "printed_mode",
-    "max_enum": "max_enum",
-    "workers": "workers",
-}
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg: dict = {}
-    if args.config:
-        file_cfg = _load_config_file(args.config)
-        unknown = set(file_cfg) - _CONFIG_KEYS
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        for key, kind in _CONFIG_TYPES.items():
-            if key in file_cfg and type(file_cfg[key]) is not kind:
-                expected = _JSON_TYPE_NAMES[kind]
-                raise ConfigError(
-                    f"config {key} must be a JSON {expected}, got {file_cfg[key]!r}"
-                )
+    """Lay the flags that were given over the config file and build the RunConfig."""
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    path = flags.pop("config", None)
+    settings = _load_config_file(path) if path else {}
+    if "sample_sizes" in flags:
+        flags["sample_sizes"] = dict(flags["sample_sizes"])
+    settings.update(flags)
 
-    population = args.population or file_cfg.get("population")
-    if not population:
+    if not settings.get("population"):
         raise ValidationError("a population file is required (--population or config)")
-
-    if args.n:
-        sample_sizes = dict(_parse_design_entry(item) for item in args.n)
-    else:
-        raw = file_cfg.get("sample_sizes")
-        if not raw:
-            raise ValidationError(
-                "per-stratum sample sizes are required (--n STRATUM=SIZE or config)"
-            )
-        if not isinstance(raw, dict):
-            raise ValidationError("config sample_sizes must be an object")
-        sample_sizes = {}
-        for label, n in raw.items():
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise ValidationError(
-                    f"config sample size for stratum {label!r} must be an integer"
-                )
-            sample_sizes[str(label)] = n
-
-    texts = args.estimator or file_cfg.get("estimators") or list(DEFAULT_ESTIMATORS)
-    if not isinstance(texts, (list, tuple)):
-        raise ValidationError("config estimators must be a list of strings")
-    optimize_default = (
-        args.optimize if args.optimize is not None else file_cfg.get("optimize", False)
+    if not settings.get("sample_sizes"):
+        raise ValidationError(
+            "per-stratum sample sizes are required (--n STRATUM=SIZE or config)"
+        )
+    optimize = settings.pop("optimize", False)
+    settings["estimators"] = tuple(
+        EstimatorRequest.parse(str(text), optimize)
+        for text in settings.get("estimators") or DEFAULT_ESTIMATORS
     )
-    requests = [EstimatorRequest.parse(str(text), optimize_default) for text in texts]
-
-    # only the options a flag or the file sets; RunConfig holds the defaults
-    options = {}
-    for key, name in _RUN_OPTIONS.items():
-        value = getattr(args, key)
-        if value is None:
-            value = file_cfg.get(key)
-        if value is not None:
-            options[name] = value
-    return RunConfig(
-        population_path=str(population),
-        sample_sizes=sample_sizes,
-        estimators=tuple(requests),
-        **options,
-    )
+    return RunConfig(**settings)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config = build_config(args)
+        config = build_config(_PARSER.parse_args(argv))
         report = run(config)
     except ValidationError as exc:
         print(f"stratexp: error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -38,7 +38,8 @@ class InsufficientStratumError(ComputationError):
 
 
 class MomentNormalizationError(ComputationError):
-    """A grand mean is zero, so relative moments are undefined."""
+    """A grand mean is zero, or a normalizing power ybar^a * xbar^b is not a
+    normal float, so relative moments are undefined or would be wrong."""
 
 
 class EnumerationLimitError(ComputationError):

@@ -39,6 +39,13 @@ class EstimatorKind(enum.Enum):
         return None
 
 
+def format_constant(value: float) -> str:
+    """A tuning constant as text: the ':g' text when it reads back as the same
+    float, ``repr`` otherwise, so nearby constants keep distinct names."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """An estimator kind plus its tuning constant, for the kinds that take one."""
@@ -55,7 +62,8 @@ class EstimatorSpec:
     def label(self) -> str:
         if self.parameter is None:
             return self.kind.value
-        return f"{self.kind.value}({self.kind.parameter_name}={self.parameter:g})"
+        constant = format_constant(self.parameter)
+        return f"{self.kind.value}({self.kind.parameter_name}={constant})"
 
 
 def t1s() -> EstimatorSpec:

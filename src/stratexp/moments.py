@@ -34,10 +34,11 @@ are included here so every entry is exact, not merely first-termwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InsufficientStratumError, MomentNormalizationError
+from .errors import ComputationError, InsufficientStratumError, MomentNormalizationError
 from .population import StratifiedPopulation, StratumSummary, summarize_stratum
 
 # (a, b) = (power of e0, power of e1), every entry the table carries
@@ -150,6 +151,11 @@ def v_table(pop: StratifiedPopulation) -> VTable:
     Per-stratum terms are accumulated with exact (fsum) summation; the
     order-four entries include the cross-stratum pairing products required
     for E[e0^a e1^b] to be exact when there is more than one stratum.
+
+    Raises :class:`MomentNormalizationError` when a grand mean is zero or a
+    normalizing power ybar^a * xbar^b is not a normal float, and
+    :class:`ComputationError` naming the stratum when a central moment C_ab
+    of the table is infinite, nan or nonzero below ``sys.float_info.min``.
     """
     ybar = pop.grand_y_mean
     xbar = pop.grand_x_mean
@@ -157,8 +163,30 @@ def v_table(pop: StratifiedPopulation) -> VTable:
         raise MomentNormalizationError(
             f"relative moments undefined: grand means ybar={ybar}, xbar={xbar}"
         )
+    # the normalizing power of each entry; an underflow to zero or to a
+    # subnormal, or an overflow, would make the entry silently wrong
+    scales: dict[tuple[int, int], float] = {}
+    for a, b in VTABLE_KEYS:
+        try:
+            scale = ybar**a * xbar**b
+        except OverflowError:
+            scale = math.inf
+        if not sys.float_info.min <= abs(scale) < math.inf:
+            raise MomentNormalizationError(
+                f"V{a}{b}: normalizing power ybar^{a} * xbar^{b} = {scale!r} is not "
+                f"a normal float (ybar={ybar!r}, xbar={xbar!r}); rescale x or y"
+            )
+        scales[(a, b)] = scale
     coeffs = design_coefficients(pop, max_order=4)
     summaries = [summarize_stratum(s) for s in pop.strata]
+    for s, sm in zip(pop.strata, summaries):
+        for a, b in VTABLE_KEYS:
+            c = sm.c(a, b)
+            if c and not sys.float_info.min <= abs(c) < math.inf:  # an exact zero is valid
+                raise ComputationError(
+                    f"stratum {s.id!r}: central moment C{a}{b} = {c!r} is not a "
+                    "normal float; rescale x or y"
+                )
     weights = pop.weights
 
     # per-stratum second-moment contributions (the building blocks of the
@@ -172,7 +200,7 @@ def v_table(pop: StratifiedPopulation) -> VTable:
         txy.append(w * w * g * sm.s_xy / (xbar * ybar))
 
     def order3(a: int, b: int) -> float:
-        scale = ybar**a * xbar**b
+        scale = scales[(a, b)]
         return math.fsum(
             w**3 * k1 * sm.c(a, b) / scale
             for w, k1, sm in zip(weights, coeffs.k1, summaries)
@@ -180,7 +208,7 @@ def v_table(pop: StratifiedPopulation) -> VTable:
 
     def within4(a: int, b: int) -> float:
         """Within-stratum fourth moment of (e0^a e1^b), a + b = 4."""
-        scale = ybar**a * xbar**b
+        scale = scales[(a, b)]
         terms = []
         for w, k2, k3, sm in zip(weights, coeffs.k2, coeffs.k3, summaries):
             if (a, b) == (0, 4):

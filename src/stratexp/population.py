@@ -11,7 +11,7 @@ A stratum mean is a corrected two-pass mean, ``m = fsum(col) / N`` and then
 column that constant exactly, so its deviations, and every central moment
 that involves it, are exactly zero.  The central moments are formed from
 the deviation columns with NumPy and each one is reduced with ``math.fsum``,
-an exactly rounded sum.
+an exactly rounded sum; a sum that leaves the float range gives ``inf``.
 """
 
 from __future__ import annotations
@@ -159,6 +159,14 @@ def _powers(d: np.ndarray) -> list[float | np.ndarray]:
     return [1.0, d, d2, d2 * d, d2 * d2]
 
 
+def _mean(products: np.ndarray) -> float:
+    """The exactly summed mean of a column; inf when the sum leaves the float range."""
+    try:
+        return math.fsum(products.tolist()) / products.size
+    except (OverflowError, ValueError):  # past the range, or inf - inf
+        return math.inf
+
+
 def summarize_stratum(stratum: StratumPopulation) -> StratumSummary:
     """Compute means, (co)variances and central moments up to total order 4."""
     n = stratum.capital_n
@@ -166,19 +174,20 @@ def summarize_stratum(stratum: StratumPopulation) -> StratumSummary:
         raise PopulationError(f"stratum {stratum.id!r}: need at least 2 units, got {n}")
     x_mean = stratum.x_mean
     y_mean = stratum.y_mean
-    dy = _powers(stratum.y - y_mean)
-    dx = _powers(stratum.x - x_mean)
 
-    central: dict[tuple[int, int], float] = {}
-    for a in range(MAX_MOMENT_ORDER + 1):
-        for b in range(MAX_MOMENT_ORDER + 1 - a):
-            if a + b == 0:
-                central[(a, b)] = 1.0
-            elif a + b == 1:
-                # first central moments vanish identically
-                central[(a, b)] = 0.0
-            else:
-                central[(a, b)] = math.fsum((dy[a] * dx[b]).tolist()) / n
+    with np.errstate(over="ignore"):  # v_table reports a moment that overflows
+        dy = _powers(stratum.y - y_mean)
+        dx = _powers(stratum.x - x_mean)
+        central: dict[tuple[int, int], float] = {}
+        for a in range(MAX_MOMENT_ORDER + 1):
+            for b in range(MAX_MOMENT_ORDER + 1 - a):
+                if a + b == 0:
+                    central[(a, b)] = 1.0
+                elif a + b == 1:
+                    # first central moments vanish identically
+                    central[(a, b)] = 0.0
+                else:
+                    central[(a, b)] = _mean(dy[a] * dx[b])
 
     bessel = n / (n - 1)
     return StratumSummary(

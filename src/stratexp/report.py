@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .errors import ConfigError
-from .estimators import EstimatorKind, EstimatorSpec
+from .estimators import EstimatorKind, EstimatorSpec, format_constant
 from .expansion import (
     PRINTED_SECOND_ORDER,
     RATIO_SERIES_COEFFS_DERIVED,
@@ -106,10 +106,7 @@ class EstimatorRequest:
         if self.optimize:
             return f"{self.kind.value}:optimize"
         if self.parameter is not None:
-            text = f"{self.parameter:g}"
-            if float(text) != self.parameter:
-                text = repr(self.parameter)  # ':g' would merge nearby constants
-            return f"{self.kind.value}:{text}"
+            return f"{self.kind.value}:{format_constant(self.parameter)}"
         return self.kind.value
 
 
@@ -117,14 +114,14 @@ class EstimatorRequest:
 class RunConfig:
     """Everything one deterministic run depends on."""
 
-    population_path: str
+    population: str
     sample_sizes: Mapping[str, int]
     estimators: tuple[EstimatorRequest, ...]
     order: str = "both"
     verify: str = "none"
     replicates: int | None = None
     seed: int = 0
-    output_format: str = "table"
+    format: str = "table"
     printed_mode: bool = False
     max_enum: int = DEFAULT_ENUM_LIMIT
     workers: int = 1  # echoed in the report; changes neither results nor speed
@@ -136,10 +133,8 @@ class RunConfig:
             raise ConfigError(
                 f"verify must be one of {VERIFY_CHOICES}, got {self.verify!r}"
             )
-        if self.output_format not in FORMAT_CHOICES:
-            raise ConfigError(
-                f"format must be one of {FORMAT_CHOICES}, got {self.output_format!r}"
-            )
+        if self.format not in FORMAT_CHOICES:
+            raise ConfigError(f"format must be one of {FORMAT_CHOICES}, got {self.format!r}")
         if not self.estimators:
             raise ConfigError("no estimators requested")
         if self.verify == "mc":
@@ -225,7 +220,7 @@ def _resolved_specs(
 
 def run(config: RunConfig) -> ComparisonReport:
     """Execute the full pipeline for one configuration."""
-    pop = load_population_file(config.population_path, dict(config.sample_sizes))
+    pop = load_population_file(config.population, dict(config.sample_sizes))
     pop.require_positive_auxiliary()
     v = v_table(pop)
 
@@ -404,7 +399,7 @@ def report_as_dict(report: ComparisonReport) -> dict:
     return {
         "schema": "stratexp.report/1",
         "config": {
-            "population": cfg.population_path,
+            "population": cfg.population,
             "sample_sizes": {k: cfg.sample_sizes[k] for k in sorted(cfg.sample_sizes)},
             "estimators": [e.label() for e in cfg.estimators],
             "order": cfg.order,
@@ -571,7 +566,7 @@ def _emit_table(report: ComparisonReport) -> str:
 
 def emit(report: ComparisonReport, output_format: str | None = None) -> str:
     """Serialize a report as 'table', 'csv' or 'json' text."""
-    fmt = output_format or report.config.output_format
+    fmt = output_format or report.config.format
     if fmt == "json":
         return _emit_json(report)
     if fmt == "csv":

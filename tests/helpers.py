@@ -17,7 +17,7 @@ def mc_report_without_workers(estimator: str, replicates: int, seed: int, worker
     """A Monte Carlo report on the committed population, as a dict, with the
     echoed worker count checked and removed."""
     config = RunConfig(
-        population_path=synthetic_csv_path(),
+        population=synthetic_csv_path(),
         sample_sizes=SYNTHETIC_SAMPLE_SIZES,
         estimators=(EstimatorRequest.parse(estimator),),
         verify="mc",

@@ -288,7 +288,7 @@ def test_criterion_8_derived_vs_printed_ledger(synthetic, synthetic_v):
     coefficient discrepancies behind them, and it is the derived mode that
     beats first order against the enumerated truth."""
     config = RunConfig(
-        population_path=synthetic_csv_path(),
+        population=synthetic_csv_path(),
         sample_sizes=SYNTHETIC_SAMPLE_SIZES,
         estimators=(EstimatorRequest.parse("t1s"), EstimatorRequest.parse("t2s")),
         printed_mode=True,

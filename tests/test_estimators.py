@@ -49,6 +49,13 @@ class TestSpecValidation:
         assert t3s(0.5).label() == "t3s(alpha=0.5)"
         assert t4s(-1.25).label() == "t4s(theta=-1.25)"
 
+    def test_label_keeps_every_digit_of_the_constant(self):
+        """Nearby constants keep distinct names, under the requests' rule."""
+        assert t3s(0.1234567).label() == "t3s(alpha=0.1234567)"
+        assert t3s(0.1234568).label() == "t3s(alpha=0.1234568)"
+        assert t3s(1.0000001e6).label() == "t3s(alpha=1000000.1)"
+        assert t4s(1e6).label() == "t4s(theta=1e+06)"
+
 
 class TestPointValues:
     """Direct substitutions into the closed forms."""

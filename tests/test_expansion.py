@@ -466,7 +466,7 @@ class TestCoefficientTables:
         monkeypatch.setattr(expansion, "expand_estimator_symbolic", counting)
         expansion.coefficient_table.cache_clear()
         config = RunConfig(
-            population_path=synthetic_csv_path(),
+            population=synthetic_csv_path(),
             sample_sizes=SYNTHETIC_SAMPLE_SIZES,
             estimators=tuple(
                 EstimatorRequest.parse(e)

@@ -12,6 +12,7 @@ from itertools import combinations, product
 import pytest
 
 from stratexp.errors import (
+    ComputationError,
     InsufficientStratumError,
     MomentNormalizationError,
 )
@@ -274,6 +275,56 @@ class TestVTableInvariances:
             else:
                 assert abs(v[(a, b)]) < 1e-12, (a, b)
         assert v[(1, 1)] < 0
+
+
+class TestExtremeScales:
+    """Scaling x or y leaves the table unchanged, or is a typed error.
+
+    A central moment or a normalizing power ybar^a * xbar^b that is
+    infinite, or nonzero below the smallest normal float, would give a
+    silently wrong entry (or a bare ZeroDivisionError / ValueError).
+    """
+
+    XS = {"A": [2.0, 3.5, 1.25, 4.0, 2.75], "B": [5.0, 6.5, 4.25, 7.0, 3.0]}
+    YS = {"A": [3.0, 4.5, 2.0, 6.25, 3.5], "B": [8.0, 9.5, 7.25, 11.0, 5.5]}
+
+    def scaled(self, x_scale: float, y_scale: float):
+        return make_population(*(
+            (h, [x * x_scale for x in self.XS[h]], [y * y_scale for y in self.YS[h]], 2)
+            for h in self.XS
+        ))
+
+    @pytest.mark.parametrize(
+        "x_scale, y_scale, error, message",
+        [
+            (1e-81, 1.0, MomentNormalizationError, r"V04: normalizing power ybar\^0 \* xbar\^4"),
+            (1e-79, 1.0, MomentNormalizationError, r"V04: normalizing power ybar\^0 \* xbar\^4"),
+            (1e-200, 1.0, MomentNormalizationError, r"V02: .* xbar\^2 = 0\.0 is not a normal"),
+            (1.0, 1e150, MomentNormalizationError, r"V30: .* ybar\^3 \* xbar\^0 = inf is not"),
+            (1e-77, 1.0, ComputationError, r"stratum 'A': central moment C04 = "),
+        ],
+        ids=["x1e-81", "x1e-79", "x1e-200", "y1e150", "x1e-77"],
+    )
+    def test_out_of_range_is_a_typed_error(self, x_scale, y_scale, error, message):
+        with pytest.raises(error, match=message):
+            v_table(self.scaled(x_scale, y_scale))
+
+    @pytest.mark.parametrize(
+        "x_scale, y_scale", [(1e-70, 1.0), (1e70, 1.0), (1.0, 1e-70), (1.0, 1e70)]
+    )
+    def test_in_range_scales_leave_the_table_unchanged(self, x_scale, y_scale):
+        base = v_table(self.scaled(1.0, 1.0))
+        v = v_table(self.scaled(x_scale, y_scale))
+        for key in VTABLE_KEYS:
+            assert v[key] == pytest.approx(base[key], rel=1e-12), key
+
+    def test_constant_column_zeros_stay_valid(self):
+        """Exact zeros are not underflows: x = 1e-60 everywhere is a valid table."""
+        v = v_table(make_population(
+            *((h, [1e-60] * 5, self.YS[h], 2) for h in self.YS)
+        ))
+        assert all(v[(a, b)] == 0.0 for a, b in VTABLE_KEYS if b >= 1)
+        assert v[(2, 0)] > 0
 
 
 class TestVTableShape:

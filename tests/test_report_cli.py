@@ -1,5 +1,6 @@
 """Pipeline, serialization and command-line behaviour."""
 
+import argparse
 import json
 
 import pytest
@@ -20,7 +21,7 @@ from stratexp.report import (
 
 def base_config(**overrides) -> RunConfig:
     defaults = dict(
-        population_path=synthetic_csv_path(),
+        population=synthetic_csv_path(),
         sample_sizes=SYNTHETIC_SAMPLE_SIZES,
         estimators=(
             EstimatorRequest.parse("t1s"),
@@ -80,7 +81,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             base_config(verify="sometimes")
         with pytest.raises(ConfigError):
-            base_config(output_format="xml")
+            base_config(format="xml")
         with pytest.raises(ConfigError):
             base_config(estimators=())
 
@@ -189,7 +190,7 @@ class TestPipeline:
         bad.write_text("stratum,x,y\nA,1,2\nA,-1,3\nA,2,4\nA,3,5\nA,4,6\n")
         from stratexp.errors import PopulationError
 
-        cfg = base_config(population_path=str(bad), sample_sizes={"A": 2})
+        cfg = base_config(population=str(bad), sample_sizes={"A": 2})
         with pytest.raises(PopulationError, match="x <= 0"):
             run(cfg)
 
@@ -197,7 +198,7 @@ class TestPipeline:
 class TestEmission:
     def test_json_determinism(self):
         cfg = base_config(
-            verify="mc", replicates=300, seed=11, output_format="json"
+            verify="mc", replicates=300, seed=11, format="json"
         )
         a = emit(run(cfg))
         b = emit(run(cfg))
@@ -342,6 +343,19 @@ class TestCli:
         assert out["config"]["estimators"] == labels
         assert [row["estimator"] for row in out["estimators"]] == labels
 
+    def test_close_constants_name_their_own_failure(self, capsys):
+        """The first request fails, and the error names its constant, not the second's."""
+        code = main([
+            "--population", synthetic_csv_path(),
+            "--n", "A=3", "--n", "B=3",
+            "--estimator", "t3s:1.0000001e6", "--estimator", "t3s:1e6",
+            "--verify", "exact",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "estimator t3s(alpha=1000000.1) failed on sample" in err
+        assert "1e+06" not in err
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_seed_beyond_64_bits_is_a_config_error(self, tmp_path, capsys, source):
         """2**64 would draw the replicates of seed 0 while echoing another seed."""
@@ -423,6 +437,86 @@ class TestCli:
         assert "DegenerateAuxiliaryError" in err
         assert "V02 = 0" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--order", "3"],
+            ["--verify", "maybe"],
+            ["--format", "xml"],
+            ["--seed", "abc"],
+            ["--replicates", "x"],
+            ["--max-enum", "1.5"],
+            ["--bogus"],
+        ],
+        ids=["order", "verify", "format", "seed", "replicates", "max-enum", "unknown"],
+    )
+    def test_invalid_flag_is_a_config_error(self, capsys, flags):
+        """A bad flag exits 1 as a bad config value does; argparse's SystemExit(2) would escape."""
+        code = main([
+            "--population", synthetic_csv_path(), "--n", "A=3", "--n", "B=3", *flags,
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("stratexp: error: ConfigError: ")
+        assert "usage:" not in captured.err
+
+    @pytest.mark.parametrize(
+        "key, value", [("order", "3"), ("verify", "maybe"), ("format", "xml")]
+    )
+    def test_flag_and_config_value_give_one_message(self, tmp_path, capsys, key, value):
+        assert main([
+            "--population", synthetic_csv_path(), "--n", "A=3", "--n", "B=3",
+            f"--{key}", value,
+        ]) == 1
+        flag_err = capsys.readouterr().err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "population": synthetic_csv_path(),
+            "sample_sizes": {"A": 3, "B": 3},
+            key: value,
+        }))
+        assert main(["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == flag_err
+        assert f"ConfigError: {key} must be one of" in flag_err
+
+    def test_calls_share_one_parser_without_state(self, monkeypatch, capsys):
+        """main builds no ArgumentParser, and one call's flags do not reach the next."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        base = ["--population", synthetic_csv_path(), "--n", "A=3", "--n", "B=3"]
+        assert main([*base, "--estimator", "t1s", "--format", "json"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main([*base[:-2], "--format", "json"]) == 1  # B has no size now
+        assert "missing sample sizes for strata: ['B']" in capsys.readouterr().err
+        assert main([*base, "--format", "json"]) == 0
+        third = json.loads(capsys.readouterr().out)
+        assert built == []
+        assert first["config"]["estimators"] == ["t1s"]
+        assert third["config"]["estimators"] == ["t1s", "t2s", "t3s:optimize", "t4s:optimize"]
+
+    @pytest.mark.parametrize("column, scale", [("x", 1e-200), ("y", 1e150)])
+    def test_extreme_scale_exit_two(self, tmp_path, capsys, column, scale):
+        """x scaled by 1e-200 or y by 1e150 leaves the normal floats: exit 2, no traceback."""
+        x_scale, y_scale = (scale, 1.0) if column == "x" else (1.0, scale)
+        rows = [("A", 2.0, 3.0), ("A", 3.5, 4.5), ("A", 1.25, 2.0), ("A", 4.0, 6.25),
+                ("B", 5.0, 8.0), ("B", 6.5, 9.5), ("B", 4.25, 7.25), ("B", 7.0, 11.0)]
+        csv = tmp_path / "scaled.csv"
+        csv.write_text("stratum,x,y\n" + "".join(
+            f"{h},{x * x_scale!r},{y * y_scale!r}\n" for h, x, y in rows
+        ))
+        code = main(["--population", str(csv), "--n", "A=2", "--n", "B=2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "computation failed: MomentNormalizationError" in err
+        assert "is not a normal float" in err
+
     def test_bad_design_string(self, capsys):
         code = main(["--population", synthetic_csv_path(), "--n", "A3"])
         assert code == 1
@@ -468,6 +562,9 @@ class TestCli:
             ("order", 1),
             ("verify", 0),
             ("format", None),
+            ("population", 5),
+            ("sample_sizes", [3, 3]),
+            ("estimators", "t1s"),
         ],
     )
     def test_config_value_types(self, tmp_path, capsys, key, value):
