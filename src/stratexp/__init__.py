@@ -37,15 +37,19 @@ from .expansion import (
     mse,
     printed_second_order,
 )
-from .moments import DesignCoefficients, VTable, design_coefficients, v_table
+from .moments import (
+    DesignCoefficients,
+    VTable,
+    design_coefficients,
+    summarize_stratum,
+    v_table,
+)
 from .optimize import OptimizationOutcome, optimize_alpha, optimize_theta
 from .population import (
     StratifiedPopulation,
     StratumPopulation,
-    StratumSummary,
     load_population,
     load_population_file,
-    summarize_stratum,
 )
 from .report import ComparisonReport, EstimatorRequest, RunConfig, emit, run
 from .verify import (
@@ -83,7 +87,6 @@ __all__ = [
     "StratifiedPopulation",
     "StratifiedSample",
     "StratumPopulation",
-    "StratumSummary",
     "VTable",
     "ValidationError",
     "approximate",

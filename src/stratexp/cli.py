@@ -143,6 +143,8 @@ def _load_config_file(path: str) -> dict:
         raise ValidationError(f"cannot read config file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {path!r} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config file {path!r} is not UTF-8 text: {exc.reason}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"config file {path!r} must hold a JSON object")
     unknown = set(data) - set(_CONFIG_TYPES)
@@ -173,9 +175,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             "per-stratum sample sizes are required (--n STRATUM=SIZE or config)"
         )
     optimize = settings.pop("optimize", False)
-    settings["estimators"] = tuple(
+    settings["estimators"] = tuple(  # only an absent key takes the defaults
         EstimatorRequest.parse(str(text), optimize)
-        for text in settings.get("estimators") or DEFAULT_ESTIMATORS
+        for text in settings.get("estimators", DEFAULT_ESTIMATORS)
     )
     return RunConfig(**settings)
 

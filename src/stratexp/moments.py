@@ -14,7 +14,7 @@ mixed moment is k2 times the matching mixed central moment plus k3 times
 the sum over pairings of products of second central moments.
 
 The coefficients, exact for any 1 <= n_h < N_h (k1 needs N_h >= 3, k2 and
-k3 need N_h >= 4), are
+k3 need N_h >= 4, so the table needs N_h >= 4), are
 
     gamma_h = (1 - f_h) / n_h,            f_h = n_h / N_h
     k1_h = (N-n)(N-2n) / [n^2 (N-1)(N-2)]
@@ -29,6 +29,15 @@ adjudication.)
 Because strata are sampled independently, total-order-four entries also
 pick up cross-stratum products of second-moment contributions; those terms
 are included here so every entry is exact, not merely first-termwise.
+
+The table reads ten central moments of each stratum, C_ab for the keys
+of ``VTABLE_KEYS``: the mean over the stratum of
+(y - y_mean)^a (x - x_mean)^b, divisor N_h.  They are the whole interface
+between a population and the analysis; the S-quantities (divisor N_h - 1)
+are C_20, C_02 and C_11 times N_h / (N_h - 1).  Each moment is formed from
+the deviation columns with NumPy and reduced with ``math.fsum``, an exactly
+rounded sum; a sum that leaves the float range gives ``inf``, which
+``v_table`` reports.
 """
 
 from __future__ import annotations
@@ -38,8 +47,10 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .errors import ComputationError, InsufficientStratumError, MomentNormalizationError
-from .population import StratifiedPopulation, StratumSummary, summarize_stratum
+from .population import StratifiedPopulation, StratumPopulation
 
 # (a, b) = (power of e0, power of e1), every entry the table carries
 VTABLE_KEYS: tuple[tuple[int, int], ...] = (
@@ -53,19 +64,34 @@ def vkey_name(key: tuple[int, int]) -> str:
     return f"V{key[0]}{key[1]}"
 
 
+def _mean(products: np.ndarray) -> float:
+    """The exactly summed mean of a column; inf when the sum leaves the float range."""
+    try:
+        return math.fsum(products.tolist()) / products.size
+    except (OverflowError, ValueError):  # past the range, or inf - inf
+        return math.inf
+
+
+def summarize_stratum(stratum: StratumPopulation) -> dict[tuple[int, int], float]:
+    """The central moments C_ab of one stratum, keyed (a, b) in ``VTABLE_KEYS`` order."""
+    with np.errstate(over="ignore"):  # v_table reports a moment that overflows
+        dy = stratum.y - stratum.y_mean
+        dx = stratum.x - stratum.x_mean
+        dy2 = dy * dy
+        dx2 = dx * dx
+        ys = (1.0, dy, dy2, dy2 * dy)
+        xs = (1.0, dx, dx2, dx2 * dx, dx2 * dx2)
+        return {(a, b): _mean(ys[a] * xs[b]) for a, b in VTABLE_KEYS}
+
+
 @dataclass(frozen=True)
 class DesignCoefficients:
-    """Per-stratum SRSWOR moment coefficients, in population stratum order.
-
-    Entries of ``k1``/``k2``/``k3`` are None when the requested maximum
-    order did not need them.
-    """
+    """Per-stratum SRSWOR moment coefficients, in population stratum order."""
 
     gamma: tuple[float, ...]
-    f: tuple[float, ...]
-    k1: tuple[float | None, ...]
-    k2: tuple[float | None, ...]
-    k3: tuple[float | None, ...]
+    k1: tuple[float, ...]
+    k2: tuple[float, ...]
+    k3: tuple[float, ...]
 
 
 def _k1(n_cap: int, n: int) -> float:
@@ -82,43 +108,26 @@ def _k3(n_cap: int, n: int) -> float:
     return num / (n**3 * (n_cap - 1) * (n_cap - 2) * (n_cap - 3))
 
 
-def design_coefficients(
-    pop: StratifiedPopulation, max_order: int = 4
-) -> DesignCoefficients:
-    """Compute gamma, f and the k-coefficients needed up to ``max_order``.
+def design_coefficients(pop: StratifiedPopulation) -> DesignCoefficients:
+    """Compute gamma and k1-k3 for every stratum.
 
-    Raises :class:`InsufficientStratumError` when a stratum is too small
-    for the requested order (N_h >= 3 for third, N_h >= 4 for fourth).
+    Raises :class:`InsufficientStratumError` when a stratum has fewer than
+    four units, where k2 and k3 are undefined.
     """
-    if max_order not in (2, 3, 4):
-        raise ValueError(f"max_order must be 2, 3 or 4, got {max_order}")
-    gammas, fs, k1s, k2s, k3s = [], [], [], [], []
+    gammas, k1s, k2s, k3s = [], [], [], []
     for s in pop.strata:
         n_cap, n = s.capital_n, s.small_n
-        f = n / n_cap
-        gammas.append((1.0 - f) / n)
-        fs.append(f)
-        if max_order >= 3:
-            if n_cap < 3:
-                raise InsufficientStratumError(
-                    f"stratum {s.id!r}: N={n_cap} < 3, third-order coefficient undefined"
-                )
-            k1s.append(_k1(n_cap, n))
-        else:
-            k1s.append(None)
-        if max_order >= 4:
-            if n_cap < 4:
-                raise InsufficientStratumError(
-                    f"stratum {s.id!r}: insufficient stratum size for k2/k3 "
-                    f"(N={n_cap} < 4)"
-                )
-            k2s.append(_k2(n_cap, n))
-            k3s.append(_k3(n_cap, n))
-        else:
-            k2s.append(None)
-            k3s.append(None)
+        if n_cap < 4:
+            raise InsufficientStratumError(
+                f"stratum {s.id!r}: insufficient stratum size for k2/k3 "
+                f"(N={n_cap} < 4)"
+            )
+        gammas.append((1.0 - n / n_cap) / n)
+        k1s.append(_k1(n_cap, n))
+        k2s.append(_k2(n_cap, n))
+        k3s.append(_k3(n_cap, n))
     return DesignCoefficients(
-        gamma=tuple(gammas), f=tuple(fs), k1=tuple(k1s), k2=tuple(k2s), k3=tuple(k3s)
+        gamma=tuple(gammas), k1=tuple(k1s), k2=tuple(k2s), k3=tuple(k3s)
     )
 
 
@@ -177,47 +186,47 @@ def v_table(pop: StratifiedPopulation) -> VTable:
                 f"a normal float (ybar={ybar!r}, xbar={xbar!r}); rescale x or y"
             )
         scales[(a, b)] = scale
-    coeffs = design_coefficients(pop, max_order=4)
-    summaries = [summarize_stratum(s) for s in pop.strata]
-    for s, sm in zip(pop.strata, summaries):
-        for a, b in VTABLE_KEYS:
-            c = sm.c(a, b)
-            if c and not sys.float_info.min <= abs(c) < math.inf:  # an exact zero is valid
+    coeffs = design_coefficients(pop)
+    moments = [summarize_stratum(s) for s in pop.strata]
+    for s, c in zip(pop.strata, moments):
+        for (a, b), value in c.items():
+            if value and not sys.float_info.min <= abs(value) < math.inf:  # an exact zero is valid
                 raise ComputationError(
-                    f"stratum {s.id!r}: central moment C{a}{b} = {c!r} is not a "
+                    f"stratum {s.id!r}: central moment C{a}{b} = {value!r} is not a "
                     "normal float; rescale x or y"
                 )
     weights = pop.weights
 
     # per-stratum second-moment contributions (the building blocks of the
-    # order-2 entries and of all cross-stratum products)
+    # order-2 entries and of all cross-stratum products); S^2 = C * bessel
     ty: list[float] = []   # -> V20
     tx: list[float] = []   # -> V02
     txy: list[float] = []  # -> V11
-    for w, g, sm in zip(weights, coeffs.gamma, summaries):
-        ty.append(w * w * g * sm.s2_y / (ybar * ybar))
-        tx.append(w * w * g * sm.s2_x / (xbar * xbar))
-        txy.append(w * w * g * sm.s_xy / (xbar * ybar))
+    for w, g, s, c in zip(weights, coeffs.gamma, pop.strata, moments):
+        bessel = s.capital_n / (s.capital_n - 1)
+        ty.append(w * w * g * (c[(2, 0)] * bessel) / (ybar * ybar))
+        tx.append(w * w * g * (c[(0, 2)] * bessel) / (xbar * xbar))
+        txy.append(w * w * g * (c[(1, 1)] * bessel) / (xbar * ybar))
 
     def order3(a: int, b: int) -> float:
         scale = scales[(a, b)]
         return math.fsum(
-            w**3 * k1 * sm.c(a, b) / scale
-            for w, k1, sm in zip(weights, coeffs.k1, summaries)
+            w**3 * k1 * c[(a, b)] / scale
+            for w, k1, c in zip(weights, coeffs.k1, moments)
         )
 
     def within4(a: int, b: int) -> float:
         """Within-stratum fourth moment of (e0^a e1^b), a + b = 4."""
         scale = scales[(a, b)]
         terms = []
-        for w, k2, k3, sm in zip(weights, coeffs.k2, coeffs.k3, summaries):
+        for w, k2, k3, c in zip(weights, coeffs.k2, coeffs.k3, moments):
             if (a, b) == (0, 4):
-                pair = 3.0 * sm.c(0, 2) ** 2
+                pair = 3.0 * c[(0, 2)] ** 2
             elif (a, b) == (1, 3):
-                pair = 3.0 * sm.c(1, 1) * sm.c(0, 2)
+                pair = 3.0 * c[(1, 1)] * c[(0, 2)]
             else:  # (2, 2)
-                pair = sm.c(2, 0) * sm.c(0, 2) + 2.0 * sm.c(1, 1) ** 2
-            terms.append(w**4 * (k2 * sm.c(a, b) + k3 * pair) / scale)
+                pair = c[(2, 0)] * c[(0, 2)] + 2.0 * c[(1, 1)] ** 2
+            terms.append(w**4 * (k2 * c[(a, b)] + k3 * pair) / scale)
         return math.fsum(terms)
 
     def cross(u: list[float], v: list[float]) -> float:

@@ -1,24 +1,23 @@
-"""Stratified finite populations: loading, validation, per-stratum summaries.
+"""Stratified finite populations: loading, validation and means.
 
 A population is a tuple of strata.  Each stratum holds its units as two
 read-only float64 columns, ``x`` and ``y``, in input order, plus its
-planned SRSWOR sample size ``n_h``; its size ``N_h`` is the column length.
-Stratum weights are ``W_h = N_h / N`` so that the stratified sample mean is
-design-unbiased for the grand mean.
+planned SRSWOR sample size ``n_h`` with 1 <= n_h < N_h; its size ``N_h``
+is the column length.  Stratum weights are ``W_h = N_h / N`` so that the
+stratified sample mean is design-unbiased for the grand mean.
 
 A stratum mean is a corrected two-pass mean, ``m = fsum(col) / N`` and then
 ``m += fsum(col - m) / N``.  The correction makes the mean of a constant
 column that constant exactly, so its deviations, and every central moment
-that involves it, are exactly zero.  The central moments are formed from
-the deviation columns with NumPy and each one is reduced with ``math.fsum``,
-an exactly rounded sum; a sum that leaves the float range gives ``inf``.
+that involves it, are exactly zero.  :mod:`stratexp.moments` computes the
+central moments from these means.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Mapping
 
@@ -27,9 +26,6 @@ import numpy as np
 from .errors import PopulationError
 
 CSV_HEADER = ("stratum", "x", "y")
-
-# central moments are produced up to this total order
-MAX_MOMENT_ORDER = 4
 
 
 def _corrected_mean(col: np.ndarray) -> float:
@@ -133,84 +129,8 @@ class StratifiedPopulation:
                 )
 
 
-@dataclass(frozen=True)
-class StratumSummary:
-    """Per-stratum means, variances and central moments.
-
-    ``central_moments`` maps (a, b) to C_ab, the mean over the stratum of
-    (y - y_mean)^a (x - x_mean)^b with divisor N_h, for a + b <= 4.  The
-    S-quantities use divisor N_h - 1.
-    """
-
-    x_mean: float
-    y_mean: float
-    s2_y: float
-    s2_x: float
-    s_xy: float
-    central_moments: Mapping[tuple[int, int], float] = field(repr=False)
-
-    def c(self, a: int, b: int) -> float:
-        return self.central_moments[(a, b)]
-
-
-def _powers(d: np.ndarray) -> list[float | np.ndarray]:
-    """[1, d, d^2, d^3, d^4], formed by products."""
-    d2 = d * d
-    return [1.0, d, d2, d2 * d, d2 * d2]
-
-
-def _mean(products: np.ndarray) -> float:
-    """The exactly summed mean of a column; inf when the sum leaves the float range."""
-    try:
-        return math.fsum(products.tolist()) / products.size
-    except (OverflowError, ValueError):  # past the range, or inf - inf
-        return math.inf
-
-
-def summarize_stratum(stratum: StratumPopulation) -> StratumSummary:
-    """Compute means, (co)variances and central moments up to total order 4."""
-    n = stratum.capital_n
-    if n < 2:
-        raise PopulationError(f"stratum {stratum.id!r}: need at least 2 units, got {n}")
-    x_mean = stratum.x_mean
-    y_mean = stratum.y_mean
-
-    with np.errstate(over="ignore"):  # v_table reports a moment that overflows
-        dy = _powers(stratum.y - y_mean)
-        dx = _powers(stratum.x - x_mean)
-        central: dict[tuple[int, int], float] = {}
-        for a in range(MAX_MOMENT_ORDER + 1):
-            for b in range(MAX_MOMENT_ORDER + 1 - a):
-                if a + b == 0:
-                    central[(a, b)] = 1.0
-                elif a + b == 1:
-                    # first central moments vanish identically
-                    central[(a, b)] = 0.0
-                else:
-                    central[(a, b)] = _mean(dy[a] * dx[b])
-
-    bessel = n / (n - 1)
-    return StratumSummary(
-        x_mean=x_mean,
-        y_mean=y_mean,
-        s2_y=central[(2, 0)] * bessel,
-        s2_x=central[(0, 2)] * bessel,
-        s_xy=central[(1, 1)] * bessel,
-        central_moments=central,
-    )
-
-
-def load_population(
-    source: IO[str] | Iterable[str], design: Mapping[str, int]
-) -> StratifiedPopulation:
-    """Read a ``stratum,x,y`` CSV stream and attach the sampling design.
-
-    ``design`` maps every stratum label appearing in the stream to its
-    planned sample size n_h.  Unit order within a stratum is preserved.
-    Raises :class:`PopulationError` on malformed rows (with line numbers),
-    on design/label mismatches, and on n_h >= N_h.
-    """
-    reader = csv.reader(source)
+def _read_columns(reader) -> dict[str, tuple[list[float], list[float]]]:
+    """Check the header and read each stratum's x and y columns."""
     try:
         header = next(reader)
     except StopIteration:
@@ -249,7 +169,25 @@ def load_population(
             col = columns[label] = ([], [])
         col[0].append(x)
         col[1].append(y)
+    return columns
 
+
+def load_population(
+    source: IO[str] | Iterable[str], design: Mapping[str, int]
+) -> StratifiedPopulation:
+    """Read a ``stratum,x,y`` CSV stream and attach the sampling design.
+
+    ``design`` maps every stratum label appearing in the stream to its
+    planned sample size n_h.  Unit order within a stratum is preserved.
+    Raises :class:`PopulationError` on malformed rows and on CSV syntax the
+    reader rejects (both with line numbers), on design/label mismatches,
+    and on n_h >= N_h.
+    """
+    reader = csv.reader(source)
+    try:
+        columns = _read_columns(reader)
+    except csv.Error as exc:
+        raise PopulationError(f"line {reader.line_num}: {exc}") from None
     if not columns:
         raise PopulationError("population stream has no data rows")
 
@@ -275,9 +213,14 @@ def load_population(
 
 def load_population_file(path: str, design: Mapping[str, int]) -> StratifiedPopulation:
     """Open ``path`` as UTF-8 CSV, with or without a byte-order mark, and
-    delegate to :func:`load_population`."""
+    delegate to :func:`load_population`.  A file that is not UTF-8 text is a
+    :class:`PopulationError` naming it."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             return load_population(fh, design)
     except OSError as exc:
         raise PopulationError(f"cannot read population file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PopulationError(
+            f"population file {path!r} is not UTF-8 text: {exc.reason}"
+        ) from None

@@ -225,8 +225,13 @@ def monte_carlo(
     xbar_pop = pop.grand_x_mean
     ybar_pop = pop.grand_y_mean
 
-    deviations = np.empty((len(specs), replicates), dtype=np.float64)
-    usable = np.ones(replicates, dtype=bool)
+    try:
+        deviations = np.empty((len(specs), replicates), dtype=np.float64)
+        usable = np.ones(replicates, dtype=bool)
+    except (ValueError, MemoryError) as exc:
+        raise ComputationError(
+            f"cannot allocate {replicates} Monte Carlo replicates: {exc}"
+        ) from None
     for r in range(replicates):
         sample = draw_sample(pop, seed, r)
         try:

@@ -80,7 +80,6 @@ class TestDesignCoefficients:
         """N=10, n=2: f = 0.2, gamma = (1-f)/n = 0.4."""
         pop = make_population(("A", list(range(1, 11)), list(range(2, 22, 2)), 2))
         dc = design_coefficients(pop)
-        assert dc.f[0] == pytest.approx(0.2, rel=1e-15)
         assert dc.gamma[0] == pytest.approx(0.4, rel=1e-15)
 
     def test_k1_value(self):
@@ -100,27 +99,21 @@ class TestDesignCoefficients:
         """Census limit: gamma shrinks strictly as n grows with N fixed."""
         xs, ys = list(range(1, 9)), list(range(11, 19))
         gammas = [
-            design_coefficients(make_population(("A", xs, ys, n)), max_order=2).gamma[0]
+            design_coefficients(make_population(("A", xs, ys, n))).gamma[0]
             for n in range(1, 8)
         ]
         assert all(a > b for a, b in zip(gammas, gammas[1:]))
         assert all(g > 0 for g in gammas)
 
-    def test_insufficient_size_for_fourth_order(self):
-        pop = make_population(("A", [1, 2, 3], [4, 5, 6], 2))
-        with pytest.raises(InsufficientStratumError, match="insufficient stratum size for k2/k3"):
-            design_coefficients(pop, max_order=4)
-        # third order is still fine at N=3
-        dc = design_coefficients(pop, max_order=3)
-        assert dc.k1[0] is not None
-        assert dc.k2[0] is None
-
-    def test_n2_cannot_do_third_order(self):
-        pop = make_population(("A", [1, 2], [4, 5], 1))
+    @pytest.mark.parametrize("n_cap", [2, 3])
+    def test_fourth_order_needs_four_units(self, n_cap):
+        pop = make_population(("A", list(range(1, n_cap + 1)), list(range(4, n_cap + 4)), 1))
+        with pytest.raises(
+            InsufficientStratumError, match=rf"insufficient stratum size for k2/k3 \(N={n_cap} < 4\)"
+        ):
+            design_coefficients(pop)
         with pytest.raises(InsufficientStratumError):
-            design_coefficients(pop, max_order=3)
-        dc = design_coefficients(pop, max_order=2)
-        assert dc.gamma[0] == pytest.approx(0.5)
+            v_table(pop)
 
 
 class TestKCoefficientAdjudication:

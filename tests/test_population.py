@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratexp.errors import DegenerateAuxiliaryError, PopulationError
-from stratexp.moments import v_table
+from stratexp.moments import VTABLE_KEYS, summarize_stratum, v_table
 from stratexp.optimize import optimize_alpha
 from stratexp.population import (
     StratifiedPopulation,
     StratumPopulation,
     load_population,
     load_population_file,
-    summarize_stratum,
 )
 
 from helpers import make_population
@@ -141,36 +140,29 @@ class TestValidation:
 
 class TestSummaries:
     def test_variance_both_divisors(self):
-        """y = {2,4,6}: S² = 4 (divisor N-1), C20 = 8/3 (divisor N)."""
-        pop = make_population(("A", [1, 2, 3], [2, 4, 6], 2))
-        sm = summarize_stratum(pop.strata[0])
-        assert sm.s2_y == pytest.approx(4.0, rel=1e-15)
-        assert sm.c(2, 0) == pytest.approx(8.0 / 3.0, rel=1e-15)
+        """y = {2,4,6,4}: C20 = 8/4 = 2 (divisor N), and V20 = gamma S² / Ȳ²
+        with S² = 8/3 (divisor N-1), gamma = (1 - 2/4)/2 = 1/4 and Ȳ = 4."""
+        pop = make_population(("A", [1, 2, 3, 4], [2, 4, 6, 4], 2))
+        assert summarize_stratum(pop.strata[0])[(2, 0)] == pytest.approx(2.0, rel=1e-15)
+        assert v_table(pop)[(2, 0)] == pytest.approx(1.0 / 24.0, rel=1e-15)
 
     def test_covariance_moment(self):
         """x={1,2,3}, y={2,4,6}: C11 = mean of dy*dx = (2*1+0+2*1)/3 = 4/3."""
         pop = make_population(("A", [1, 2, 3], [2, 4, 6], 2))
-        sm = summarize_stratum(pop.strata[0])
-        assert sm.c(1, 1) == pytest.approx(4.0 / 3.0, rel=1e-15)
+        c = summarize_stratum(pop.strata[0])
+        assert c[(1, 1)] == pytest.approx(4.0 / 3.0, rel=1e-15)
 
-    def test_first_central_moments_vanish(self):
+    def test_returns_exactly_the_table_moments(self):
+        """The ten C_ab the V-table reads, in its key order, and nothing else."""
         pop = make_population(("A", [1.5, 2.25, 7.0, 3.5], [2.0, 9.5, 4.0, 1.0], 2))
-        sm = summarize_stratum(pop.strata[0])
-        assert sm.c(1, 0) == 0.0
-        assert sm.c(0, 1) == 0.0
-        assert sm.c(0, 0) == 1.0
-
-    def test_bessel_relation(self):
-        pop = make_population(("A", [1, 2, 3, 4], [5, 1, 4, 2], 2))
-        sm = summarize_stratum(pop.strata[0])
-        n = 4
-        assert sm.s2_y == pytest.approx(sm.c(2, 0) * n / (n - 1), rel=1e-15)
-        assert sm.s2_x == pytest.approx(sm.c(0, 2) * n / (n - 1), rel=1e-15)
+        c = summarize_stratum(pop.strata[0])
+        assert type(c) is dict
+        assert tuple(c) == VTABLE_KEYS
 
     def test_cauchy_schwarz(self):
         pop = make_population(("A", [1, 5, 2, 8, 3], [4, 1, 9, 2, 7], 2))
-        sm = summarize_stratum(pop.strata[0])
-        assert sm.c(1, 1) ** 2 <= sm.c(2, 0) * sm.c(0, 2) * (1 + 1e-12)
+        c = summarize_stratum(pop.strata[0])
+        assert c[(1, 1)] ** 2 <= c[(2, 0)] * c[(0, 2)] * (1 + 1e-12)
 
     def test_matches_exact_rational_moments(self):
         """Every C_ab against exact rational arithmetic on the same floats.
@@ -181,25 +173,16 @@ class TestSummaries:
         rng = np.random.default_rng(7)
         xs = rng.uniform(1.0, 10.0, 64).tolist()
         ys = [2.0 * x + e for x, e in zip(xs, rng.normal(0.0, 3.0, 64).tolist())]
-        sm = summarize_stratum(make_population(("A", xs, ys, 2)).strata[0])
+        stratum = make_population(("A", xs, ys, 2)).strata[0]
         fx = [Fraction(x) for x in xs]
         fy = [Fraction(y) for y in ys]
         mx, my = sum(fx) / 64, sum(fy) / 64
-        assert sm.x_mean == pytest.approx(float(mx), rel=1e-15)
-        assert sm.y_mean == pytest.approx(float(my), rel=1e-15)
-        for (a, b), value in sm.central_moments.items():
+        assert stratum.x_mean == pytest.approx(float(mx), rel=1e-15)
+        assert stratum.y_mean == pytest.approx(float(my), rel=1e-15)
+        for (a, b), value in summarize_stratum(stratum).items():
             exact = sum((y - my) ** a * (x - mx) ** b for x, y in zip(fx, fy)) / 64
             scale = sum(abs(y - my) ** a * abs(x - mx) ** b for x, y in zip(fx, fy)) / 64
             assert abs(value - float(exact)) <= 1e-12 * float(scale), (a, b)
-
-    def test_degenerate_stratum(self):
-        s = StratumPopulation.__new__(StratumPopulation)
-        object.__setattr__(s, "id", "A")
-        object.__setattr__(s, "x", np.array([1.0]))
-        object.__setattr__(s, "y", np.array([2.0]))
-        object.__setattr__(s, "small_n", 1)
-        with pytest.raises(PopulationError, match="at least 2"):
-            summarize_stratum(s)
 
 
 class TestConstantColumns:
@@ -212,9 +195,8 @@ class TestConstantColumns:
             ("B", [0.1] * 6, [2.0, 7.0, 1.5, 3.25, 9.0, 4.0], 2),
         )
         for s in pop.strata:
-            sm = summarize_stratum(s)
-            assert sm.x_mean == 0.1
-            for (a, b), value in sm.central_moments.items():
+            assert s.x_mean == 0.1
+            for (a, b), value in summarize_stratum(s).items():
                 if b >= 1:
                     assert value == 0.0, (s.id, a, b)
         v = v_table(pop)
@@ -257,14 +239,14 @@ class TestInvariants:
         ys = [i * 1.0 for i in range(len(xs))]
         base = make_population(("A", xs, ys, 2))
         scaled = make_population(("A", [c * x for x in xs], ys, 2))
-        sm0 = summarize_stratum(base.strata[0])
-        sm1 = summarize_stratum(scaled.strata[0])
-        assert sm1.x_mean == pytest.approx(c * sm0.x_mean, rel=1e-9, abs=1e-12)
-        sx = max(abs(x - sm0.x_mean) for x in xs)
-        sy = max(abs(y - sm0.y_mean) for y in ys)
-        for (a, b), value in sm0.central_moments.items():
+        s0, s1 = base.strata[0], scaled.strata[0]
+        c1 = summarize_stratum(s1)
+        assert s1.x_mean == pytest.approx(c * s0.x_mean, rel=1e-9, abs=1e-12)
+        sx = max(abs(x - s0.x_mean) for x in xs)
+        sy = max(abs(y - s0.y_mean) for y in ys)
+        for (a, b), value in summarize_stratum(s0).items():
             term_scale = (sy**a) * (c * sx) ** b
-            assert sm1.c(a, b) == pytest.approx(
+            assert c1[(a, b)] == pytest.approx(
                 value * c**b, rel=1e-9, abs=1e-9 * term_scale + 1e-15
             )
 
@@ -273,14 +255,13 @@ class TestInvariants:
     def test_permutation_invariance(self, perm):
         xs = [2.0, 4.5, 1.0, 7.25, 3.0]
         ys = [1.0, 9.0, 2.5, 4.0, 6.5]
-        base = summarize_stratum(make_population(("A", xs, ys, 2)).strata[0])
-        shuf = summarize_stratum(
-            make_population(
-                ("A", [xs[i] for i in perm], [ys[i] for i in perm], 2)
-            ).strata[0]
-        )
+        base = make_population(("A", xs, ys, 2)).strata[0]
+        shuf = make_population(
+            ("A", [xs[i] for i in perm], [ys[i] for i in perm], 2)
+        ).strata[0]
         assert shuf.x_mean == pytest.approx(base.x_mean, rel=1e-12)
-        for key, value in base.central_moments.items():
-            assert shuf.central_moments[key] == pytest.approx(
+        shuf_moments = summarize_stratum(shuf)
+        for key, value in summarize_stratum(base).items():
+            assert shuf_moments[key] == pytest.approx(
                 value, rel=1e-9, abs=1e-12
             )

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from stratexp.cli import main
+from stratexp.cli import DEFAULT_ESTIMATORS, main
 from stratexp.datasets import SYNTHETIC_SAMPLE_SIZES, synthetic_csv_path
 from stratexp.errors import ConfigError
 from stratexp.estimators import EstimatorKind
@@ -580,6 +580,69 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ConfigError" in err
         assert f"config {key} must be a JSON" in err
+
+    def test_empty_estimator_list_is_a_config_error(self, tmp_path, capsys):
+        """Only an absent key takes the default estimators; an empty list is an error."""
+        cfg = tmp_path / "run.json"
+        settings = {"population": synthetic_csv_path(), "sample_sizes": {"A": 3, "B": 3}}
+        cfg.write_text(json.dumps({**settings, "estimators": []}))
+        assert main(["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "stratexp: error: ConfigError: no estimators requested\n"
+        assert captured.out == ""
+        cfg.write_text(json.dumps(settings))
+        assert main(["--config", str(cfg), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["estimators"] == list(DEFAULT_ESTIMATORS)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "stratum,x,y\nA,1,2\nA,2,3\nA,3,5\ncaf\xe9,1,2\ncaf\xe9,2,3\n".encode("latin-1"),
+            "stratum,x,y\nA,1,2\nA,2,3\nA,3,5\n".encode("utf-16"),
+        ],
+        ids=["latin1-label", "utf16"],
+    )
+    def test_non_utf8_population_is_a_population_error(self, tmp_path, capsys, content):
+        path = tmp_path / "population.csv"
+        path.write_bytes(content)
+        assert main(["--population", str(path), "--n", "A=2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"stratexp: error: PopulationError: population file {str(path)!r} is not UTF-8 text"
+        )
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_is_a_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes('{"population": "caf\xe9.csv"}'.encode("latin-1"))
+        assert main(["--config", str(cfg), "--n", "A=2"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"stratexp: error: ValidationError: config file {str(cfg)!r} is not UTF-8 text"
+        )
+
+    def test_csv_error_is_a_population_error_with_line(self, tmp_path, capsys):
+        """A field past the csv module's size limit names its line, exit 1."""
+        path = tmp_path / "population.csv"
+        path.write_text("stratum,x,y\nA,1,2\nA," + "1" * 200_000 + ",3\nA,3,5\n")
+        assert main(["--population", str(path), "--n", "A=2"]) == 1
+        assert capsys.readouterr().err == (
+            "stratexp: error: PopulationError: line 3: field larger than field limit (131072)\n"
+        )
+
+    @pytest.mark.parametrize("replicates", [2**62, 2**70], ids=["2**62", "2**70"])
+    def test_unallocatable_replicates_exit_two(self, capsys, replicates):
+        """Counts NumPy refuses before allocating anything: exit 2, naming the count."""
+        code = main([
+            "--population", synthetic_csv_path(),
+            "--n", "A=3", "--n", "B=3",
+            "--verify", "mc", "--replicates", str(replicates),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"stratexp: computation failed: ComputationError: cannot allocate {replicates} "
+            "Monte Carlo replicates"
+        )
 
     def test_optimize_flag_upgrades_bare_requests(self, capsys):
         code = main([
