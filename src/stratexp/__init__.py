@@ -20,7 +20,6 @@ from .errors import (
 from .estimators import (
     EstimatorKind,
     EstimatorSpec,
-    StratifiedSample,
     estimate,
     t1s,
     t2s,
@@ -28,9 +27,7 @@ from .estimators import (
     t4s,
 )
 from .expansion import (
-    ApproximationResult,
     SeriesPolynomial,
-    approximate,
     bias,
     expand_estimator,
     expectation_of,
@@ -64,7 +61,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproximationResult",
     "ComparisonReport",
     "ComputationError",
     "ConfigError",
@@ -85,11 +81,9 @@ __all__ = [
     "SeriesPolynomial",
     "StratexpError",
     "StratifiedPopulation",
-    "StratifiedSample",
     "StratumPopulation",
     "VTable",
     "ValidationError",
-    "approximate",
     "bias",
     "emit",
     "estimate",

@@ -1,7 +1,8 @@
-"""The four point estimators of the grand y-mean and the samples they act on.
+"""The four point estimators of the grand y-mean.
 
-All four scale the stratified sample mean ybar_st by an exponential factor
-built from the known auxiliary grand mean:
+Each is a function of two sample numbers only, the stratified sample means
+ybar_st and xbar_st, given the known auxiliary grand mean Xbar.  All four
+scale ybar_st by an exponential factor:
 
     z   = (Xbar - xbar_st) / (Xbar + xbar_st)
     T1S = ybar_st * exp(z)              ratio type
@@ -18,10 +19,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-from .errors import ComputationError, DegenerateAuxiliaryError, PopulationError
-from .population import StratifiedPopulation, StratumPopulation
+from .errors import ComputationError, DegenerateAuxiliaryError
 
 
 class EstimatorKind(enum.Enum):
@@ -82,100 +81,34 @@ def t4s(theta: float) -> EstimatorSpec:
     return EstimatorSpec(EstimatorKind.T4S, float(theta))
 
 
-def stratum_means(stratum: StratumPopulation, idx: Sequence[int]) -> tuple[float, float]:
-    """(ybar_h, xbar_h): the plain means of y and x over units ``idx`` of a stratum.
-
-    Each mean is a left-to-right ``sum`` of the selected values over n_h.
-    """
-    n = stratum.small_n
-    return sum(stratum.y.take(idx).tolist()) / n, sum(stratum.x.take(idx).tolist()) / n
-
-
-@dataclass(frozen=True)
-class StratifiedSample:
-    """A drawn sample: per-stratum index sets plus the derived means.
-
-    ``index_sets[h]`` holds ``n_h`` distinct unit indices into stratum h.
-    ``ybar``/``xbar`` are the weighted stratified means, with the weights
-    taken from the population the sample was drawn from.
-    """
-
-    index_sets: tuple[tuple[int, ...], ...]
-    ybar_strata: tuple[float, ...]
-    xbar_strata: tuple[float, ...]
-    ybar: float
-    xbar: float
-
-    @classmethod
-    def from_means(
-        cls,
-        weights: Sequence[float],
-        index_sets: tuple[tuple[int, ...], ...],
-        means: Sequence[tuple[float, float]],
-    ) -> "StratifiedSample":
-        """The sample with per-stratum ``means`` (ybar_h, xbar_h) combined by ``weights``."""
-        ybar_strata, xbar_strata = zip(*means)
-        return cls(
-            index_sets=index_sets,
-            ybar_strata=ybar_strata,
-            xbar_strata=xbar_strata,
-            ybar=math.fsum(w * yb for w, yb in zip(weights, ybar_strata)),
-            xbar=math.fsum(w * xb for w, xb in zip(weights, xbar_strata)),
-        )
-
-    @classmethod
-    def from_indices(
-        cls, pop: StratifiedPopulation, index_sets: tuple[tuple[int, ...], ...]
-    ) -> "StratifiedSample":
-        if len(index_sets) != len(pop.strata):
-            raise PopulationError(
-                f"expected {len(pop.strata)} index sets, got {len(index_sets)}"
-            )
-        for s, idx in zip(pop.strata, index_sets):
-            if any(not isinstance(i, int) or isinstance(i, bool) for i in idx):
-                raise PopulationError(
-                    f"stratum {s.id!r}: indices must be integers, got {idx!r}"
-                )
-            if len(idx) != s.small_n or len(set(idx)) != s.small_n:
-                raise PopulationError(
-                    f"stratum {s.id!r}: need {s.small_n} distinct indices, got {idx!r}"
-                )
-            if any(i < 0 or i >= s.capital_n for i in idx):
-                raise PopulationError(
-                    f"stratum {s.id!r}: index out of range in {idx!r}"
-                )
-        return cls.from_means(
-            pop.weights,
-            tuple(tuple(idx) for idx in index_sets),
-            [stratum_means(s, idx) for s, idx in zip(pop.strata, index_sets)],
-        )
-
-
-def estimate(spec: EstimatorSpec, sample: StratifiedSample, xbar_pop: float) -> float:
-    """Evaluate one estimator on a drawn sample, given the known grand x-mean.
+def estimate(
+    spec: EstimatorSpec, ybar_st: float, xbar_st: float, xbar_pop: float
+) -> float:
+    """Evaluate one estimator at the stratified sample means ybar_st and
+    xbar_st, given the known grand x-mean.
 
     Raises :class:`DegenerateAuxiliaryError` when Xbar + xbar_st = 0, and
     :class:`ComputationError` naming the estimator when its value is not a
     finite float (an exponent too large for ``math.exp``, say).
     """
-    denom = xbar_pop + sample.xbar
+    denom = xbar_pop + xbar_st
     if denom == 0.0:
         raise DegenerateAuxiliaryError(
             "degenerate auxiliary configuration: Xbar + xbar_st = 0"
         )
-    z = (xbar_pop - sample.xbar) / denom
+    z = (xbar_pop - xbar_st) / denom
     kind = spec.kind
     try:
         if kind is EstimatorKind.T1S:
-            t = sample.ybar * math.exp(z)
+            t = ybar_st * math.exp(z)
         elif kind is EstimatorKind.T2S:
-            t = sample.ybar * math.exp(-z)
+            t = ybar_st * math.exp(-z)
         elif kind is EstimatorKind.T3S:
-            t = sample.ybar * math.exp(spec.parameter * z)
+            t = ybar_st * math.exp(spec.parameter * z)
         else:
             # T4S: the literal mixture of the two exponential branches
             theta = spec.parameter
-            t = theta * sample.ybar * math.exp(z) + (1.0 - theta) * sample.ybar * math.exp(-z)
+            t = theta * ybar_st * math.exp(z) + (1.0 - theta) * ybar_st * math.exp(-z)
     except OverflowError:
         t = math.inf
     if not math.isfinite(t):

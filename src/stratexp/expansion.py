@@ -512,38 +512,3 @@ def printed_second_order(spec: EstimatorSpec, v: VTable) -> tuple[float, float]:
         _evaluate(PRINTED_SECOND_ORDER[spec.kind, "bias"], spec, v, v.ybar),
         _evaluate(PRINTED_SECOND_ORDER[spec.kind, "mse"], spec, v, v.ybar**2),
     )
-
-
-@dataclass(frozen=True)
-class ApproximationResult:
-    """First- and second-order bias/MSE of one estimator."""
-
-    estimator: EstimatorSpec
-    bias1: float
-    mse1: float
-    bias2: float
-    mse2: float
-    mode: str  # "derived" | "printed"
-
-
-def approximate(
-    spec: EstimatorSpec, v: VTable, mode: str = "derived"
-) -> ApproximationResult:
-    """Convenience wrapper computing both orders at once.
-
-    In "printed" mode the second-order pair comes from the legacy closed
-    forms (order one is always the derived expansion, whose degree-2 slice
-    is uncontested).
-    """
-    if mode not in ("derived", "printed"):
-        raise ValueError(f"mode must be 'derived' or 'printed', got {mode!r}")
-    b1 = bias(spec, v, 1)
-    m1 = mse(spec, v, 1)
-    if mode == "printed":
-        b2, m2 = printed_second_order(spec, v)
-    else:
-        b2 = bias(spec, v, 2)
-        m2 = mse(spec, v, 2)
-    return ApproximationResult(
-        estimator=spec, bias1=b1, mse1=m1, bias2=b2, mse2=m2, mode=mode
-    )

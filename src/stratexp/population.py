@@ -23,16 +23,9 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .errors import PopulationError
+from .errors import ComputationError, PopulationError
 
 CSV_HEADER = ("stratum", "x", "y")
-
-
-def _corrected_mean(col: np.ndarray) -> float:
-    """Mean of a column, with one exactly summed correction pass."""
-    n = col.size
-    m = math.fsum(col.tolist()) / n
-    return m + math.fsum((col - m).tolist()) / n
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,11 +70,31 @@ class StratumPopulation:
 
     @cached_property
     def x_mean(self) -> float:
-        return _corrected_mean(self.x)
+        return self._corrected_mean("x")
 
     @cached_property
     def y_mean(self) -> float:
-        return _corrected_mean(self.y)
+        return self._corrected_mean("y")
+
+    def _corrected_mean(self, column: str) -> float:
+        """Mean of a column, with one exactly summed correction pass.
+
+        A sum outside the float range is a :class:`ComputationError` naming
+        the stratum and the column.
+        """
+        col = getattr(self, column)
+        n = col.size
+        try:
+            m = math.fsum(col.tolist()) / n
+            m += math.fsum((col - m).tolist()) / n
+        except (OverflowError, ValueError):
+            m = math.inf
+        if not math.isfinite(m):
+            raise ComputationError(
+                f"stratum {self.id!r}: column {column} sums beyond the float "
+                "range; rescale x or y"
+            )
+        return m
 
 
 @dataclass(frozen=True)
@@ -143,27 +156,28 @@ def _read_columns(reader) -> dict[str, tuple[list[float], list[float]]]:
     # label -> (x column, y column), in first-appearance order
     columns: dict[str, tuple[list[float], list[float]]] = {}
     isfinite = math.isfinite
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         try:
             label, x_text, y_text = row
         except ValueError:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # blank line
             raise PopulationError(
-                f"line {lineno}: expected 3 fields, got {len(row)}"
+                f"line {reader.line_num}: expected 3 fields, got {len(row)}"
             ) from None
         label = label.strip()
         if not label:
-            raise PopulationError(f"line {lineno}: empty stratum label")
+            raise PopulationError(f"line {reader.line_num}: empty stratum label")
         try:
             x = float(x_text)
             y = float(y_text)
         except ValueError:
             raise PopulationError(
-                f"line {lineno}: cannot parse x={x_text!r}, y={y_text!r} as numbers"
+                f"line {reader.line_num}: cannot parse x={x_text!r}, y={y_text!r} "
+                "as numbers"
             ) from None
         if not (isfinite(x) and isfinite(y)):
-            raise PopulationError(f"line {lineno}: non-finite value")
+            raise PopulationError(f"line {reader.line_num}: non-finite value")
         col = columns.get(label)
         if col is None:
             col = columns[label] = ([], [])

@@ -1,7 +1,11 @@
 """Independent oracles: exhaustive SRSWOR enumeration and seeded Monte Carlo.
 
 Both oracles take every estimator of a report at once and visit each
-sample a single time, evaluating all the estimators on it.
+sample a single time, evaluating all the estimators on it.  A sample is
+the plain tuple ``(index_sets, ybar_st, xbar_st)``: ``index_sets[h]`` holds
+the n_h distinct unit indices drawn from stratum h, and ``ybar_st`` and
+``xbar_st`` are the stratified sample means, the only two numbers an
+estimator reads.
 
 The enumeration oracle realizes the design expectation exactly: strata are
 sampled independently, so the joint sample space is the Cartesian product
@@ -29,10 +33,35 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ComputationError, DegenerateAuxiliaryError, EnumerationLimitError
-from .estimators import EstimatorSpec, StratifiedSample, estimate, stratum_means
-from .population import StratifiedPopulation
+from .estimators import EstimatorSpec, estimate
+from .population import StratifiedPopulation, StratumPopulation
 
 DEFAULT_ENUM_LIMIT = 10**7
+
+Sample = tuple[tuple[tuple[int, ...], ...], float, float]
+
+
+def stratum_means(stratum: StratumPopulation, idx: Sequence[int]) -> tuple[float, float]:
+    """(ybar_h, xbar_h): the plain means of y and x over units ``idx`` of a stratum.
+
+    Each mean is a left-to-right ``sum`` of the selected values over n_h.
+    """
+    n = stratum.small_n
+    return sum(stratum.y.take(idx).tolist()) / n, sum(stratum.x.take(idx).tolist()) / n
+
+
+def _sample(
+    weights: Sequence[float],
+    index_sets: tuple[tuple[int, ...], ...],
+    means: Sequence[tuple[float, float]],
+) -> Sample:
+    """The sample with per-stratum ``means`` (ybar_h, xbar_h) combined by ``weights``."""
+    ybars, xbars = zip(*means)
+    return (
+        index_sets,
+        math.fsum(w * yb for w, yb in zip(weights, ybars)),
+        math.fsum(w * xb for w, xb in zip(weights, xbars)),
+    )
 
 
 class _CompensatedSum:
@@ -80,7 +109,7 @@ class ExactDesignDistribution:
     def size(self) -> int:
         return math.prod(self.stratum_space_sizes)
 
-    def __iter__(self) -> Iterator[StratifiedSample]:
+    def __iter__(self) -> Iterator[Sample]:
         """Yield every joint sample once, lexicographically per stratum."""
         pop = self.population
         weights = pop.weights
@@ -93,19 +122,20 @@ class ExactDesignDistribution:
         ]
         for picks in product(*per_stratum):
             index_sets, means = zip(*picks)
-            yield StratifiedSample.from_means(weights, index_sets, means)
+            yield _sample(weights, index_sets, means)
 
 
 def exact_expectation(
     pop: StratifiedPopulation,
-    statistic: Callable[[StratifiedSample], float],
+    statistic: Callable[[float, float], float],
     limit: int = DEFAULT_ENUM_LIMIT,
 ) -> float:
-    """Exact design expectation of a statistic over every joint sample."""
+    """Exact design expectation of ``statistic(ybar_st, xbar_st)`` over every
+    joint sample."""
     dist = ExactDesignDistribution(pop, limit)
     acc = _CompensatedSum()
-    for sample in dist:
-        acc.add(statistic(sample))
+    for _, ybar_st, xbar_st in dist:
+        acc.add(statistic(ybar_st, xbar_st))
     return acc.value() / dist.size
 
 
@@ -124,19 +154,19 @@ def exact_bias_mse(
     squared deviation that overflows leaves its sum non-finite.
     """
     dist = ExactDesignDistribution(pop, limit)
-    ybar = pop.grand_y_mean
-    xbar = pop.grand_x_mean
+    ybar_pop = pop.grand_y_mean
+    xbar_pop = pop.grand_x_mean
     sums = [(_CompensatedSum(), _CompensatedSum()) for _ in specs]
-    for sample in dist:
+    for index_sets, ybar_st, xbar_st in dist:
         for spec, (acc_d, acc_d2) in zip(specs, sums):
             try:
-                t = estimate(spec, sample, xbar)
+                t = estimate(spec, ybar_st, xbar_st, xbar_pop)
             except ComputationError as exc:
                 raise ComputationError(
                     f"estimator {spec.label()} failed on sample with index sets "
-                    f"{sample.index_sets}: {exc}"
+                    f"{index_sets}: {exc}"
                 ) from exc
-            d = t - ybar
+            d = t - ybar_pop
             acc_d.add(d)
             acc_d2.add(d * d)
     results = []
@@ -171,10 +201,9 @@ class MonteCarloResult:
     skipped: int
 
 
-def draw_sample(
-    pop: StratifiedPopulation, seed: int, rep: int
-) -> StratifiedSample:
-    """Draw the stratified SRSWOR sample for replicate ``rep``.
+def draw_sample(pop: StratifiedPopulation, seed: int, rep: int) -> Sample:
+    """Draw the stratified SRSWOR sample (index_sets, ybar_st, xbar_st) for
+    replicate ``rep``.
 
     The draw identity is frozen: Philox4x64 keyed (seed, rep), both below
     2**64, supplies one 64-bit word per selection step of a partial
@@ -195,7 +224,7 @@ def draw_sample(
             cursor += 1
             idx[i], idx[j] = idx[j], idx[i]
         index_sets.append(tuple(idx[:n]))
-    return StratifiedSample.from_means(
+    return _sample(
         pop.weights,
         tuple(index_sets),
         [stratum_means(s, sel) for s, sel in zip(pop.strata, index_sets)],
@@ -233,10 +262,10 @@ def monte_carlo(
             f"cannot allocate {replicates} Monte Carlo replicates: {exc}"
         ) from None
     for r in range(replicates):
-        sample = draw_sample(pop, seed, r)
+        _, ybar_st, xbar_st = draw_sample(pop, seed, r)
         try:
             for k, spec in enumerate(specs):
-                deviations[k, r] = estimate(spec, sample, xbar_pop) - ybar_pop
+                deviations[k, r] = estimate(spec, ybar_st, xbar_st, xbar_pop) - ybar_pop
         except DegenerateAuxiliaryError:
             usable[r] = False
 

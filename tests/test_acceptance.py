@@ -54,8 +54,7 @@ def test_criterion_1_moment_exactness(synthetic, synthetic_v):
         ybar, xbar = synthetic.grand_y_mean, synthetic.grand_x_mean
         exact = exact_expectation(
             synthetic,
-            lambda s, a=a, b=b: ((s.ybar - ybar) / ybar) ** a
-            * ((s.xbar - xbar) / xbar) ** b,
+            lambda y, x, a=a, b=b: ((y - ybar) / ybar) ** a * ((x - xbar) / xbar) ** b,
         )
         if abs(exact) > 1e-12:
             worst = max(worst, abs(synthetic_v[(a, b)] - exact) / abs(exact))
@@ -72,14 +71,14 @@ def test_criterion_2_reduction_identities(synthetic):
     xbar_pop = synthetic.grand_x_mean
     worst = 0.0
     for rep in range(1000):
-        s = draw_sample(synthetic, seed=20240817, rep=rep)
-        v1 = estimate(t1s(), s, xbar_pop)
-        v2 = estimate(t2s(), s, xbar_pop)
+        _, y, x = draw_sample(synthetic, seed=20240817, rep=rep)
+        v1 = estimate(t1s(), y, x, xbar_pop)
+        v2 = estimate(t2s(), y, x, xbar_pop)
         for got, want in (
-            (estimate(t3s(1.0), s, xbar_pop), v1),
-            (estimate(t3s(-1.0), s, xbar_pop), v2),
-            (estimate(t4s(1.0), s, xbar_pop), v1),
-            (estimate(t4s(0.0), s, xbar_pop), v2),
+            (estimate(t3s(1.0), y, x, xbar_pop), v1),
+            (estimate(t3s(-1.0), y, x, xbar_pop), v2),
+            (estimate(t4s(1.0), y, x, xbar_pop), v1),
+            (estimate(t4s(0.0), y, x, xbar_pop), v2),
         ):
             worst = max(worst, abs(got - want) / abs(want))
     ok = worst <= 1e-12

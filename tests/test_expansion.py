@@ -24,7 +24,6 @@ from stratexp.expansion import (
     RATIO_SERIES_COEFFS_DERIVED,
     RATIO_SERIES_COEFFS_PRINTED,
     SeriesPolynomial,
-    approximate,
     bias,
     expand_estimator,
     expand_estimator_symbolic,
@@ -141,9 +140,9 @@ class TestExpectation:
         )
         ybar, xbar = desk.grand_y_mean, desk.grand_x_mean
 
-        def statistic(sample):
-            e0 = (sample.ybar - ybar) / ybar
-            e1 = (sample.xbar - xbar) / xbar
+        def statistic(ybar_st, xbar_st):
+            e0 = (ybar_st - ybar) / ybar
+            e1 = (xbar_st - xbar) / xbar
             return float(
                 F(2, 3) * F(e1) ** 4
                 + F(-1, 5) * F(e0) * F(e1) ** 3
@@ -296,16 +295,18 @@ class TestPrintedMode:
             printed_second_order(t4s(0.5), synthetic_v)
 
     def test_derived_printed_deltas_nonzero(self, synthetic_v):
-        """On the reference population the two modes disagree, and the gap
-        is driven by the cubic/quartic coefficient differences."""
+        """On the reference population the two modes agree at first order
+        (the printed forms on the degree-two entries alone) and disagree at
+        second, where the cubic/quartic coefficients differ."""
+        v = synthetic_v
+        first = toy_vtable(
+            ybar=v.ybar, xbar=v.xbar, V20=v[(2, 0)], V11=v[(1, 1)], V02=v[(0, 2)]
+        )
         for spec in (t1s(), t2s()):
-            derived = approximate(spec, synthetic_v, mode="derived")
-            printed = approximate(spec, synthetic_v, mode="printed")
-            assert derived.bias1 == printed.bias1
-            assert derived.mse1 == printed.mse1
-            assert derived.bias2 != printed.bias2
-            assert derived.mse2 != printed.mse2
-            assert printed.mode == "printed"
+            assert printed_second_order(spec, first) == (bias(spec, v, 1), mse(spec, v, 1))
+            printed_bias2, printed_mse2 = printed_second_order(spec, v)
+            assert bias(spec, v, 2) != printed_bias2
+            assert mse(spec, v, 2) != printed_mse2
 
     def test_equals_the_printed_bracket_formulas(self, synthetic_v, desk_v):
         """bias = Ybar/2 * [bracket], mse = Ybar^2 * [...], with the printed
@@ -349,18 +350,6 @@ class TestPrintedMode:
         derived = bias(t1s(), v, 2)
         printed_b, _ = printed_second_order(t1s(), v)
         assert derived - printed_b == pytest.approx(expected, rel=1e-9)
-
-
-class TestApproximateWrapper:
-    def test_result_fields(self, synthetic_v):
-        res = approximate(t1s(), synthetic_v)
-        assert res.mode == "derived"
-        assert res.bias1 == bias(t1s(), synthetic_v, 1)
-        assert res.mse2 == mse(t1s(), synthetic_v, 2)
-
-    def test_bad_mode(self, synthetic_v):
-        with pytest.raises(ValueError):
-            approximate(t1s(), synthetic_v, mode="wrong")
 
 
 class TestParameterPolynomial:

@@ -54,6 +54,12 @@ class TestLoadPopulation:
         with pytest.raises(PopulationError, match="line 3"):
             load_csv("stratum,x,y\nA,1,2\nA,3\nA,4,5\n", {"A": 1})
 
+    def test_row_error_names_the_physical_line(self):
+        """A quoted label with an embedded newline spans lines 2-3, so the
+        bad row that follows is on line 4."""
+        with pytest.raises(PopulationError, match="^line 4: cannot parse x='zz'"):
+            load_csv('stratum,x,y\n"A\nB",1,2\nA,zz,3\n', {"A": 1, "A\nB": 1})
+
     def test_empty_stream(self):
         with pytest.raises(PopulationError, match="empty"):
             load_csv("", {})

@@ -517,6 +517,20 @@ class TestCli:
         assert "computation failed: MomentNormalizationError" in err
         assert "is not a normal float" in err
 
+    @pytest.mark.parametrize("column", ["x", "y"])
+    def test_column_sum_overflow_exit_two(self, tmp_path, capsys, column):
+        """Five units of 1e308 in one column sum beyond the float range: exit 2."""
+        csv = tmp_path / "huge.csv"
+        csv.write_text("stratum,x,y\n" + "".join(
+            f"A,{'1e308' if column == 'x' else i},{'1e308' if column == 'y' else i}\n"
+            for i in range(1, 6)
+        ))
+        assert main(["--population", str(csv), "--n", "A=2"]) == 2
+        assert capsys.readouterr().err == (
+            "stratexp: computation failed: ComputationError: stratum 'A': "
+            f"column {column} sums beyond the float range; rescale x or y\n"
+        )
+
     def test_bad_design_string(self, capsys):
         code = main(["--population", synthetic_csv_path(), "--n", "A3"])
         assert code == 1

@@ -14,6 +14,7 @@ from stratexp.verify import (
     exact_bias_mse,
     exact_expectation,
     monte_carlo,
+    stratum_means,
 )
 
 from helpers import make_population, mc_report_without_workers
@@ -21,13 +22,13 @@ from helpers import make_population, mc_report_without_workers
 
 class TestEnumeration:
     def test_stratified_mean_is_unbiased(self, synthetic):
-        got = exact_expectation(synthetic, lambda s: s.ybar)
+        got = exact_expectation(synthetic, lambda y, x: y)
         assert got == pytest.approx(synthetic.grand_y_mean, rel=1e-13)
 
     def test_textbook_variance_identity(self):
         """Single stratum N=4, n=2, y={1,2,3,4}: Var(ybar) = 0.25 * 5/3 = 5/12."""
         pop = make_population(("A", [1, 1, 1, 1], [1, 2, 3, 4], 2))
-        var = exact_expectation(pop, lambda s: (s.ybar - 2.5) ** 2)
+        var = exact_expectation(pop, lambda y, x: (y - 2.5) ** 2)
         assert var == pytest.approx(5.0 / 12.0, rel=1e-13)
 
     def test_third_moment_matches_k1_formula(self, desk, desk_v):
@@ -35,7 +36,7 @@ class TestEnumeration:
         on an asymmetric design, the k1-weighted third central moment."""
         pop = make_population(("A", [1, 2, 4, 8, 16, 32, 64], [1, 1, 1, 1, 1, 1, 1], 2))
         xbar = pop.grand_x_mean
-        got = exact_expectation(pop, lambda s: ((s.xbar - xbar) / xbar) ** 3)
+        got = exact_expectation(pop, lambda y, x: ((x - xbar) / xbar) ** 3)
         cap, n = 7, 2
         k1 = ((cap - n) * (cap - 2 * n)) / (n * n * (cap - 1) * (cap - 2))
         mu3 = math.fsum((x - xbar) ** 3 for x in pop.strata[0].x.tolist()) / cap
@@ -45,14 +46,26 @@ class TestEnumeration:
         dist = ExactDesignDistribution(synthetic)
         assert dist.stratum_space_sizes == (20, 35)
         assert dist.size == 700
-        seen = {tuple(map(tuple, s.index_sets)) for s in dist}
+        seen = {tuple(map(tuple, index_sets)) for index_sets, _, _ in dist}
         assert len(seen) == 700
+
+    def test_sample_means_are_weighted_stratum_means(self):
+        pop = make_population(
+            ("A", [1, 2, 3], [2, 4, 6], 2),
+            ("B", [4, 5, 6], [1, 2, 3], 2),
+        )
+        assert stratum_means(pop.strata[0], (0, 2)) == (4.0, 2.0)
+        assert stratum_means(pop.strata[1], (1, 2)) == (2.5, 5.5)
+        samples = {index_sets: (y, x) for index_sets, y, x in ExactDesignDistribution(pop)}
+        ybar, xbar = samples[(0, 2), (1, 2)]
+        assert ybar == pytest.approx(0.5 * 4.0 + 0.5 * 2.5)
+        assert xbar == pytest.approx(0.5 * 2.0 + 0.5 * 5.5)
 
     def test_space_limit_error_names_size(self, synthetic):
         with pytest.raises(EnumerationLimitError, match="700"):
             ExactDesignDistribution(synthetic, limit=699)
         with pytest.raises(EnumerationLimitError):
-            exact_expectation(synthetic, lambda s: 1.0, limit=10)
+            exact_expectation(synthetic, lambda y, x: 1.0, limit=10)
 
 
 class TestExactBiasMse:
@@ -136,8 +149,8 @@ class TestMonteCarlo:
 
     def test_sample_draw_is_valid_srswor(self, synthetic):
         for rep in range(50):
-            s = draw_sample(synthetic, seed=77, rep=rep)
-            for idx, stratum in zip(s.index_sets, synthetic.strata):
+            index_sets, _, _ = draw_sample(synthetic, seed=77, rep=rep)
+            for idx, stratum in zip(index_sets, synthetic.strata):
                 assert len(set(idx)) == stratum.small_n
                 assert all(0 <= i < stratum.capital_n for i in idx)
 
@@ -148,8 +161,8 @@ class TestMonteCarlo:
         counts = [0] * 5
         reps = 8000
         for rep in range(reps):
-            s = draw_sample(pop, seed=123, rep=rep)
-            for i in s.index_sets[0]:
+            index_sets, _, _ = draw_sample(pop, seed=123, rep=rep)
+            for i in index_sets[0]:
                 counts[i] += 1
         for c in counts:
             assert c / reps == pytest.approx(0.4, abs=0.02)
