@@ -79,8 +79,11 @@ class StratumPopulation:
     def _corrected_mean(self, column: str) -> float:
         """Mean of a column, with one exactly summed correction pass.
 
-        A sum outside the float range is a :class:`ComputationError` naming
-        the stratum and the column.
+        A sum outside the float range, or a deviation ``col - m`` that
+        overflows, is a :class:`ComputationError` naming the stratum and
+        the column.  NumPy's warning for that deviation is silenced by
+        ``StratifiedPopulation._grand_means``, which computes every stratum
+        mean.
         """
         col = getattr(self, column)
         n = col.size
@@ -121,12 +124,27 @@ class StratifiedPopulation:
         return tuple(s.capital_n / n for s in self.strata)
 
     @cached_property
-    def grand_x_mean(self) -> float:
-        return math.fsum(w * s.x_mean for w, s in zip(self.weights, self.strata))
+    def _grand_means(self) -> tuple[float, float]:
+        """(grand y mean, grand x mean), computing every stratum mean.
 
-    @cached_property
+        One ``np.errstate`` per population, not one per column, keeps an
+        overflowing deviation from printing a warning before its
+        :class:`ComputationError`.
+        """
+        weights = self.weights
+        with np.errstate(over="ignore"):
+            return (
+                math.fsum(w * s.y_mean for w, s in zip(weights, self.strata)),
+                math.fsum(w * s.x_mean for w, s in zip(weights, self.strata)),
+            )
+
+    @property
+    def grand_x_mean(self) -> float:
+        return self._grand_means[1]
+
+    @property
     def grand_y_mean(self) -> float:
-        return math.fsum(w * s.y_mean for w, s in zip(self.weights, self.strata))
+        return self._grand_means[0]
 
     def require_positive_auxiliary(self) -> None:
         """Reject populations with any x <= 0.

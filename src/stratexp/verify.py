@@ -15,12 +15,14 @@ against.
 
 The Monte Carlo oracle is stochastic but fully reproducible: replicate r
 draws from a Philox4x64 counter-based generator keyed by (seed, r), so a
-replicate's sample depends on nothing but the seed and its own index.
-Replicates run in index order on the calling thread, and every reduction
-runs over them in that order with exactly-rounded summation.  There is no
-worker pool: the work is pure Python and threads would not run it any
-faster, so the command line's ``--workers`` changes neither results nor
-speed.
+replicate's sample depends on nothing but the seed and its own index.  A
+replicate's draw is a sparse partial Fisher-Yates shuffle that stores only
+the positions its swaps displace, so it costs O(n_h) time and memory per
+stratum, independent of the stratum size N_h.  Replicates run in index
+order on the calling thread, and every reduction runs over them in that
+order with exactly-rounded summation.  There is no worker pool: the work
+is pure Python and threads would not run it any faster, so the command
+line's ``--workers`` changes neither results nor speed.
 """
 
 from __future__ import annotations
@@ -210,20 +212,26 @@ def draw_sample(pop: StratifiedPopulation, seed: int, rep: int) -> Sample:
     Fisher-Yates shuffle, in stratum order; step i of stratum h swaps
     position i with i + raw mod (N_h - i) and the first n_h positions are
     the sample.
+
+    The shuffle is sparse: a stratum's index list is never built.  Position
+    p holds ``moved.get(p, p)``, and only the positions a swap has displaced
+    are stored, so a draw costs O(n_h) time and memory per stratum whatever
+    N_h is, and selects exactly the units the dense shuffle would.
     """
     total = sum(s.small_n for s in pop.strata)
     bg = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))
-    raw = bg.random_raw(total)
-    cursor = 0
+    words = iter(bg.random_raw(total).tolist())
     index_sets = []
     for s in pop.strata:
-        n_cap, n = s.capital_n, s.small_n
-        idx = list(range(n_cap))
-        for i in range(n):
-            j = i + int(raw[cursor] % (n_cap - i))
-            cursor += 1
-            idx[i], idx[j] = idx[j], idx[i]
-        index_sets.append(tuple(idx[:n]))
+        n_cap = s.capital_n
+        moved: dict[int, int] = {}
+        chosen = []
+        for i in range(s.small_n):
+            j = i + next(words) % (n_cap - i)
+            # Position i is final after this step and never read again.
+            chosen.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        index_sets.append(tuple(chosen))
     return _sample(
         pop.weights,
         tuple(index_sets),

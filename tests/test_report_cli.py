@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import warnings
 
 import pytest
 
@@ -529,6 +530,25 @@ class TestCli:
         assert capsys.readouterr().err == (
             "stratexp: computation failed: ComputationError: stratum 'A': "
             f"column {column} sums beyond the float range; rescale x or y\n"
+        )
+
+    def test_deviation_overflow_prints_only_the_error(self, tmp_path, capsys):
+        """y = ±1.7e308 sums in range, but a deviation y - mean overflows: exit 2,
+        and NumPy's overflow warning never reaches stderr."""
+        csv = tmp_path / "alternating.csv"
+        csv.write_text("stratum,x,y\n" + "".join(
+            f"A,{i},{'-' if i % 2 == 0 else ''}1.7e308\n" for i in range(1, 6)
+        ))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--population", str(csv), "--n", "A=2"])
+        assert code == 2
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert err == (
+            "stratexp: computation failed: ComputationError: stratum 'A': "
+            "column y sums beyond the float range; rescale x or y\n"
         )
 
     def test_bad_design_string(self, capsys):

@@ -1,9 +1,13 @@
 """Enumeration and Monte Carlo oracles: exactness, determinism, consistency."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stratexp.errors import ComputationError, EnumerationLimitError
 from stratexp.estimators import t1s, t2s, t3s, t4s
@@ -202,3 +206,76 @@ class TestMonteCarlo:
 
         ratio = spread(small) / spread(large)
         assert 1.2 < ratio < 3.5
+
+
+def dense_draw(pop, seed, rep):
+    """The frozen draw rule written out densely: each stratum's full index
+    list, partially shuffled by one Philox4x64 (seed, rep) word per step."""
+    words = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)).random_raw(
+        sum(s.small_n for s in pop.strata)
+    ).tolist()
+    cursor = 0
+    index_sets = []
+    for s in pop.strata:
+        idx = list(range(s.capital_n))
+        for i in range(s.small_n):
+            j = i + words[cursor] % (s.capital_n - i)
+            cursor += 1
+            idx[i], idx[j] = idx[j], idx[i]
+        index_sets.append(tuple(idx[: s.small_n]))
+    return tuple(index_sets)
+
+
+def designs():
+    """Lists of (N_h, n_h) with 1 <= n_h < N_h."""
+    return st.lists(
+        st.integers(2, 60).flatmap(lambda cap: st.tuples(st.just(cap), st.integers(1, cap - 1))),
+        min_size=1,
+        max_size=6,
+    )
+
+
+def population_of(design):
+    return make_population(*(
+        (f"S{h}", [1.0 + (3 * u) % 7 for u in range(cap)], [2.0 + u * u % 11 for u in range(cap)], n)
+        for h, (cap, n) in enumerate(design)
+    ))
+
+
+class TestDrawRule:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        design=designs(),
+        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        rep=st.one_of(st.integers(0, 1000), st.integers(0, 2**64 - 1)),
+    )
+    @example(design=[(4, 1)], seed=0, rep=0)
+    @example(design=[(4, 3)], seed=2**64 - 1, rep=2**64 - 1)
+    @example(design=[(4, 1), (4, 3), (5, 2), (60, 59)], seed=0, rep=2**63)
+    def test_matches_the_dense_shuffle(self, design, seed, rep):
+        pop = population_of(design)
+        index_sets, ybar_st, xbar_st = draw_sample(pop, seed, rep)
+        assert index_sets == dense_draw(pop, seed, rep)
+        means = [stratum_means(s, idx) for s, idx in zip(pop.strata, index_sets)]
+        assert ybar_st == math.fsum(w * yb for w, (yb, _) in zip(pop.weights, means))
+        assert xbar_st == math.fsum(w * xb for w, (_, xb) in zip(pop.weights, means))
+
+    def test_golden_index_sets(self, synthetic):
+        """The frozen rule's samples of the committed population, literally."""
+        assert draw_sample(synthetic, 2024, 0)[0] == ((5, 0, 3), (0, 6, 5))
+        assert draw_sample(synthetic, 2024, 1)[0] == ((2, 0, 4), (2, 3, 6))
+        assert draw_sample(synthetic, 2024, 2**64 - 1)[0] == ((5, 0, 4), (0, 4, 5))
+
+    def test_memory_does_not_grow_with_stratum_size(self):
+        """One draw of n_h = 5 from N_h = 10**6 units allocates O(n_h), not the
+        ~40 MB a dense index list would.  Allocation sizes are deterministic."""
+        cap = 10**6
+        pop = make_population(("A", np.ones(cap), np.arange(cap, dtype=np.float64), 5))
+        draw_sample(pop, 3, 0)
+        tracemalloc.start()
+        try:
+            draw_sample(pop, 3, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
