@@ -26,14 +26,7 @@ from .estimators import (
     t3s,
     t4s,
 )
-from .expansion import (
-    SeriesPolynomial,
-    bias,
-    expand_estimator,
-    expectation_of,
-    mse,
-    printed_second_order,
-)
+from .expansion import bias, coefficient_table, mse, printed_second_order
 from .moments import (
     DesignCoefficients,
     VTable,
@@ -78,19 +71,17 @@ __all__ = [
     "OptimizationOutcome",
     "PopulationError",
     "RunConfig",
-    "SeriesPolynomial",
     "StratexpError",
     "StratifiedPopulation",
     "StratumPopulation",
     "VTable",
     "ValidationError",
     "bias",
+    "coefficient_table",
     "emit",
     "estimate",
     "exact_bias_mse",
     "exact_expectation",
-    "expand_estimator",
-    "expectation_of",
     "load_population",
     "load_population_file",
     "monte_carlo",

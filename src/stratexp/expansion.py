@@ -17,19 +17,27 @@ rational power series and truncating at total degree 2*order gives
 where expectations of monomials e0^a e1^b are read off the moment table.
 
 The weights of bias/Ybar and MSE/Ybar^2 on each monomial depend only on
-(kind, quantity, order), so ``coefficient_table`` derives each table once
-per process by the symbolic expansion, with the tuning constant kept as a
-polynomial variable: order 1 is the degree-2 slice of order 2 (truncation
-by total degree commutes with products), and the ratio and product types
-are the tunable exponent at alpha = +1 and -1.  ``bias`` and ``mse``
-evaluate a table at the exact rational value Fraction(parameter), round
-each weight to float once and take an exactly summed (``math.fsum``) dot
-product with the moment table.  Substitution commutes with the ring
-operations, so every weight is the rational that expanding the concrete
-estimator gives, and the results are bit-identical to expanding afresh on
-every call.  ``mse_parameter_polynomial`` is the column sums of the order-2
-MSE table, and the printed closed forms below are tables of the same shape
-that go through the same evaluator.
+(kind, quantity, order).  One representation carries them: the series
+g_0 ... g_4 of the multiplier in e1 alone, each coefficient a polynomial in
+the tuning constant t, stored as an ascending tuple of exact Fractions.
+With u = sum_{k=1..4} (-1/2)^k e1^k, g is exp(t*u), exp(u) or exp(-u) by
+the truncated power series, and the mixture is g_t2s + t*(g_t1s - g_t2s).
+With h = g^2 truncated at degree 4, the weight of E[e0^a e1^b] is
+
+    bias:  (0,k) = g_k for k >= 1,        (1,k) = g_k
+    mse:   (0,k) = h_k - 2 g_k + [k = 0],  (1,k) = 2 h_k - 2 g_k,  (2,k) = h_k
+
+for a + k <= 4, since (1 + e0) g - 1 squared is
+(1 + 2 e0 + e0^2) h - 2 (1 + e0) g + 1.  ``coefficient_table`` reads each
+table off g and h once per process; order 1 is the degree-2 slice of
+order 2 (truncation by total degree commutes with products).  ``bias`` and
+``mse`` evaluate a table at the exact rational value Fraction(parameter),
+round each weight to float once and take an exactly summed (``math.fsum``)
+dot product with the moment table, so each weight is the exact rational of
+the estimator's expansion, evaluated at the exact rational constant and
+rounded once.  ``mse_parameter_polynomial`` is the column sums of the
+order-2 MSE table, and the printed closed forms below are tables of the
+same shape that go through the same evaluator.
 
 Coefficients stay exact rationals until the final dot product with the
 moment table.  For exp(u) the quadratic-and-below coefficients are the
@@ -44,9 +52,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from itertools import zip_longest
 
 from .errors import ComputationError
 from .estimators import EstimatorKind, EstimatorSpec
@@ -54,264 +61,81 @@ from .moments import VTable
 
 Monomial = tuple[int, int]  # (power of e0, power of e1)
 
+#: a polynomial in the tuning constant: ascending exact coefficients with no
+#: trailing zeros, so the zero polynomial is ``()``
+Polynomial = tuple[Fraction, ...]
 
-@dataclass(frozen=True)
-class ParameterPolynomial:
-    """Polynomial in the tuning constant with exact rational coefficients.
+#: highest power of e1 in g, and the total degree of an order-2 expansion
+DEGREE = 4
 
-    Used as a coefficient ring so one expansion pass can stay symbolic in
-    alpha or theta; ``coeffs`` is ascending with no trailing zeros.
-    """
+#: a series in e1, truncated at e1^DEGREE: one polynomial per power
+Series = tuple[Polynomial, ...]
 
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(*values: Fraction | int) -> "ParameterPolynomial":
-        return ParameterPolynomial(_trim(tuple(Fraction(v) for v in values)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def _promote(self, other: object) -> "ParameterPolynomial | None":
-        if isinstance(other, ParameterPolynomial):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ParameterPolynomial.of(other)
-        return None
-
-    def __add__(self, other: object) -> "ParameterPolynomial":
-        p = self._promote(other)
-        if p is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(p.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = p.coeffs + (Fraction(0),) * (n - len(p.coeffs))
-        return ParameterPolynomial(_trim(tuple(x + y for x, y in zip(a, b))))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ParameterPolynomial":
-        return ParameterPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: object) -> "ParameterPolynomial":
-        p = self._promote(other)
-        if p is None:
-            return NotImplemented
-        return self + (-p)
-
-    def __rsub__(self, other: object) -> "ParameterPolynomial":
-        p = self._promote(other)
-        if p is None:
-            return NotImplemented
-        return p + (-self)
-
-    def __mul__(self, other: object) -> "ParameterPolynomial":
-        p = self._promote(other)
-        if p is None:
-            return NotImplemented
-        if not self.coeffs or not p.coeffs:
-            return ParameterPolynomial(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(p.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(p.coeffs):
-                out[i + j] += a * b
-        return ParameterPolynomial(_trim(tuple(out)))
-
-    __rmul__ = __mul__
-
-    def __call__(self, value: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+_ONE: Polynomial = (Fraction(1),)
+_PARAMETER: Polynomial = (Fraction(0), Fraction(1))
 
 
-def _trim(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _trim(coeffs: Polynomial) -> Polynomial:
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
     return coeffs[:n]
 
 
-#: the symbolic tuning constant itself
-PARAMETER = ParameterPolynomial.of(0, 1)
+def _add(p: Polynomial, q: Polynomial, scale: Fraction | int = 1) -> Polynomial:
+    """p + scale * q."""
+    return _trim(tuple(a + scale * b for a, b in zip_longest(p, q, fillvalue=0)))
 
-Coefficient = Union[Fraction, ParameterPolynomial]
+
+def _mul(p: Polynomial, q: Polynomial) -> Polynomial:
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(tuple(out))
 
 
-@dataclass(frozen=True)
-class SeriesPolynomial:
-    """Bivariate polynomial in (e0, e1), truncated by total degree."""
+def _series_mul(f: Series, g: Series) -> Series:
+    """Product of two series, truncated at e1^DEGREE."""
+    out: list[Polynomial] = [()] * (DEGREE + 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g[: DEGREE + 1 - i]):
+            out[i + j] = _add(out[i + j], _mul(a, b))
+    return tuple(out)
 
-    coefficients: Mapping[Monomial, Coefficient]
-    max_total_degree: int = 4
 
-    def coefficient(self, a: int, b: int) -> Coefficient:
-        return self.coefficients.get((a, b), Fraction(0))
+def _exp(w: Series) -> Series:
+    """exp(w) for a series w with no constant term, truncated at e1^DEGREE."""
+    result = term = (_ONE,) + ((),) * DEGREE
+    for n in range(1, DEGREE + 1):
+        term = _series_mul(term, w)  # w^n
+        scale = Fraction(1, math.factorial(n))
+        result = tuple(_add(r, t, scale) for r, t in zip(result, term))
+    return result
 
-    def items(self):
-        return self.coefficients.items()
 
-    def __mul__(self, other: "SeriesPolynomial") -> "SeriesPolynomial":
-        deg = min(self.max_total_degree, other.max_total_degree)
-        out: dict[Monomial, Coefficient] = {}
-        for (a1, b1), c1 in self.coefficients.items():
-            for (a2, b2), c2 in other.coefficients.items():
-                a, b = a1 + a2, b1 + b2
-                if a + b <= deg:
-                    out[(a, b)] = out.get((a, b), Fraction(0)) + c1 * c2
-        return SeriesPolynomial(_clean(out, deg), deg)
-
-    def square(self, max_degree: int | None = None) -> "SeriesPolynomial":
-        deg = self.max_total_degree if max_degree is None else max_degree
-        out: dict[Monomial, Coefficient] = {}
-        for (a1, b1), c1 in self.coefficients.items():
-            for (a2, b2), c2 in self.coefficients.items():
-                a, b = a1 + a2, b1 + b2
-                if a + b <= deg:
-                    out[(a, b)] = out.get((a, b), Fraction(0)) + c1 * c2
-        return SeriesPolynomial(_clean(out, deg), deg)
-
-    def substitute(self, value: Fraction) -> "SeriesPolynomial":
-        """Evaluate any symbolic coefficients at ``value``."""
-        out: dict[Monomial, Coefficient] = {}
-        for mono, c in self.coefficients.items():
-            out[mono] = c(value) if isinstance(c, ParameterPolynomial) else c
-        return SeriesPolynomial(
-            _clean(out, self.max_total_degree), self.max_total_degree
+@functools.cache
+def _multiplier(kind: EstimatorKind) -> Series:
+    """g_0 ... g_DEGREE, the series of the multiplier g(e1)."""
+    if kind is EstimatorKind.T4S:
+        ratio = _multiplier(EstimatorKind.T1S)
+        product = _multiplier(EstimatorKind.T2S)
+        return tuple(
+            _add(b, _mul(_PARAMETER, _add(a, b, -1))) for a, b in zip(ratio, product)
         )
-
-
-def _demote(c: Coefficient) -> Coefficient:
-    """Collapse constant parameter-polynomials back to plain rationals."""
-    if isinstance(c, ParameterPolynomial) and c.degree <= 0:
-        return c.coeffs[0] if c.coeffs else Fraction(0)
-    return c
-
-
-def _clean(
-    coeffs: dict[Monomial, Coefficient], max_degree: int
-) -> dict[Monomial, Coefficient]:
-    out = {}
-    for m, c in coeffs.items():
-        if m[0] + m[1] > max_degree:
-            continue
-        c = _demote(c)
-        if c:
-            out[m] = c
-    return out
-
-
-def _exponent_series(max_degree: int) -> dict[int, Fraction]:
-    """u = -e1/(2 + e1) = sum_k (-1/2)^k e1^k, truncated at ``max_degree``."""
-    half = Fraction(-1, 2)
-    return {k: half**k for k in range(1, max_degree + 1)}
-
-
-def _mul_univariate(
-    p: dict[int, Coefficient], q: dict[int, Coefficient], max_degree: int
-) -> dict[int, Coefficient]:
-    out: dict[int, Coefficient] = {}
-    for i, a in p.items():
-        for j, b in q.items():
-            if i + j <= max_degree:
-                out[i + j] = out.get(i + j, Fraction(0)) + a * b
-    return {k: c for k, c in out.items() if c}
-
-
-def _exp_of(w: dict[int, Coefficient], max_degree: int) -> dict[int, Coefficient]:
-    """exp(w) for a series w with no constant term, truncated by degree."""
-    result: dict[int, Coefficient] = {0: Fraction(1)}
-    term: dict[int, Coefficient] = {0: Fraction(1)}
-    factorial = 1
-    for k in range(1, max_degree + 1):
-        term = _mul_univariate(term, w, max_degree)
-        if not term:
-            break
-        factorial *= k
-        inv = Fraction(1, factorial)
-        for d, c in term.items():
-            result[d] = result.get(d, Fraction(0)) + inv * c
-    return {k: c for k, c in result.items() if c}
-
-
-def _multiplier_series(
-    kind: EstimatorKind, parameter: Coefficient | None, max_degree: int
-) -> dict[int, Coefficient]:
-    """Series in e1 of the multiplier g(e1), constant term included."""
-    u = _exponent_series(max_degree)
-    if kind is EstimatorKind.T1S:
-        return _exp_of(u, max_degree)
-    if kind is EstimatorKind.T2S:
-        return _exp_of({k: -c for k, c in u.items()}, max_degree)
-    if kind is EstimatorKind.T3S:
-        scaled = {k: parameter * c for k, c in u.items()}
-        return _exp_of(scaled, max_degree)
-    # T4S: mixture = B + theta * (A - B) with A the ratio and B the product branch
-    a = _exp_of(u, max_degree)
-    b = _exp_of({k: -c for k, c in u.items()}, max_degree)
-    out: dict[int, Coefficient] = {}
-    for k in set(a) | set(b):
-        ak = a.get(k, Fraction(0))
-        bk = b.get(k, Fraction(0))
-        out[k] = bk + parameter * (ak - bk)
-    return {k: c for k, c in out.items() if c}
-
-
-def _assemble(mult: dict[int, Coefficient], max_degree: int) -> SeriesPolynomial:
-    """(1 + e0) * g(e1) - 1 as a bivariate series."""
-    out: dict[Monomial, Coefficient] = {}
-    for k, c in mult.items():
-        if k > 0:
-            out[(0, k)] = c
-        if k + 1 <= max_degree:
-            out[(1, k)] = c
-    return SeriesPolynomial(_clean(out, max_degree), max_degree)
-
-
-def expand_estimator(spec: EstimatorSpec, max_degree: int = 4) -> SeriesPolynomial:
-    """Exact rational expansion of (t/Ybar) - 1 for a concrete estimator."""
-    param = None if spec.parameter is None else Fraction(spec.parameter)
-    mult = _multiplier_series(spec.kind, param, max_degree)
-    return _assemble(mult, max_degree)
-
-
-def expand_estimator_symbolic(
-    kind: EstimatorKind, max_degree: int = 4
-) -> SeriesPolynomial:
-    """Like :func:`expand_estimator` but with the tuning constant symbolic."""
-    param = None if kind.parameter_name is None else PARAMETER
-    mult = _multiplier_series(kind, param, max_degree)
-    return _assemble(mult, max_degree)
+    factor = {
+        EstimatorKind.T1S: _ONE,
+        EstimatorKind.T2S: (Fraction(-1),),
+        EstimatorKind.T3S: _PARAMETER,
+    }[kind]
+    # u = -e1/(2 + e1) = sum_k (-1/2)^k e1^k
+    u = tuple((Fraction(-1, 2) ** k,) for k in range(1, DEGREE + 1))
+    return _exp(((),) + tuple(_mul(factor, c) for c in u))
 
 
 def _moment(v: VTable, a: int, b: int) -> float:
-    if a + b == 0:
-        return 1.0
-    if a + b == 1:
-        return 0.0
-    try:
-        return v.entries[(a, b)]
-    except KeyError:
-        raise ComputationError(
-            f"monomial e0^{a} e1^{b} outside the moment table"
-        ) from None
-
-
-def expectation_of(poly: SeriesPolynomial, v: VTable) -> float:
-    """Design expectation of a numeric series against the moment table."""
-    terms = []
-    for (a, b), c in poly.items():
-        if isinstance(c, ParameterPolynomial):
-            raise ComputationError(
-                "series still contains a symbolic tuning constant; substitute first"
-            )
-        terms.append(float(c) * _moment(v, a, b))
-    return math.fsum(terms)
+    """E[e0^a e1^b]; the first moments vanish (the stratified means are unbiased)."""
+    return 0.0 if a + b == 1 else v.entries[(a, b)]
 
 
 def _check_order(order: int) -> None:
@@ -323,16 +147,6 @@ def _check_order(order: int) -> None:
 #: the polynomial sum_k numerators[k] * parameter^k / denominator, exactly;
 #: kinds without a tuning constant have one numerator per row
 CoefficientTable = tuple[tuple[Monomial, tuple[int, ...], int], ...]
-
-
-def _table_of(poly: SeriesPolynomial) -> CoefficientTable:
-    rows = []
-    for mono, c in poly.items():
-        coeffs = c.coeffs if isinstance(c, ParameterPolynomial) else (c,)
-        den = math.lcm(*(f.denominator for f in coeffs))
-        nums = tuple(f.numerator * (den // f.denominator) for f in coeffs)
-        rows.append((mono, nums, den))
-    return tuple(rows)
 
 
 def _horner(nums: tuple[int, ...], den: int, p: int, q: int) -> tuple[int, int]:
@@ -352,8 +166,8 @@ def coefficient_table(
     """Exact weights of bias/Ybar ("bias") or MSE/Ybar^2 ("mse").
 
     Each weight multiplies E[e0^a e1^b] and is a polynomial in the tuning
-    constant.  The table is derived once per (kind, quantity, order) by the
-    symbolic expansion and kept for the life of the process.
+    constant.  The table is read off the multiplier series g once per
+    (kind, quantity, order) and kept for the life of the process.
     """
     _check_order(order)
     if quantity not in ("bias", "mse"):
@@ -364,19 +178,31 @@ def coefficient_table(
         return tuple(
             row for row in coefficient_table(kind, quantity, 2) if sum(row[0]) <= 2
         )
-    if kind in (EstimatorKind.T1S, EstimatorKind.T2S):
-        # the ratio and product types are the tunable exponent at alpha = +-1
-        alpha = 1 if kind is EstimatorKind.T1S else -1
-        rows = []
-        for mono, nums, den in coefficient_table(EstimatorKind.T3S, quantity, 2):
-            n, d = _horner(nums, den, alpha, 1)
-            if n:
-                rows.append((mono, (n,), d))
-        return tuple(rows)
-    series = expand_estimator_symbolic(kind, max_degree=4)
-    if quantity == "mse":
-        series = series.square(4)
-    return _table_of(series)
+    g = _multiplier(kind)
+    weights: dict[Monomial, Polynomial] = {}
+    if quantity == "bias":
+        # (1 + e0) g - 1, with g_0 = 1
+        for k in range(DEGREE + 1):
+            if k > 0:
+                weights[(0, k)] = g[k]
+            if k < DEGREE:
+                weights[(1, k)] = g[k]
+    else:
+        # ((1 + e0) g - 1)^2 = (1 + 2 e0 + e0^2) h - 2 (1 + e0) g + 1, h = g^2
+        h = _series_mul(g, g)
+        for k in range(DEGREE + 1):
+            weights[(0, k)] = _add(_add(h[k], g[k], -2), _ONE if k == 0 else ())
+            if k < DEGREE:
+                weights[(1, k)] = _add(_add(h[k], h[k]), g[k], -2)
+            if k < DEGREE - 1:
+                weights[(2, k)] = h[k]
+    rows = []
+    for mono, p in weights.items():
+        if p:
+            den = math.lcm(*(f.denominator for f in p))
+            nums = tuple(f.numerator * (den // f.denominator) for f in p)
+            rows.append((mono, nums, den))
+    return tuple(rows)
 
 
 def _evaluate(

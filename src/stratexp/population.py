@@ -69,21 +69,31 @@ class StratumPopulation:
         return self.x.size
 
     @cached_property
-    def x_mean(self) -> float:
-        return self._corrected_mean("x")
+    def _means(self) -> tuple[float, float]:
+        """(x mean, y mean).
 
-    @cached_property
+        One ``np.errstate`` per stratum keeps an overflowing deviation from
+        printing NumPy's warning before its :class:`ComputationError`.
+        """
+        with np.errstate(over="ignore"):
+            # y first: a stratum whose columns both overflow names y
+            y_mean = self._corrected_mean("y")
+            return self._corrected_mean("x"), y_mean
+
+    @property
+    def x_mean(self) -> float:
+        return self._means[0]
+
+    @property
     def y_mean(self) -> float:
-        return self._corrected_mean("y")
+        return self._means[1]
 
     def _corrected_mean(self, column: str) -> float:
         """Mean of a column, with one exactly summed correction pass.
 
         A sum outside the float range, or a deviation ``col - m`` that
         overflows, is a :class:`ComputationError` naming the stratum and
-        the column.  NumPy's warning for that deviation is silenced by
-        ``StratifiedPopulation._grand_means``, which computes every stratum
-        mean.
+        the column.
         """
         col = getattr(self, column)
         n = col.size
@@ -125,18 +135,12 @@ class StratifiedPopulation:
 
     @cached_property
     def _grand_means(self) -> tuple[float, float]:
-        """(grand y mean, grand x mean), computing every stratum mean.
-
-        One ``np.errstate`` per population, not one per column, keeps an
-        overflowing deviation from printing a warning before its
-        :class:`ComputationError`.
-        """
+        """(grand y mean, grand x mean)."""
         weights = self.weights
-        with np.errstate(over="ignore"):
-            return (
-                math.fsum(w * s.y_mean for w, s in zip(weights, self.strata)),
-                math.fsum(w * s.x_mean for w, s in zip(weights, self.strata)),
-            )
+        return (
+            math.fsum(w * s.y_mean for w, s in zip(weights, self.strata)),
+            math.fsum(w * s.x_mean for w, s in zip(weights, self.strata)),
+        )
 
     @property
     def grand_x_mean(self) -> float:

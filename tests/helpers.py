@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 from stratexp.datasets import SYNTHETIC_SAMPLE_SIZES, synthetic_csv_path
+from stratexp.estimators import EstimatorKind
+from stratexp.expansion import coefficient_table
 from stratexp.population import StratifiedPopulation, StratumPopulation
 from stratexp.report import EstimatorRequest, RunConfig, report_as_dict, run
 
@@ -11,6 +15,17 @@ def make_population(*strata: tuple[str, list[float], list[float], int]) -> Strat
             for label, xs, ys, n in strata
         )
     )
+
+
+def series_weights(
+    kind: EstimatorKind, quantity: str, order: int
+) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+    """``coefficient_table`` as {(a, b): ascending Fraction coefficients in
+    the tuning constant}."""
+    return {
+        mono: tuple(Fraction(n, den) for n in nums)
+        for mono, nums, den in coefficient_table(kind, quantity, order)
+    }
 
 
 def mc_report_without_workers(estimator: str, replicates: int, seed: int, workers: int) -> dict:

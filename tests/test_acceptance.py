@@ -14,12 +14,9 @@ import pytest
 
 from stratexp.estimators import EstimatorKind, t1s, t2s, t3s, t4s, estimate
 from stratexp.expansion import (
-    ParameterPolynomial,
     RATIO_SERIES_COEFFS_DERIVED,
     RATIO_SERIES_COEFFS_PRINTED,
     bias,
-    expand_estimator,
-    expand_estimator_symbolic,
     mse,
     mse_parameter_polynomial,
 )
@@ -37,7 +34,7 @@ from fractions import Fraction as F
 
 from stratexp.datasets import SYNTHETIC_SAMPLE_SIZES, synthetic_csv_path
 
-from helpers import mc_report_without_workers
+from helpers import mc_report_without_workers, series_weights
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -93,37 +90,35 @@ def test_criterion_3_first_order_closed_forms(synthetic_v):
     checks = []
 
     # fixed estimators: exact coefficient dictionaries
-    ratio = expand_estimator(t1s(), 2)
-    checks.append(ratio.coefficients == {
-        (1, 0): F(1), (0, 1): F(-1, 2), (1, 1): F(-1, 2), (0, 2): F(3, 8),
+    checks.append(series_weights(EstimatorKind.T1S, "bias", 1) == {
+        (1, 0): (F(1),), (0, 1): (F(-1, 2),), (1, 1): (F(-1, 2),), (0, 2): (F(3, 8),),
     })
-    checks.append(ratio.square(2).coefficients == {
-        (2, 0): F(1), (1, 1): F(-1), (0, 2): F(1, 4),
+    checks.append(series_weights(EstimatorKind.T1S, "mse", 1) == {
+        (2, 0): (F(1),), (1, 1): (F(-1),), (0, 2): (F(1, 4),),
     })
-    product = expand_estimator(t2s(), 2)
-    checks.append(product.coefficients == {
-        (1, 0): F(1), (0, 1): F(1, 2), (1, 1): F(1, 2), (0, 2): F(-1, 8),
+    checks.append(series_weights(EstimatorKind.T2S, "bias", 1) == {
+        (1, 0): (F(1),), (0, 1): (F(1, 2),), (1, 1): (F(1, 2),), (0, 2): (F(-1, 8),),
     })
-    checks.append(product.square(2).coefficients == {
-        (2, 0): F(1), (1, 1): F(1), (0, 2): F(1, 4),
+    checks.append(series_weights(EstimatorKind.T2S, "mse", 1) == {
+        (2, 0): (F(1),), (1, 1): (F(1),), (0, 2): (F(1, 4),),
     })
 
-    # tunable exponent, symbolic in alpha
-    tun = expand_estimator_symbolic(EstimatorKind.T3S, 2)
-    checks.append(tun.coefficient(0, 2) == ParameterPolynomial.of(0, F(1, 4), F(1, 8)))
-    checks.append(tun.coefficient(1, 1) == ParameterPolynomial.of(0, F(-1, 2)))
-    sq = tun.square(2)
-    checks.append(sq.coefficient(2, 0) == F(1))
-    checks.append(sq.coefficient(0, 2) == ParameterPolynomial.of(0, 0, F(1, 4)))
-    checks.append(sq.coefficient(1, 1) == ParameterPolynomial.of(0, -1))
+    # tunable exponent, symbolic in alpha (ascending coefficients)
+    tun = series_weights(EstimatorKind.T3S, "bias", 1)
+    checks.append(tun[(0, 2)] == (0, F(1, 4), F(1, 8)))
+    checks.append(tun[(1, 1)] == (0, F(-1, 2)))
+    sq = series_weights(EstimatorKind.T3S, "mse", 1)
+    checks.append(sq[(2, 0)] == (F(1),))
+    checks.append(sq[(0, 2)] == (0, 0, F(1, 4)))
+    checks.append(sq[(1, 1)] == (0, -1))
 
     # mixture, symbolic in theta
-    mix = expand_estimator_symbolic(EstimatorKind.T4S, 2)
-    checks.append(mix.coefficient(0, 2) == ParameterPolynomial.of(F(-1, 8), F(1, 2)))
-    checks.append(mix.coefficient(1, 1) == ParameterPolynomial.of(F(1, 2), -1))
-    sqm = mix.square(2)
-    checks.append(sqm.coefficient(0, 2) == ParameterPolynomial.of(F(1, 4), -1, 1))
-    checks.append(sqm.coefficient(1, 1) == ParameterPolynomial.of(1, -2))
+    mix = series_weights(EstimatorKind.T4S, "bias", 1)
+    checks.append(mix[(0, 2)] == (F(-1, 8), F(1, 2)))
+    checks.append(mix[(1, 1)] == (F(1, 2), -1))
+    sqm = series_weights(EstimatorKind.T4S, "mse", 1)
+    checks.append(sqm[(0, 2)] == (F(1, 4), -1, 1))
+    checks.append(sqm[(1, 1)] == (1, -2))
 
     # optimum equivalence
     v = synthetic_v

@@ -1,9 +1,9 @@
-"""Series expansion engine: coefficients, expectations, bias/MSE closed forms.
+"""Series expansion engine: coefficient tables, bias/MSE closed forms.
 
-The cubic and quartic exponent-series coefficients are checked against an
-independent numeric-differentiation oracle (arbitrary-precision Taylor
-expansion of the scalar function), and the first-order closed forms are
-verified as exact rational identities, symbolic in the tuning constant.
+The coefficient tables are checked against an independent oracle, the
+arbitrary-precision Taylor coefficients of the scalar multiplier and of its
+square (mpmath), and the first-order closed forms are verified as exact
+rational identities, symbolic in the tuning constant.
 """
 
 import collections
@@ -14,20 +14,15 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+import stratexp
 from stratexp import expansion
 from stratexp.datasets import SYNTHETIC_SAMPLE_SIZES, synthetic_csv_path
 from stratexp.errors import ComputationError
 from stratexp.estimators import EstimatorKind, EstimatorSpec, t1s, t2s, t3s, t4s
 from stratexp.expansion import (
-    PARAMETER,
-    ParameterPolynomial,
     RATIO_SERIES_COEFFS_DERIVED,
     RATIO_SERIES_COEFFS_PRINTED,
-    SeriesPolynomial,
     bias,
-    expand_estimator,
-    expand_estimator_symbolic,
-    expectation_of,
     mse,
     mse_parameter_polynomial,
     printed_second_order,
@@ -35,6 +30,10 @@ from stratexp.expansion import (
 from stratexp.moments import VTABLE_KEYS, VTable
 from stratexp.report import EstimatorRequest, RunConfig, report_as_dict, run
 from stratexp.verify import exact_expectation
+
+from helpers import series_weights
+
+T1S, T2S, T3S, T4S = EstimatorKind
 
 
 def toy_vtable(ybar: float = 1.0, xbar: float = 1.0, **named: float) -> VTable:
@@ -46,44 +45,66 @@ def toy_vtable(ybar: float = 1.0, xbar: float = 1.0, **named: float) -> VTable:
     return VTable(entries=entries, ybar=ybar, xbar=xbar)
 
 
+def at(coeffs: tuple[F, ...], t: F) -> F:
+    """A weight's polynomial in the tuning constant, evaluated at t."""
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def series_at(kind: EstimatorKind, quantity: str, order: int, t: F) -> dict:
+    """The nonzero weights of a table at tuning constant t."""
+    weights = {m: at(c, t) for m, c in series_weights(kind, quantity, order).items()}
+    return {m: w for m, w in weights.items() if w}
+
+
+def square(series: dict, degree: int) -> dict:
+    """The square of a numeric series in (e0, e1), truncated by total degree."""
+    out = collections.defaultdict(F)
+    for (a1, b1), c1 in series.items():
+        for (a2, b2), c2 in series.items():
+            if a1 + a2 + b1 + b2 <= degree:
+                out[(a1 + a2, b1 + b2)] += c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
 class TestExpansionCoefficients:
     def test_ratio_degree_two_slice(self):
         """exp(-e1/(2+e1)) through degree 2: e0, -e1/2, -e0e1/2, 3e1^2/8."""
-        poly = expand_estimator(t1s(), max_degree=2)
-        assert poly.coefficients == {
-            (1, 0): F(1),
-            (0, 1): F(-1, 2),
-            (1, 1): F(-1, 2),
-            (0, 2): F(3, 8),
+        assert series_weights(T1S, "bias", 1) == {
+            (1, 0): (F(1),),
+            (0, 1): (F(-1, 2),),
+            (1, 1): (F(-1, 2),),
+            (0, 2): (F(3, 8),),
         }
 
     def test_ratio_high_degree_terms(self):
-        poly = expand_estimator(t1s(), max_degree=4)
-        assert poly.coefficient(0, 3) == F(-13, 48)
-        assert poly.coefficient(0, 4) == F(73, 384)
-        assert poly.coefficient(1, 2) == F(3, 8)
-        assert poly.coefficient(1, 3) == F(-13, 48)
+        weights = series_weights(T1S, "bias", 2)
+        assert weights[(0, 3)] == (F(-13, 48),)
+        assert weights[(0, 4)] == (F(73, 384),)
+        assert weights[(1, 2)] == (F(3, 8),)
+        assert weights[(1, 3)] == (F(-13, 48),)
 
     def test_product_expansion(self):
-        poly = expand_estimator(t2s(), max_degree=4)
-        assert poly.coefficient(0, 1) == F(1, 2)
-        assert poly.coefficient(0, 2) == F(-1, 8)
-        assert poly.coefficient(0, 3) == F(1, 48)
-        assert poly.coefficient(0, 4) == F(1, 384)
+        weights = series_weights(T2S, "bias", 2)
+        assert weights[(0, 1)] == (F(1, 2),)
+        assert weights[(0, 2)] == (F(-1, 8),)
+        assert weights[(0, 3)] == (F(1, 48),)
+        assert weights[(0, 4)] == (F(1, 384),)
 
     def test_zero_exponent_reduces_to_mean_error(self):
-        poly = expand_estimator(t3s(0.0), max_degree=4)
-        assert poly.coefficients == {(1, 0): F(1)}
+        assert series_at(T3S, "bias", 2, F(0)) == {(1, 0): F(1)}
 
     def test_cubic_quartic_against_numeric_differentiation(self):
         """Independent oracle: high-precision Taylor coefficients of
         f(w) = exp(-w/(2+w)) at 0 via mpmath."""
-        mpmath.mp.dps = 40
-        taylor = mpmath.taylor(lambda w: mpmath.exp(-w / (2 + w)), 0, 4)
-        poly = expand_estimator(t1s(), max_degree=4)
+        with mpmath.workdps(40):
+            taylor = mpmath.taylor(lambda w: mpmath.exp(-w / (2 + w)), 0, 4)
+        weights = series_weights(T1S, "bias", 2)
         for k in range(1, 5):
-            derived = float(poly.coefficient(0, k))
-            assert derived == pytest.approx(float(taylor[k]), rel=1e-12), k
+            (derived,) = weights[(0, k)]
+            assert float(derived) == pytest.approx(float(taylor[k]), rel=1e-12), k
         # and the frozen rationals themselves
         assert RATIO_SERIES_COEFFS_DERIVED[3] == F(-13, 48)
         assert RATIO_SERIES_COEFFS_DERIVED[4] == F(73, 384)
@@ -92,66 +113,43 @@ class TestExpansionCoefficients:
             assert float(printed) != pytest.approx(float(taylor[k]), rel=1e-6)
 
     def test_mixture_is_literal_combination(self):
-        theta = F(5, 16)  # dyadic, so float round-trip is exact
-        mix = expand_estimator(t4s(float(theta)), max_degree=4)
-        a = expand_estimator(t1s(), max_degree=4)
-        b = expand_estimator(t2s(), max_degree=4)
-        for mono in set(a.coefficients) | set(b.coefficients):
-            expected = theta * a.coefficient(*mono) + (1 - theta) * b.coefficient(*mono)
-            assert mix.coefficient(*mono) == expected, mono
+        theta = F(5, 16)
+        mix = series_at(T4S, "bias", 2, theta)
+        a = series_at(T1S, "bias", 2, theta)
+        b = series_at(T2S, "bias", 2, theta)
+        for mono in set(mix) | set(a) | set(b):
+            expected = theta * a.get(mono, 0) + (1 - theta) * b.get(mono, 0)
+            assert mix.get(mono, 0) == expected, mono
 
     def test_truncation_bound_respected(self):
-        poly = expand_estimator(t1s(), max_degree=4)
-        assert all(a + b <= 4 for a, b in poly.coefficients)
-        assert all(a <= 1 for a, b in poly.coefficients)
-        squared = poly.square(4)
-        assert all(a + b <= 4 for a, b in squared.coefficients)
-        assert all(a <= 2 for a, b in squared.coefficients)
+        for kind in EstimatorKind:
+            for order in (1, 2):
+                for quantity, max_e0 in (("bias", 1), ("mse", 2)):
+                    monomials = series_weights(kind, quantity, order)
+                    assert all(a + b <= 2 * order for a, b in monomials)
+                    assert all(a <= max_e0 for a, b in monomials)
 
 
 class TestExpectation:
-    def test_linear_combination(self):
-        v = toy_vtable(V11=0.01, V02=0.04)
-        poly = SeriesPolynomial({(1, 1): F(-1, 2), (0, 2): F(3, 8)})
-        assert expectation_of(poly, v) == pytest.approx(0.01, rel=1e-15)
-
     def test_first_moments_vanish(self):
-        v = toy_vtable(V02=0.5, V20=0.5, V11=0.5)
-        poly = SeriesPolynomial({(0, 1): F(5)})
-        assert expectation_of(poly, v) == 0.0
-
-    def test_constant_term_counts_once(self):
-        v = toy_vtable()
-        poly = SeriesPolynomial({(0, 0): F(7, 2)})
-        assert expectation_of(poly, v) == 3.5
-
-    def test_monomial_outside_table(self):
-        from stratexp.errors import ComputationError
-
-        v = toy_vtable()
-        poly = SeriesPolynomial({(4, 0): F(1)}, max_total_degree=4)
-        with pytest.raises(ComputationError, match="outside the moment table"):
-            expectation_of(poly, v)
+        """The (1,0) and (0,1) rows weigh E[e0] = E[e1] = 0."""
+        assert {(1, 0), (0, 1)} <= set(series_weights(T1S, "bias", 2))
+        assert bias(t1s(), toy_vtable(ybar=3.0), 2) == 0.0
 
     def test_quartic_term_against_enumeration(self, desk, desk_v):
-        """E[poly(e0, e1)] from the table equals direct enumeration."""
-        poly = SeriesPolynomial(
-            {(0, 4): F(2, 3), (1, 3): F(-1, 5), (2, 2): F(4), (0, 2): F(1, 7)}
-        )
+        """table . V equals direct enumeration of the truncated series."""
+        theta = F(5, 16)
+        weights = series_at(T4S, "mse", 2, theta)
         ybar, xbar = desk.grand_y_mean, desk.grand_x_mean
 
         def statistic(ybar_st, xbar_st):
-            e0 = (ybar_st - ybar) / ybar
-            e1 = (xbar_st - xbar) / xbar
-            return float(
-                F(2, 3) * F(e1) ** 4
-                + F(-1, 5) * F(e0) * F(e1) ** 3
-                + F(4) * F(e0) ** 2 * F(e1) ** 2
-                + F(1, 7) * F(e1) ** 2
-            )
+            e0 = F((ybar_st - ybar) / ybar)
+            e1 = F((xbar_st - xbar) / xbar)
+            return float(sum(w * e0**a * e1**b for (a, b), w in weights.items()))
 
         exact = exact_expectation(desk, statistic)
-        assert expectation_of(poly, desk_v) == pytest.approx(exact, rel=1e-9)
+        got = mse(t4s(float(theta)), desk_v, 2) / ybar**2
+        assert got == pytest.approx(exact, rel=1e-9)
 
 
 class TestFirstOrderClosedForms:
@@ -159,48 +157,46 @@ class TestFirstOrderClosedForms:
     rational identities, symbolic in the tuning constant."""
 
     def test_ratio_bias_and_mse(self):
-        poly = expand_estimator(t1s(), max_degree=2)
-        assert poly.coefficient(0, 2) == F(3, 8)
-        assert poly.coefficient(1, 1) == F(-1, 2)
-        sq = poly.square(2)
-        assert sq.coefficients == {
-            (2, 0): F(1),
-            (1, 1): F(-1),
-            (0, 2): F(1, 4),
+        weights = series_weights(T1S, "bias", 1)
+        assert weights[(0, 2)] == (F(3, 8),)
+        assert weights[(1, 1)] == (F(-1, 2),)
+        assert series_weights(T1S, "mse", 1) == {
+            (2, 0): (F(1),),
+            (1, 1): (F(-1),),
+            (0, 2): (F(1, 4),),
         }
 
     def test_product_bias_and_mse(self):
-        poly = expand_estimator(t2s(), max_degree=2)
-        assert poly.coefficient(0, 2) == F(-1, 8)
-        assert poly.coefficient(1, 1) == F(1, 2)
-        sq = poly.square(2)
-        assert sq.coefficients == {
-            (2, 0): F(1),
-            (1, 1): F(1),
-            (0, 2): F(1, 4),
+        weights = series_weights(T2S, "bias", 1)
+        assert weights[(0, 2)] == (F(-1, 8),)
+        assert weights[(1, 1)] == (F(1, 2),)
+        assert series_weights(T2S, "mse", 1) == {
+            (2, 0): (F(1),),
+            (1, 1): (F(1),),
+            (0, 2): (F(1, 4),),
         }
 
     def test_tunable_symbolic_identities(self):
         """Bias: (alpha/4 + alpha^2/8) V02 - (alpha/2) V11;
         MSE: V20 + alpha^2/4 V02 - alpha V11."""
-        poly = expand_estimator_symbolic(EstimatorKind.T3S, max_degree=2)
-        assert poly.coefficient(0, 2) == ParameterPolynomial.of(0, F(1, 4), F(1, 8))
-        assert poly.coefficient(1, 1) == ParameterPolynomial.of(0, F(-1, 2))
-        sq = poly.square(2)
-        assert sq.coefficient(2, 0) == F(1)
-        assert sq.coefficient(0, 2) == ParameterPolynomial.of(0, 0, F(1, 4))
-        assert sq.coefficient(1, 1) == ParameterPolynomial.of(0, -1)
+        weights = series_weights(T3S, "bias", 1)
+        assert weights[(0, 2)] == (0, F(1, 4), F(1, 8))
+        assert weights[(1, 1)] == (0, F(-1, 2))
+        sq = series_weights(T3S, "mse", 1)
+        assert sq[(2, 0)] == (F(1),)
+        assert sq[(0, 2)] == (0, 0, F(1, 4))
+        assert sq[(1, 1)] == (0, -1)
 
     def test_mixture_symbolic_identities(self):
         """Bias: (theta/2 - 1/8) V02 + (1/2 - theta) V11;
         MSE: V20 + (1/2 - theta)^2 V02 + 2 (1/2 - theta) V11."""
-        poly = expand_estimator_symbolic(EstimatorKind.T4S, max_degree=2)
-        assert poly.coefficient(0, 2) == ParameterPolynomial.of(F(-1, 8), F(1, 2))
-        assert poly.coefficient(1, 1) == ParameterPolynomial.of(F(1, 2), -1)
-        sq = poly.square(2)
-        assert sq.coefficient(2, 0) == F(1)
-        assert sq.coefficient(0, 2) == ParameterPolynomial.of(F(1, 4), -1, 1)
-        assert sq.coefficient(1, 1) == ParameterPolynomial.of(1, -2)
+        weights = series_weights(T4S, "bias", 1)
+        assert weights[(0, 2)] == (F(-1, 8), F(1, 2))
+        assert weights[(1, 1)] == (F(1, 2), -1)
+        sq = series_weights(T4S, "mse", 1)
+        assert sq[(2, 0)] == (F(1),)
+        assert sq[(0, 2)] == (F(1, 4), -1, 1)
+        assert sq[(1, 1)] == (1, -2)
 
     def test_bias_substitution_example(self):
         """V02=0.04, V11=0.01, Ybar=1: bias1(ratio) = 3/8*.04 - 1/2*.01 = 0.01."""
@@ -238,12 +234,14 @@ class TestParameterIdentities:
 
 class TestSecondOrder:
     def test_truncation_closure(self):
-        """Squaring then truncating equals truncating then squaring: terms
-        beyond degree 4 cannot feed back into degree <= 4 of the square."""
-        for spec in (t1s(), t2s(), t3s(1.7), t4s(0.3)):
-            wide = expand_estimator(spec, max_degree=6).square(4)
-            narrow = expand_estimator(spec, max_degree=4).square(4)
-            assert wide.coefficients == narrow.coefficients
+        """Each MSE table is the square of its bias series (t/Ybar - 1),
+        and squaring then truncating equals truncating then squaring: terms
+        beyond degree 2 cannot feed back into degree <= 2 of the square."""
+        for kind, t in ((T1S, F(1)), (T2S, F(1)), (T3S, F(17, 10)), (T4S, F(3, 10))):
+            wide = series_at(kind, "bias", 2, t)
+            narrow = series_at(kind, "bias", 1, t)
+            assert square(wide, 4) == series_at(kind, "mse", 2, t)
+            assert square(wide, 2) == square(narrow, 2) == series_at(kind, "mse", 1, t)
 
     def test_zero_higher_moments_collapse_to_first_order(self, synthetic_v):
         v = synthetic_v.replace_entries(
@@ -352,64 +350,91 @@ class TestPrintedMode:
         assert derived - printed_b == pytest.approx(expected, rel=1e-9)
 
 
-class TestParameterPolynomial:
-    def test_arithmetic(self):
-        t = PARAMETER
-        p = (1 - t) * (1 - t)
-        assert p == ParameterPolynomial.of(1, -2, 1)
-        assert p(F(1, 2)) == F(1, 4)
-        assert not (p - p)
-        assert (2 * t + 1).coeffs == (F(1), F(2))
+#: tuning constants at which the tables of t3s and t4s meet the oracle
+ORACLE_PARAMETERS = (F(-2), F(-1), F(-1, 2), F(0), F(1, 3), F(1), F(5, 2))
 
-    def test_substitute_recovers_concrete_expansion(self):
-        for value in (F(1), F(-1), F(3, 7)):
-            symbolic = expand_estimator_symbolic(EstimatorKind.T3S, 4)
-            concrete = expand_estimator(t3s(float(value)), 4)
-            subbed = symbolic.substitute(value)
-            # rational parameters that survive float round-trip compare exactly
-            if value.denominator in (1, 2, 4, 8):
-                assert subbed.coefficients == concrete.coefficients
-            else:
-                for mono in set(subbed.coefficients) | set(concrete.coefficients):
-                    assert float(subbed.coefficient(*mono)) == pytest.approx(
-                        float(concrete.coefficient(*mono)), rel=1e-12
-                    )
+
+def _scalar_multiplier(kind: EstimatorKind, t):
+    """The scalar multiplier g(w), written directly from the estimator."""
+    if kind is T1S:
+        return lambda w: mpmath.exp(-w / (2 + w))
+    if kind is T2S:
+        return lambda w: mpmath.exp(w / (2 + w))
+    if kind is T3S:
+        return lambda w: mpmath.exp(-t * w / (2 + w))
+    return lambda w: t * mpmath.exp(-w / (2 + w)) + (1 - t) * mpmath.exp(w / (2 + w))
+
+
+def _oracle_weights(kind: EstimatorKind, t: F) -> dict:
+    """Weights of E[e0^a e1^b], a + b <= 4, in the bias and MSE series.
+
+    With gamma and eta the Taylor coefficients of g and g^2,
+    (1 + e0) g - 1 and ((1 + e0) g - 1)^2 = (1 + e0)^2 g^2 - 2 (1 + e0) g + 1
+    weigh e0^a e1^b by binomials of a times gamma_b and eta_b.
+    """
+    mt = mpmath.mpf(t.numerator) / t.denominator
+    g = _scalar_multiplier(kind, mt)
+    gamma = mpmath.taylor(g, 0, 4)
+    eta = mpmath.taylor(lambda w: g(w) ** 2, 0, 4)
+    out = {"bias": {}, "mse": {}}
+    for a in range(5):
+        for b in range(5 - a):
+            one = 1 if (a, b) == (0, 0) else 0
+            out["bias"][(a, b)] = (gamma[b] if a <= 1 else 0) - one
+            out["mse"][(a, b)] = (
+                math.comb(2, a) * eta[b] - 2 * (gamma[b] if a <= 1 else 0) + one
+            )
+    return out
+
+
+def test_every_public_name_resolves():
+    assert len(set(stratexp.__all__)) == len(stratexp.__all__)
+    for name in stratexp.__all__:
+        assert getattr(stratexp, name) is not None, name
+    assert stratexp.coefficient_table is expansion.coefficient_table
 
 
 def _moment_or_zero(v: VTable, a: int, b: int) -> float:
-    return 1.0 if a + b == 0 else 0.0 if a + b == 1 else v[(a, b)]
+    return 0.0 if a + b == 1 else v[(a, b)]
 
 
 TABLE_PARAMETERS = (0.0, 1.0, -1.0, 0.5, -0.5, 1 / 3, 2.75)
 
 
 def _specs_of(kind: EstimatorKind) -> list[EstimatorSpec]:
-    if kind is EstimatorKind.T3S:
+    if kind is T3S:
         return [t3s(p) for p in TABLE_PARAMETERS]
-    if kind is EstimatorKind.T4S:
+    if kind is T4S:
         return [t4s(p) for p in TABLE_PARAMETERS]
     return [EstimatorSpec(kind)]
 
 
 class TestCoefficientTables:
-    """The cached tables reproduce a fresh derivation bit for bit."""
-
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("quantity", ["bias", "mse"])
     @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
     def test_table_is_the_symbolic_expansion(self, kind, quantity, order):
-        series = expand_estimator_symbolic(kind, max_degree=2 * order)
-        if quantity == "mse":
-            series = series.square(2 * order)
-        expected = {
-            mono: c.coeffs if isinstance(c, ParameterPolynomial) else (c,)
-            for mono, c in series.items()
-        }
-        table = {
-            mono: tuple(F(n, den) for n in nums)
-            for mono, nums, den in expansion.coefficient_table(kind, quantity, order)
-        }
-        assert table == expected
+        """Every row, evaluated at t, equals the composition of the
+        multiplier's 50-digit Taylor coefficients (mpmath) to 1e-40
+        relative, and every monomial of degree <= 2 * order absent from the
+        table weighs 0 in the oracle."""
+        table = series_weights(kind, quantity, order)
+        assert all(a + b <= 2 * order for a, b in table)
+        points = ORACLE_PARAMETERS if kind.parameter_name else (F(1),)
+        with mpmath.workdps(50):
+            tol = mpmath.mpf("1e-40")
+            for t in points:
+                oracle = _oracle_weights(kind, t)[quantity]
+                for (a, b), expected in oracle.items():
+                    if a + b > 2 * order:
+                        continue
+                    got = at(table[(a, b)], t) if (a, b) in table else F(0)
+                    label = (str(t), (a, b))
+                    if got == 0:
+                        assert abs(expected) <= tol, label
+                    else:
+                        exact = mpmath.mpf(got.numerator) / got.denominator
+                        assert abs(expected - exact) <= tol * abs(exact), label
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("quantity", ["bias", "mse"])
@@ -417,24 +442,28 @@ class TestCoefficientTables:
     def test_evaluation_equals_fresh_expansion(
         self, synthetic_v, desk_v, kind, quantity, order
     ):
+        """bias and mse equal the table evaluated afresh in Fractions: each
+        weight at the exact rational constant, rounded once, exactly summed."""
         for v in (synthetic_v, desk_v):
             for spec in _specs_of(kind):
-                poly = expand_estimator(spec, max_degree=2 * order)
+                t = F(1 if spec.parameter is None else spec.parameter)
+                terms = [
+                    float(at(c, t)) * _moment_or_zero(v, a, b)
+                    for (a, b), c in series_weights(kind, quantity, order).items()
+                ]
                 if quantity == "bias":
-                    expected = v.ybar * expectation_of(poly, v)
-                    got = bias(spec, v, order)
+                    expected, got = v.ybar * math.fsum(terms), bias(spec, v, order)
                 else:
-                    expected = v.ybar**2 * expectation_of(poly.square(2 * order), v)
-                    got = mse(spec, v, order)
+                    expected, got = v.ybar**2 * math.fsum(terms), mse(spec, v, order)
                 assert got == expected, (spec.label(), v.ybar)
 
-    @pytest.mark.parametrize("kind", [EstimatorKind.T3S, EstimatorKind.T4S], ids=["t3s", "t4s"])
+    @pytest.mark.parametrize("kind", [T3S, T4S], ids=["t3s", "t4s"])
     def test_parameter_polynomial_equals_symbolic_square(self, synthetic_v, desk_v, kind):
+        """``mse_parameter_polynomial`` is the exactly summed column sums of
+        the order-2 MSE table."""
         for v in (synthetic_v, desk_v):
-            poly = expand_estimator_symbolic(kind, max_degree=4).square(4)
             buckets: list[list[float]] = []
-            for (a, b), c in poly.items():
-                cs = c.coeffs if isinstance(c, ParameterPolynomial) else (c,)
+            for (a, b), cs in series_weights(kind, "mse", 2).items():
                 for k, ck in enumerate(cs):
                     while len(buckets) <= k:
                         buckets.append([])
@@ -442,18 +471,11 @@ class TestCoefficientTables:
             expected = [v.ybar**2 * math.fsum(vals) for vals in buckets]
             assert mse_parameter_polynomial(kind, v) == expected
 
-    def test_each_table_is_derived_once(self, monkeypatch):
-        """Repeated reports reuse the tables: the symbolic expansion runs once
-        per (kind, quantity) with a tuning constant, and never again."""
-        derivations = collections.Counter()
-        real = expansion.expand_estimator_symbolic
-
-        def counting(kind, max_degree=4):
-            derivations[kind] += 1
-            return real(kind, max_degree)
-
-        monkeypatch.setattr(expansion, "expand_estimator_symbolic", counting)
+    def test_each_table_is_derived_once(self):
+        """Repeated reports reuse the tables: each kind's multiplier series
+        is derived once, each of the 16 tables once, and never again."""
         expansion.coefficient_table.cache_clear()
+        expansion._multiplier.cache_clear()
         config = RunConfig(
             population=synthetic_csv_path(),
             sample_sizes=SYNTHETIC_SAMPLE_SIZES,
@@ -464,13 +486,10 @@ class TestCoefficientTables:
             printed_mode=True,
         )
         first = report_as_dict(run(config))
-        after_first = dict(derivations)
         for _ in range(3):
             assert report_as_dict(run(config)) == first
-        assert dict(derivations) == after_first == {
-            EstimatorKind.T3S: 2,
-            EstimatorKind.T4S: 2,
-        }
+        g = expansion._multiplier.cache_info()
+        assert g.misses == g.currsize == 4  # one per kind
         info = expansion.coefficient_table.cache_info()
         assert info.misses == info.currsize == 16  # 4 kinds x 2 quantities x 2 orders
 

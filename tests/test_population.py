@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratexp.errors import DegenerateAuxiliaryError, PopulationError
+from stratexp.errors import ComputationError, DegenerateAuxiliaryError, PopulationError
 from stratexp.moments import VTABLE_KEYS, summarize_stratum, v_table
 from stratexp.optimize import optimize_alpha
 from stratexp.population import (
@@ -142,6 +142,15 @@ class TestValidation:
             StratumPopulation(
                 id="A", x=(1.0, 3.0), y=(math.inf, 4.0), small_n=1
             )
+
+    def test_overflowing_deviation_read_directly_is_a_typed_error(self):
+        """A stratum read outside a population raises, with no NumPy warning
+        first (the test settings turn a RuntimeWarning into an error)."""
+        s = StratumPopulation(
+            "A", [1, 2, 3, 4, 5], [1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308], 2
+        )
+        with pytest.raises(ComputationError, match="stratum 'A': column y sums beyond"):
+            s.y_mean
 
 
 class TestSummaries:
