@@ -9,7 +9,9 @@ file (``--config``) gives a dict whose keys and JSON types are those of
 overrides, so the flags that are given are laid over that dict, and
 ``RunConfig(**settings)`` alone checks the allowed values, so ``--order 3``
 and ``{"order": "3"}`` fail with one message.  A flag argparse cannot parse
-is a ``ConfigError`` too, as a file value of the wrong JSON type is.
+is a ``ConfigError`` too, as a file value of the wrong JSON type is.  A
+key repeated anywhere in the config file, or a stratum repeated in ``--n``,
+is a ``ValidationError``: no setting is silently overwritten.
 
 Exit codes: 0 success, 1 invalid input (flags, config files, populations,
 designs), 2 a computation failed.
@@ -63,6 +65,16 @@ def _parse_design_entry(text: str) -> tuple[str, int]:
     except ValueError:
         raise ValidationError(f"--n {text!r}: size must be an integer") from None
     return label, n
+
+
+def _unique_dict(pairs, what: str) -> dict:
+    """``dict(pairs)``; a repeated key is a ValidationError, never last-wins."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValidationError(f"{what} {key!r} is given twice")
+        out[key] = value
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,9 +148,10 @@ _PARSER.add_argument(
 
 def _load_config_file(path: str) -> dict:
     """The config file's dict, with every key known and of its JSON type."""
+    what = f"config file {path!r}: key"
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=lambda pairs: _unique_dict(pairs, what))
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -165,7 +178,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     path = flags.pop("config", None)
     settings = _load_config_file(path) if path else {}
     if "sample_sizes" in flags:
-        flags["sample_sizes"] = dict(flags["sample_sizes"])
+        flags["sample_sizes"] = _unique_dict(flags["sample_sizes"], "--n stratum")
     settings.update(flags)
 
     if not settings.get("population"):

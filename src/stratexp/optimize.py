@@ -5,18 +5,19 @@ At first order both optima have closed forms:
     alpha* = 2 * V11 / V02          theta* = V11 / V02 + 1/2
 
 and both deliver the same minimum, Ybar^2 * (V20 - V11^2 / V02).  At
-second order no closed form is attempted: the objective is an exact
-polynomial in the constant (quartic for the exponent, quadratic for the
-mixture), minimized by an 801-point grid over a fixed bracket followed by
-golden-section refinement around the best grid point.  Grid ties break
-toward the smaller absolute parameter.  When V02 = 0 exactly (a constant
-auxiliary column) the MSE does not depend on the constant, and both
-orders raise DegenerateAuxiliaryError.
+second order the objective is an exact polynomial in the constant (quartic
+for the exponent, quadratic for the mixture), so its minimum on the fixed
+bracket is one of these candidates: the two bracket ends and each real root
+of the derivative inside the bracket, polished by Newton steps.  Ties break
+toward the smaller absolute parameter, then the smaller parameter.
+``iterations`` counts the Newton steps taken at the chosen point: 0 at a
+bracket end and at first order, usually 1 inside the bracket.  When V02 = 0
+exactly (a constant auxiliary column) the MSE does not depend on the
+constant, and both orders raise DegenerateAuxiliaryError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,6 @@ from .moments import VTable
 
 ALPHA_BRACKET = (-4.0, 4.0)
 THETA_BRACKET = (-2.0, 3.0)
-GRID_POINTS = 801
-REFINE_WIDTH = 1e-10
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -45,26 +42,6 @@ class OptimizationOutcome:
     objective_negative: bool = False
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> tuple[float, int]:
-    """Standard golden-section minimization to interval width ``tol``."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    iterations = 0
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-        iterations += 1
-    return 0.5 * (a + b), iterations
-
-
 def _horner(coeffs: list[float], x: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
@@ -72,16 +49,16 @@ def _horner(coeffs: list[float], x: float) -> float:
     return acc
 
 
-def _polish(coeffs: list[float], x: float, lo: float, hi: float) -> float:
-    """Newton steps on the derivative.
+def _polish(coeffs: list[float], x: float, lo: float, hi: float) -> tuple[float, int]:
+    """Newton steps on the derivative from a ``polyroots`` root: (x, steps).
 
-    Golden-section alone saturates where objective differences fall below
-    one ulp of the objective value (around 1e-8 here); the derivative has
-    full relative precision at the minimum, so a few Newton steps recover
-    the argmin essentially to machine precision.
+    A root from the companion matrix's eigenvalues is good to about 1e-15
+    relative, so a step or two recovers the last bits.  Non-positive
+    curvature, or a step leaving ``[lo, hi]``, ends the polish.
     """
     d1 = [k * c for k, c in enumerate(coeffs)][1:]
     d2 = [k * c for k, c in enumerate(d1)][1:]
+    steps = 0
     for _ in range(20):
         curvature = _horner(d2, x)
         if curvature <= 0.0:
@@ -91,26 +68,26 @@ def _polish(coeffs: list[float], x: float, lo: float, hi: float) -> float:
         if not (lo <= nxt <= hi):
             break
         x = nxt
+        steps += 1
         if abs(step) <= 1e-15 * max(1.0, abs(x)):
             break
-    return x
+    return x, steps
 
 
-def _grid_then_refine(
-    coeffs: list[float], bracket: tuple[float, float]
-) -> tuple[float, int]:
+def _minimize(coeffs: list[float], bracket: tuple[float, float]) -> tuple[float, int]:
+    """(minimizer, Newton steps) of the polynomial on the bracket.
+
+    A root that comes back complex is at most an inflection (a near-double
+    real pair), and a neighbouring candidate always beats it.
+    """
     lo, hi = bracket
-    xs = np.linspace(lo, hi, GRID_POINTS)
-    vals = np.polynomial.polynomial.polyval(xs, np.asarray(coeffs))
-    vmin = vals.min()
-    ties = np.flatnonzero(vals == vmin)
-    # ties break toward the smaller |parameter|, then the smaller parameter
-    best = float(min((abs(xs[i]), xs[i]) for i in ties)[1])
-    step = (hi - lo) / (GRID_POINTS - 1)
-    a = max(lo, best - step)
-    b = min(hi, best + step)
-    x, iterations = _golden_section(lambda t: _horner(coeffs, t), a, b, REFINE_WIDTH)
-    return _polish(coeffs, x, a, b), iterations
+    candidates = [(lo, 0), (hi, 0)]
+    derivative = np.polynomial.polynomial.polyder(coeffs)
+    if derivative.any():
+        for root in np.polynomial.polynomial.polyroots(derivative):
+            if root.imag == 0 and lo <= root.real <= hi:
+                candidates.append(_polish(coeffs, float(root.real), lo, hi))
+    return min(candidates, key=lambda c: (_horner(coeffs, c[0]), abs(c[0]), c[0]))
 
 
 def _optimize(
@@ -144,7 +121,7 @@ def _optimize(
     if order != 2:
         raise ValueError(f"order must be 1 or 2, got {order}")
     coeffs = mse_parameter_polynomial(kind, v)
-    param, iterations = _grid_then_refine(coeffs, bracket)
+    param, iterations = _minimize(coeffs, bracket)
     objective = mse(EstimatorSpec(kind, param), v, 2)
     return OptimizationOutcome(
         parameter=param,

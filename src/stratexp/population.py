@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Mapping
@@ -34,7 +35,8 @@ class StratumPopulation:
 
     ``x`` and ``y`` accept any sequence of numbers and are stored as
     read-only float64 arrays of equal length, in input order.  ``small_n``
-    is the SRSWOR sample size n_h; it must satisfy 1 <= n_h < N_h.
+    is the SRSWOR sample size n_h, an integer (not a bool) stored as a
+    Python ``int``; it must satisfy 1 <= n_h < N_h.
     """
 
     id: str
@@ -51,9 +53,17 @@ class StratumPopulation:
             )
         if not x.size:
             raise PopulationError(f"stratum {self.id!r} has no units")
-        if not (1 <= self.small_n < x.size):
+        try:
+            if isinstance(self.small_n, bool):
+                raise TypeError
+            small_n = operator.index(self.small_n)
+        except TypeError:
             raise PopulationError(
-                f"stratum {self.id!r}: sample size n={self.small_n} must satisfy "
+                f"stratum {self.id!r}: sample size must be an integer, got {self.small_n!r}"
+            ) from None
+        if not (1 <= small_n < x.size):
+            raise PopulationError(
+                f"stratum {self.id!r}: sample size n={small_n} must satisfy "
                 f"1 <= n < N={x.size}"
             )
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -62,6 +72,7 @@ class StratumPopulation:
         y.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "small_n", small_n)
 
     @property
     def capital_n(self) -> int:
@@ -217,7 +228,7 @@ def load_population(
     planned sample size n_h.  Unit order within a stratum is preserved.
     Raises :class:`PopulationError` on malformed rows and on CSV syntax the
     reader rejects (both with line numbers), on design/label mismatches,
-    and on n_h >= N_h.
+    and on a sample size that :class:`StratumPopulation` rejects.
     """
     reader = csv.reader(source)
     try:
@@ -234,17 +245,12 @@ def load_population(
     if missing:
         raise PopulationError(f"design is missing sample sizes for strata: {missing}")
 
-    strata = []
-    for label, (xs, ys) in columns.items():
-        n_h = design[label]
-        if not isinstance(n_h, int) or isinstance(n_h, bool):
-            raise PopulationError(f"stratum {label!r}: sample size must be an integer")
-        if n_h >= len(xs):
-            raise PopulationError(
-                f"stratum {label!r}: sample size n={n_h} must be smaller than N={len(xs)}"
-            )
-        strata.append(StratumPopulation(id=label, x=xs, y=ys, small_n=n_h))
-    return StratifiedPopulation(strata=tuple(strata))
+    return StratifiedPopulation(
+        strata=tuple(
+            StratumPopulation(id=label, x=xs, y=ys, small_n=design[label])
+            for label, (xs, ys) in columns.items()
+        )
+    )
 
 
 def load_population_file(path: str, design: Mapping[str, int]) -> StratifiedPopulation:

@@ -1,7 +1,11 @@
 """Tuning-constant optimization: closed forms, numeric search, certificates."""
 
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratexp.errors import DegenerateAuxiliaryError
 from stratexp.estimators import EstimatorKind, t3s, t4s
@@ -9,9 +13,12 @@ from stratexp.expansion import mse, mse_parameter_polynomial
 from stratexp.optimize import (
     ALPHA_BRACKET,
     THETA_BRACKET,
+    _horner,
+    _minimize,
     optimize_alpha,
     optimize_theta,
 )
+from stratexp.report import EstimatorRequest, RunConfig, run
 
 from test_expansion import toy_vtable
 
@@ -94,6 +101,7 @@ class TestNumericSearch:
     ])
     def test_local_optimality_certificate(self, synthetic_v, optimizer, make):
         out = optimizer(synthetic_v, order=2)
+        assert out.iterations >= 1  # an interior optimum is Newton-polished
         center = mse(make(out.parameter), synthetic_v, 2)
         left = mse(make(out.parameter - 1e-6), synthetic_v, 2)
         right = mse(make(out.parameter + 1e-6), synthetic_v, 2)
@@ -143,16 +151,71 @@ class TestNumericSearch:
         assert out.objective <= mse(t3s(a1), synthetic_v, 2) + 1e-15
 
 
-class TestSearchMechanics:
-    def test_grid_ties_break_toward_smaller_magnitude(self):
-        """A symmetric double-well quartic puts exact ties at +/-1 on the
-        grid; the search must prefer the smaller parameter of the pair
-        rather than depend on scan order."""
-        from stratexp.optimize import _grid_then_refine
+_COEFFICIENT = st.builds(
+    operator.mul,
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(-6.0, 2.0).map(lambda e: 10.0**e),
+)
 
+
+class TestSearchMechanics:
+    def test_ties_break_toward_smaller_magnitude(self):
+        """A symmetric double-well quartic has exact ties at +/-1; the
+        minimizer must prefer the smaller parameter of the pair rather than
+        depend on the order of the candidates."""
         coeffs = [0.0, 0.0, -2.0, 0.0, 1.0]  # x^4 - 2x^2, minima at +/-1
-        x, _ = _grid_then_refine(coeffs, (-4.0, 4.0))
+        x, _ = _minimize(coeffs, (-4.0, 4.0))
         assert x == pytest.approx(-1.0, abs=1e-9)
+
+    def test_global_well_wins_over_a_near_tie(self):
+        """x^4 - 2x^2 - 1e-6 x is lower near +1 than near -1 by 2e-6: the
+        deeper well wins however the bracket (-3, 4.995) is sampled."""
+        coeffs = [0.0, -1e-6, -2.0, 0.0, 1.0]
+        x, _ = _minimize(coeffs, (-3.0, 4.995))
+        assert x == pytest.approx(1.0, abs=1e-6)
+        assert _horner(coeffs, x) < -1.0 - 9e-7
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.sampled_from((3, 5)).flatmap(
+            lambda size: st.lists(_COEFFICIENT, min_size=size, max_size=size)
+        ),
+        lo=st.floats(-5.0, -0.01),
+        hi=st.floats(0.01, 5.0),
+    )
+    def test_no_scan_point_beats_the_minimizer(self, coeffs, lo, hi):
+        """Quadratics and quartics of mixed signs and magnitudes 1e-6 to
+        1e2: the result lies in the bracket, and no point of a 100 001-point
+        scan is lower by more than 1e-9 relative to the size of the terms."""
+        x, _ = _minimize(coeffs, (lo, hi))
+        assert lo <= x <= hi
+        xs = np.linspace(lo, hi, 100_001)
+        vals = np.polynomial.polynomial.polyval(xs, np.asarray(coeffs))
+        best = int(np.argmin(vals))
+        terms = _horner([abs(c) for c in coeffs], abs(xs[best]))
+        assert _horner(coeffs, x) <= vals[best] + 1e-9 * terms
+
+    def test_optimum_at_the_bracket_end_is_exact(self, tmp_path):
+        """With y = x^4 the order-1 optima (alpha 5.83, theta 3.41) lie past
+        the brackets, so the order-2 optima are exactly the bracket ends,
+        reached without a Newton step."""
+        csv = tmp_path / "quartic.csv"
+        csv.write_text("stratum,x,y\n" + "".join(
+            f"{h},{x},{x**4}\n" for h, first in (("A", 5), ("B", 6))
+            for x in range(first, first + 12)
+        ))
+        report = run(RunConfig(
+            population=str(csv),
+            sample_sizes={"A": 4, "B": 4},
+            estimators=(
+                EstimatorRequest.parse("t3s:optimize"),
+                EstimatorRequest.parse("t4s:optimize"),
+            ),
+        ))
+        for row, end in zip(report.rows, (ALPHA_BRACKET[1], THETA_BRACKET[1])):
+            assert row.parameter_order1 > end
+            assert row.parameter_order2 == end
+            assert report.optimizer_outcomes[row.label]["order2"].iterations == 0
 
     def test_negative_objective_flagged_not_clamped(self, synthetic_v):
         """An (unphysical) table can push the second-order MSE negative at

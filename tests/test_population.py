@@ -81,7 +81,9 @@ class TestLoadPopulation:
             load_csv("stratum,x,y\nA,1,2\nA,2,3\n", {})
 
     def test_sample_size_must_be_below_population_size(self):
-        with pytest.raises(PopulationError, match="smaller than N"):
+        with pytest.raises(
+            PopulationError, match="stratum 'A': sample size n=2 must satisfy 1 <= n < N=2"
+        ):
             load_csv("stratum,x,y\nA,1,2\nA,2,3\n", {"A": 2})
 
     def test_unit_order_preserved(self):
@@ -131,6 +133,23 @@ class TestValidation:
             StratumPopulation(id="A", x=xs, y=ys, small_n=0)
         with pytest.raises(PopulationError):
             StratumPopulation(id="A", x=xs, y=ys, small_n=2)
+
+    @pytest.mark.parametrize("small_n", [2.0, True, "2", np.float64(1.0)])
+    def test_sample_size_must_be_an_integer(self, small_n):
+        """A float, a bool or a string fails here, naming the stratum,
+        instead of later as a TypeError in the oracles."""
+        with pytest.raises(
+            PopulationError, match="stratum 'A': sample size must be an integer, got"
+        ):
+            StratumPopulation(id="A", x=(1.0, 3.0, 5.0), y=(2.0, 4.0, 6.0), small_n=small_n)
+        with pytest.raises(
+            PopulationError, match="stratum 'A': sample size must be an integer, got"
+        ):
+            load_csv("stratum,x,y\nA,1,2\nA,3,4\nA,5,6\n", {"A": small_n})
+
+    def test_integer_sample_size_is_stored_as_int(self):
+        s = StratumPopulation(id="A", x=(1.0, 3.0, 5.0), y=(2.0, 4.0, 6.0), small_n=np.int64(2))
+        assert type(s.small_n) is int and s.small_n == 2
 
     def test_duplicate_labels_rejected(self):
         s = StratumPopulation(id="A", x=(1.0, 3.0), y=(2.0, 4.0), small_n=1)

@@ -576,6 +576,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.lstrip().startswith("{")
 
+    def test_repeated_stratum_in_flags_is_an_error(self, capsys):
+        code = main([
+            "--population", synthetic_csv_path(), "--n", "A=3", "--n", "B=3", "--n", "A=5",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "stratexp: error: ValidationError: --n stratum 'A' is given twice\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('"sample_sizes": {"A": 3, "B": 3, "A": 5}', "A"),
+            ('"sample_sizes": {"A": 3, "B": 3}, "order": "1", "order": "2"', "order"),
+        ],
+        ids=["sample_sizes", "order"],
+    )
+    def test_repeated_config_key_is_an_error(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("{" + f'"population": {json.dumps(synthetic_csv_path())}, {text}' + "}")
+        assert main(["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"stratexp: error: ValidationError: config file {str(cfg)!r}: "
+            f"key {key!r} is given twice\n"
+        )
+
     def test_config_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"population": "x", "bogus": 1}))
