@@ -37,7 +37,7 @@ between a population and the analysis; the S-quantities (divisor N_h - 1)
 are C_20, C_02 and C_11 times N_h / (N_h - 1).  Each moment is formed from
 the deviation columns with NumPy and reduced with ``math.fsum``, an exactly
 rounded sum; a sum that leaves the float range gives ``inf``, which
-``v_table`` reports.
+``v_table`` reports, as it does an entry of the table that leaves it.
 """
 
 from __future__ import annotations
@@ -64,12 +64,17 @@ def vkey_name(key: tuple[int, int]) -> str:
     return f"V{key[0]}{key[1]}"
 
 
-def _mean(products: np.ndarray) -> float:
-    """The exactly summed mean of a column; inf when the sum leaves the float range."""
+def _fsum(values) -> float:
+    """The exactly rounded sum; inf when it leaves the float range."""
     try:
-        return math.fsum(products.tolist()) / products.size
+        return math.fsum(values)
     except (OverflowError, ValueError):  # past the range, or inf - inf
         return math.inf
+
+
+def _mean(products: np.ndarray) -> float:
+    """The exactly summed mean of a column; inf when the sum leaves the float range."""
+    return _fsum(products.tolist()) / products.size
 
 
 def summarize_stratum(stratum: StratumPopulation) -> dict[tuple[int, int], float]:
@@ -164,7 +169,9 @@ def v_table(pop: StratifiedPopulation) -> VTable:
     Raises :class:`MomentNormalizationError` when a grand mean is zero or a
     normalizing power ybar^a * xbar^b is not a normal float, and
     :class:`ComputationError` naming the stratum when a central moment C_ab
-    of the table is infinite, nan or nonzero below ``sys.float_info.min``.
+    of the table is infinite, nan or nonzero below ``sys.float_info.min``,
+    and naming the entry when a V_ab built from normal floats still leaves
+    the float range.
     """
     ybar = pop.grand_y_mean
     xbar = pop.grand_x_mean
@@ -210,7 +217,7 @@ def v_table(pop: StratifiedPopulation) -> VTable:
 
     def order3(a: int, b: int) -> float:
         scale = scales[(a, b)]
-        return math.fsum(
+        return _fsum(
             w**3 * k1 * c[(a, b)] / scale
             for w, k1, c in zip(weights, coeffs.k1, moments)
         )
@@ -227,16 +234,16 @@ def v_table(pop: StratifiedPopulation) -> VTable:
             else:  # (2, 2)
                 pair = c[(2, 0)] * c[(0, 2)] + 2.0 * c[(1, 1)] ** 2
             terms.append(w**4 * (k2 * c[(a, b)] + k3 * pair) / scale)
-        return math.fsum(terms)
+        return _fsum(terms)
 
     def cross(u: list[float], v: list[float]) -> float:
         """sum over h != g of u_h * v_g, via totals minus the diagonal."""
-        return math.fsum(u) * math.fsum(v) - math.fsum(a * b for a, b in zip(u, v))
+        return _fsum(u) * _fsum(v) - _fsum(a * b for a, b in zip(u, v))
 
     entries: dict[tuple[int, int], float] = {
-        (2, 0): math.fsum(ty),
-        (0, 2): math.fsum(tx),
-        (1, 1): math.fsum(txy),
+        (2, 0): _fsum(ty),
+        (0, 2): _fsum(tx),
+        (1, 1): _fsum(txy),
         (3, 0): order3(3, 0),
         (2, 1): order3(2, 1),
         (1, 2): order3(1, 2),
@@ -245,4 +252,9 @@ def v_table(pop: StratifiedPopulation) -> VTable:
         (1, 3): within4(1, 3) + 3.0 * cross(txy, tx),
         (2, 2): within4(2, 2) + cross(ty, tx) + 2.0 * cross(txy, txy),
     }
+    for (a, b), value in entries.items():
+        if not math.isfinite(value):
+            raise ComputationError(
+                f"V{a}{b} = {value!r} is outside the float range; rescale x or y"
+            )
     return VTable(entries=entries, ybar=ybar, xbar=xbar)

@@ -49,15 +49,15 @@ def _horner(coeffs: list[float], x: float) -> float:
     return acc
 
 
-def _polish(coeffs: list[float], x: float, lo: float, hi: float) -> tuple[float, int]:
-    """Newton steps on the derivative from a ``polyroots`` root: (x, steps).
+def _polish(
+    d1: list[float], d2: list[float], x: float, lo: float, hi: float
+) -> tuple[float, int]:
+    """Newton steps on ``d1`` (derivative ``d2``) from a ``polyroots`` root: (x, steps).
 
     A root from the companion matrix's eigenvalues is good to about 1e-15
     relative, so a step or two recovers the last bits.  Non-positive
     curvature, or a step leaving ``[lo, hi]``, ends the polish.
     """
-    d1 = [k * c for k, c in enumerate(coeffs)][1:]
-    d2 = [k * c for k, c in enumerate(d1)][1:]
     steps = 0
     for _ in range(20):
         curvature = _horner(d2, x)
@@ -82,11 +82,12 @@ def _minimize(coeffs: list[float], bracket: tuple[float, float]) -> tuple[float,
     """
     lo, hi = bracket
     candidates = [(lo, 0), (hi, 0)]
-    derivative = np.polynomial.polynomial.polyder(coeffs)
-    if derivative.any():
-        for root in np.polynomial.polynomial.polyroots(derivative):
+    d1 = [k * c for k, c in enumerate(coeffs)][1:]
+    d2 = [k * c for k, c in enumerate(d1)][1:]
+    if any(d1):
+        for root in np.polynomial.polynomial.polyroots(d1):
             if root.imag == 0 and lo <= root.real <= hi:
-                candidates.append(_polish(coeffs, float(root.real), lo, hi))
+                candidates.append(_polish(d1, d2, float(root.real), lo, hi))
     return min(candidates, key=lambda c: (_horner(coeffs, c[0]), abs(c[0]), c[0]))
 
 

@@ -4,8 +4,11 @@
 constants where requested) -> first/second-order bias and MSE -> optional
 enumeration or Monte Carlo verification columns -> a ComparisonReport.
 ``emit`` serializes a report as an aligned table, CSV, or deterministic
-JSON (stable key order, floats at 17 significant digits, so identical
-configs produce identical bytes).
+JSON (``json.dumps`` of ``report_as_dict``: stable key order, and every
+float written as its shortest round-trip ``repr``, so identical configs
+produce identical bytes and each float reads back exactly, as a float).
+A non-finite value is a typed error where it arises (moment table,
+series expansion, oracles); ``allow_nan=False`` is only the backstop.
 """
 
 from __future__ import annotations
@@ -314,44 +317,6 @@ def run(config: RunConfig) -> ComparisonReport:
 # serialization
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
-
-def _json(value, indent: int = 0) -> str:
-    """Deterministic JSON: insertion order kept, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
-    if isinstance(value, Mapping):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k), ensure_ascii=False)}: {_json(v, indent + 1)}"
-            for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{inner}{_json(v, indent + 1)}" for v in value)
-        return "[\n" + items + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
 def _outcome_dict(outcome: OptimizationOutcome) -> dict:
     return {
         "parameter": outcome.parameter,
@@ -438,7 +403,10 @@ def report_as_dict(report: ComparisonReport) -> dict:
 
 
 def _emit_json(report: ComparisonReport) -> str:
-    return _json(report_as_dict(report)) + "\n"
+    return (
+        json.dumps(report_as_dict(report), indent=2, ensure_ascii=False, allow_nan=False)
+        + "\n"
+    )
 
 
 _CSV_COLUMNS = (
@@ -455,7 +423,7 @@ _CSV_COLUMNS = (
 
 def _emit_csv(report: ComparisonReport) -> str:
     def cell(x: float | None) -> str:
-        return "" if x is None else format(x, ".17g")
+        return "" if x is None else repr(x)
 
     lines = [",".join(_CSV_COLUMNS)]
     for r in report.rows:

@@ -303,6 +303,30 @@ class TestExtremeScales:
             v_table(self.scaled(x_scale, y_scale))
 
     @pytest.mark.parametrize(
+        "strata, entry",
+        [
+            # C30 is a normal float, but C30 / ybar^3 is not
+            ((("A", [1, 2, 3, 4, 5], [-3e4, -3e4, -3e4, 9e4, 5e-99], 2),), "V30"),
+            # each stratum's share of V20 is finite; their sum is not
+            (
+                tuple(
+                    (h, [1, 2, 3, 4, 5], [-7e78, -7e78, 7e78, 7e78, 5e-76], 2)
+                    for h in "AB"
+                ),
+                "V20",
+            ),
+        ],
+        ids=["V30-ratio", "V20-sum"],
+    )
+    def test_entry_outside_the_float_range_is_a_typed_error(self, strata, entry):
+        with pytest.raises(ComputationError) as excinfo:
+            v_table(make_population(*strata))
+        assert excinfo.type is ComputationError
+        assert str(excinfo.value) == (
+            f"{entry} = inf is outside the float range; rescale x or y"
+        )
+
+    @pytest.mark.parametrize(
         "x_scale, y_scale", [(1e-70, 1.0), (1e70, 1.0), (1.0, 1e-70), (1.0, 1e70)]
     )
     def test_in_range_scales_leave_the_table_unchanged(self, x_scale, y_scale):

@@ -35,6 +35,18 @@ def base_config(**overrides) -> RunConfig:
     return RunConfig(**defaults)
 
 
+def _leaves(value):
+    """The scalars of a JSON-shaped value, in document order."""
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _leaves(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _leaves(v)
+    else:
+        yield value
+
+
 class TestEstimatorRequest:
     def test_parse_forms(self):
         assert EstimatorRequest.parse("t1s").kind is EstimatorKind.T1S
@@ -207,18 +219,42 @@ class TestEmission:
 
     def test_json_roundtrip_values(self):
         report = run(base_config(verify="exact", printed_mode=True))
-        parsed = json.loads(emit(report, "json"))
+        text = emit(report, "json")
+        parsed = json.loads(text)
         direct = report_as_dict(report)
-        # every float survives the 17-significant-digit round trip exactly
-        assert parsed == json.loads(json.dumps(direct))
-        assert parsed["estimators"][0]["bias1"] == report.rows[0].bias1
+        # every float is written as its shortest round-trip repr, so it
+        # reads back bit for bit, and as a float
+        want, got = list(_leaves(direct)), list(_leaves(parsed))
+        assert len(want) == len(got)
+        for w, g in zip(want, got):
+            assert type(g) is type(w)
+            assert (g.hex() == w.hex()) if isinstance(w, float) else (g == w)
+        assert f'"bias1": {report.rows[0].bias1!r},' in text
+
+    def test_json_bracket_reads_back_as_floats(self):
+        optimizer = json.loads(emit(run(base_config()), "json"))["optimizer"]
+        assert optimizer["t3s:optimize"]["order2"]["bracket"] == [-4.0, 4.0]
+        assert optimizer["t4s:optimize"]["order2"]["bracket"] == [-2.0, 3.0]
+        for outcomes in optimizer.values():
+            assert all(type(b) is float for b in outcomes["order2"]["bracket"])
+
+    def test_integral_floats_read_back_as_floats(self, tmp_path):
+        """x = 1..5 is symmetric, so V03 is exactly 0.0; one stratum has weight 1.0."""
+        pop = tmp_path / "symmetric.csv"
+        pop.write_text("stratum,x,y\nA,1,2\nA,2,3\nA,3,5\nA,4,4\nA,5,7\n")
+        report = run(base_config(population=str(pop), sample_sizes={"A": 2}))
+        parsed = json.loads(emit(report, "json"))
+        assert parsed["moments"]["V03"] == 0.0
+        assert type(parsed["moments"]["V03"]) is float
+        assert parsed["population"]["strata"][0]["weight"] == 1.0
+        assert type(parsed["population"]["strata"][0]["weight"]) is float
 
     def test_csv_shape(self):
         report = run(base_config())
         lines = emit(report, "csv").strip().splitlines()
         assert lines[0].startswith("estimator,metric,")
         assert len(lines) == 1 + 2 * len(report.rows)
-        assert lines[1].split(",")[:2] == ["t1s", "bias"]
+        assert lines[1].split(",")[:3] == ["t1s", "bias", repr(report.rows[0].bias1)]
 
     def test_table_contains_rows_and_metadata(self):
         report = run(base_config(verify="exact"))
@@ -330,6 +366,24 @@ class TestCli:
         assert captured.out == ""
         assert "computation failed: ComputationError" in captured.err
         assert f"t3s(alpha={estimator[4:]}) overflows" in captured.err
+
+    def test_moment_overflow_exit_two(self, capsys, tmp_path):
+        """C30 / ybar^3 overflows: a typed error with exit 2, never "inf" in the report."""
+        pop = tmp_path / "v30.csv"
+        pop.write_text(
+            "stratum,x,y\nA,1,-30000\nA,2,-30000\nA,3,-30000\nA,4,90000\nA,5,5e-99\n"
+        )
+        code = main([
+            "--population", str(pop), "--n", "A=2",
+            "--order", "1", "--estimator", "t1s", "--format", "json",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "stratexp: computation failed: ComputationError: "
+            "V30 = inf is outside the float range; rescale x or y\n"
+        )
 
     def test_close_constants_keep_distinct_labels(self, capsys):
         code = main([
