@@ -50,6 +50,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ComputationError, InsufficientStratumError, MomentNormalizationError
+from .exactsum import fsum as _fsum, row_sums
 from .population import StratifiedPopulation, StratumPopulation
 
 # (a, b) = (power of e0, power of e1), every entry the table carries
@@ -64,19 +65,6 @@ def vkey_name(key: tuple[int, int]) -> str:
     return f"V{key[0]}{key[1]}"
 
 
-def _fsum(values) -> float:
-    """The exactly rounded sum; inf when it leaves the float range."""
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError):  # past the range, or inf - inf
-        return math.inf
-
-
-def _mean(products: np.ndarray) -> float:
-    """The exactly summed mean of a column; inf when the sum leaves the float range."""
-    return _fsum(products.tolist()) / products.size
-
-
 def summarize_stratum(stratum: StratumPopulation) -> dict[tuple[int, int], float]:
     """The central moments C_ab of one stratum, keyed (a, b) in ``VTABLE_KEYS`` order."""
     with np.errstate(over="ignore"):  # v_table reports a moment that overflows
@@ -86,7 +74,9 @@ def summarize_stratum(stratum: StratumPopulation) -> dict[tuple[int, int], float
         dx2 = dx * dx
         ys = (1.0, dy, dy2, dy2 * dy)
         xs = (1.0, dx, dx2, dx2 * dx, dx2 * dx2)
-        return {(a, b): _mean(ys[a] * xs[b]) for a, b in VTABLE_KEYS}
+        sums = row_sums([ys[a] * xs[b] for a, b in VTABLE_KEYS])
+    n = stratum.capital_n
+    return {key: s / n for key, s in zip(VTABLE_KEYS, sums)}
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ central moments from these means.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from .errors import ComputationError, PopulationError
+from .exactsum import row_sums
 
 CSV_HEADER = ("stratum", "x", "y")
 
@@ -81,15 +83,29 @@ class StratumPopulation:
 
     @cached_property
     def _means(self) -> tuple[float, float]:
-        """(x mean, y mean).
+        """(x mean, y mean), each a two-pass mean ``m = fsum(col) / N``,
+        then ``m += fsum(col - m) / N``, with both columns in one exact sum
+        per pass.
 
-        One ``np.errstate`` per stratum keeps an overflowing deviation from
-        printing NumPy's warning before its :class:`ComputationError`.
+        A sum outside the float range, or a deviation ``col - m`` that
+        overflows, is a :class:`ComputationError` naming the stratum and
+        the column; y is checked first.  One ``np.errstate`` per stratum
+        keeps an overflowing deviation from printing NumPy's warning first.
         """
-        with np.errstate(over="ignore"):
-            # y first: a stratum whose columns both overflow names y
-            y_mean = self._corrected_mean("y")
-            return self._corrected_mean("x"), y_mean
+        n = self.capital_n
+        columns = (self.y, self.x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = [s / n for s in row_sums(columns)]
+            deviations = row_sums([col - m for col, m in zip(columns, means)])
+        means = [m + s / n for m, s in zip(means, deviations)]
+        for name, m in zip("yx", means):
+            if not math.isfinite(m):
+                raise ComputationError(
+                    f"stratum {self.id!r}: column {name} sums beyond the float "
+                    "range; rescale x or y"
+                )
+        y_mean, x_mean = means
+        return x_mean, y_mean
 
     @property
     def x_mean(self) -> float:
@@ -98,27 +114,6 @@ class StratumPopulation:
     @property
     def y_mean(self) -> float:
         return self._means[1]
-
-    def _corrected_mean(self, column: str) -> float:
-        """Mean of a column, with one exactly summed correction pass.
-
-        A sum outside the float range, or a deviation ``col - m`` that
-        overflows, is a :class:`ComputationError` naming the stratum and
-        the column.
-        """
-        col = getattr(self, column)
-        n = col.size
-        try:
-            m = math.fsum(col.tolist()) / n
-            m += math.fsum((col - m).tolist()) / n
-        except (OverflowError, ValueError):
-            m = math.inf
-        if not math.isfinite(m):
-            raise ComputationError(
-                f"stratum {self.id!r}: column {column} sums beyond the float "
-                "range; rescale x or y"
-            )
-        return m
 
 
 @dataclass(frozen=True)
@@ -219,22 +214,11 @@ def _read_columns(reader) -> dict[str, tuple[list[float], list[float]]]:
     return columns
 
 
-def load_population(
-    source: IO[str] | Iterable[str], design: Mapping[str, int]
+def _attach_design(
+    columns: Mapping[str, tuple[Iterable[float], Iterable[float]]],
+    design: Mapping[str, int],
 ) -> StratifiedPopulation:
-    """Read a ``stratum,x,y`` CSV stream and attach the sampling design.
-
-    ``design`` maps every stratum label appearing in the stream to its
-    planned sample size n_h.  Unit order within a stratum is preserved.
-    Raises :class:`PopulationError` on malformed rows and on CSV syntax the
-    reader rejects (both with line numbers), on design/label mismatches,
-    and on a sample size that :class:`StratumPopulation` rejects.
-    """
-    reader = csv.reader(source)
-    try:
-        columns = _read_columns(reader)
-    except csv.Error as exc:
-        raise PopulationError(f"line {reader.line_num}: {exc}") from None
+    """Build the population from ``label -> (x, y)`` columns, in their order."""
     if not columns:
         raise PopulationError("population stream has no data rows")
 
@@ -253,15 +237,138 @@ def load_population(
     )
 
 
-def load_population_file(path: str, design: Mapping[str, int]) -> StratifiedPopulation:
-    """Open ``path`` as UTF-8 CSV, with or without a byte-order mark, and
-    delegate to :func:`load_population`.  A file that is not UTF-8 text is a
-    :class:`PopulationError` naming it."""
+def load_population(
+    source: IO[str] | Iterable[str], design: Mapping[str, int]
+) -> StratifiedPopulation:
+    """Read a ``stratum,x,y`` CSV stream and attach the sampling design.
+
+    ``design`` maps every stratum label appearing in the stream to its
+    planned sample size n_h.  Unit order within a stratum is preserved.
+    Raises :class:`PopulationError` on malformed rows and on CSV syntax the
+    reader rejects (both with line numbers), on design/label mismatches,
+    and on a sample size that :class:`StratumPopulation` rejects.
+    """
+    reader = csv.reader(source)
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            return load_population(fh, design)
+        columns = _read_columns(reader)
+    except csv.Error as exc:
+        raise PopulationError(f"line {reader.line_num}: {exc}") from None
+    return _attach_design(columns, design)
+
+
+_COMMA, _NEWLINE, _QUOTE = ord(","), ord("\n"), ord('"')
+# Below this file size the csv reader is as fast as the NumPy path, whose
+# fixed cost is about 90 us.
+_FAST_MIN_BYTES = 4096
+_SCAN_CHUNK = 1 << 16  # bytes per slice: no full-length temporary
+
+
+def _scan(buf: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """The int32 offsets of every comma and newline, and the number of
+    newlines; ``None`` if a byte is neither printable ASCII other than
+    ``"`` nor a newline."""
+    found, newlines = [], 0
+    for lo in range(0, buf.size, _SCAN_CHUNK):
+        part = buf[lo : lo + _SCAN_CHUNK]
+        is_newline = part == _NEWLINE
+        count = np.count_nonzero(is_newline)
+        if part.max() > 126 or np.count_nonzero(part < 32) != count or _QUOTE in part:
+            return None
+        offsets = np.flatnonzero(is_newline | (part == _COMMA)).astype(np.int32)
+        offsets += lo
+        found.append(offsets)
+        newlines += count
+    return np.concatenate(found), newlines
+
+
+def _fast_columns(data: bytes) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
+    """The columns of a plain CSV file, as ``_read_columns`` reads them, or
+    ``None`` when the file is not plain enough to be read this way.
+
+    Plain means: printable ASCII and newlines only (no quote, ``\\r``, tab
+    or byte-order mark), a valid header, then lines of exactly three fields,
+    none blank, the last newline optional, and finite numbers that
+    ``np.loadtxt`` parses.  ``np.loadtxt`` rounds a decimal exactly as
+    ``float`` does, and rejects what it cannot parse (``1_000``), so a value
+    read here has ``float``'s bits.  Labels are decoded only where a run of
+    equal label bytes starts.
+    """
+    buf = np.frombuffer(data, np.uint8)
+    scan = _scan(buf) if 0 < buf.size < 2**31 else None
+    if scan is None:
+        return None
+    seps, newline_count = scan
+    # every line, the header included, must be label , x , y newline (the
+    # last newline optional): every third separator is a newline, and no
+    # other one is.  Text after the last newline has no comma, which
+    # np.loadtxt refuses.
+    line_ends = seps[2::3]
+    if seps.size % 3 == 1 or line_ends.size != newline_count:
+        return None
+    if not (buf[line_ends] == _NEWLINE).all():
+        return None
+    ends = seps[3::3]  # the comma that ends each data line's label
+    count = ends.size
+    if not count:
+        return None
+    header = data[: line_ends[0]].decode("ascii").split(",")
+    if [h.strip().lower() for h in header] != list(CSV_HEADER):
+        return None
+    try:
+        values = np.loadtxt(
+            io.BytesIO(data), delimiter=",", usecols=(1, 2), comments=None,
+            skiprows=1, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if len(values) != count or not np.isfinite(values).all():
+        return None
+    starts = line_ends[:count] + 1
+    lengths = ends - starts
+
+    # line i continues the run of line i - 1 when their label bytes agree
+    same = lengths[1:] == lengths[:-1]
+    for k in range(int(lengths.max())):
+        same &= (lengths[1:] <= k) | (
+            buf.take(starts[1:] + k, mode="clip") == buf.take(starts[:-1] + k, mode="clip")
+        )
+    runs = np.flatnonzero(~same) + 1
+    run_bounds = zip([0, *runs.tolist()], [*runs.tolist(), count])
+
+    spans: dict[str, list[tuple[int, int]]] = {}
+    for lo, hi in run_bounds:
+        label = data[starts[lo] : ends[lo]].decode("ascii").strip()
+        if not label:
+            return None
+        spans.setdefault(label, []).append((lo, hi))
+    columns = {}
+    for label, bounds in spans.items():
+        parts = [values[lo:hi] for lo, hi in bounds]
+        block = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        columns[label] = (block[:, 0], block[:, 1])
+    return columns
+
+
+def load_population_file(path: str, design: Mapping[str, int]) -> StratifiedPopulation:
+    """Read ``path`` as UTF-8 CSV, with or without a byte-order mark, and
+    attach the design as :func:`load_population` does.
+
+    A plain file (see ``_fast_columns``) is read with NumPy; any other file
+    goes through :func:`load_population`, which owns every error message.
+    Both give the same columns.  A file that is not UTF-8 text is a
+    :class:`PopulationError` naming it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise PopulationError(f"cannot read population file {path!r}: {exc}") from exc
+    columns = _fast_columns(data) if len(data) >= _FAST_MIN_BYTES else None
+    if columns is not None:
+        return _attach_design(columns, design)
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    try:
+        return load_population(text, design)
     except UnicodeDecodeError as exc:
         raise PopulationError(
             f"population file {path!r} is not UTF-8 text: {exc.reason}"

@@ -3,12 +3,14 @@
 import io
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratexp import exactsum
 from stratexp.errors import ComputationError, DegenerateAuxiliaryError, PopulationError
 from stratexp.moments import VTABLE_KEYS, summarize_stratum, v_table
 from stratexp.optimize import optimize_alpha
@@ -217,6 +219,22 @@ class TestSummaries:
             exact = sum((y - my) ** a * (x - mx) ** b for x, y in zip(fx, fy)) / 64
             scale = sum(abs(y - my) ** a * abs(x - mx) ** b for x, y in zip(fx, fy)) / 64
             assert abs(value - float(exact)) <= 1e-12 * float(scale), (a, b)
+
+
+    @pytest.mark.parametrize("size", [256, 3000])
+    def test_bucket_kernel_and_fsum_give_the_same_bits(self, size):
+        """A stratum long enough for the bucket kernel has the means and
+        moments that math.fsum of every column gives."""
+        rng = np.random.default_rng(size)
+        xs = rng.lognormal(1.0, 0.5, size)
+        ys = 3.0 * xs + rng.normal(0.0, 1.0, size)
+        stratum = make_population(("A", xs, ys, 2)).strata[0]
+        with mock.patch.object(exactsum, "KERNEL_MIN_LENGTH", size + 1):
+            by_fsum = make_population(("A", xs, ys, 2)).strata[0]
+            fsum_moments = summarize_stratum(by_fsum)
+            fsum_means = (by_fsum.x_mean, by_fsum.y_mean)
+        assert (stratum.x_mean, stratum.y_mean) == fsum_means
+        assert summarize_stratum(stratum) == fsum_moments
 
 
 class TestConstantColumns:
