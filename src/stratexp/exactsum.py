@@ -92,6 +92,24 @@ def exact_parts(rows: Sequence[np.ndarray]) -> list[list[float]]:
     ]
 
 
+def exact_product(n: int, m: float) -> list[float]:
+    """Floats whose exact sum is ``n * m``, for an integer ``n >= 1`` and a
+    finite ``m``.
+
+    ``m``'s mantissa is cut into a 26-bit and a 27-bit part, and ``n`` into
+    26-bit digits; each digit times each part is exact in a float.
+    """
+    mant, exp = math.frexp(m)
+    high = math.floor(mant * 2**26) / 2**26
+    low = mant - high
+    terms = []
+    while n:
+        n, digit = divmod(n, 2**26)
+        terms += [math.ldexp(digit * high, exp), math.ldexp(digit * low, exp)]
+        exp += 26
+    return terms
+
+
 def parts_sum(parts: list[float], row: np.ndarray) -> float:
     """The exactly rounded sum of ``row``, given its ``exact_parts``.
 

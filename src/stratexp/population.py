@@ -26,7 +26,7 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from .errors import ComputationError, PopulationError
-from .exactsum import row_sums
+from .exactsum import exact_parts, exact_product, fsum, parts_sum
 
 CSV_HEADER = ("stratum", "x", "y")
 
@@ -83,27 +83,30 @@ class StratumPopulation:
 
     @cached_property
     def _means(self) -> tuple[float, float]:
-        """(x mean, y mean), each a two-pass mean ``m = fsum(col) / N``,
-        then ``m += fsum(col - m) / N``, with both columns in one exact sum
-        per pass.
+        """(x mean, y mean).
 
-        A sum outside the float range, or a deviation ``col - m`` that
+        Each is ``m = S / N`` for the exactly rounded column sum S, then
+        ``m += fl(S - N * m) / N``: the residual is one exactly rounded sum
+        of the column and of ``-N * m`` (``exact_parts``, ``exact_product``),
+        so no deviation ``col - m`` is rounded before it is summed.
+
+        A mean outside the float range, or a deviation ``col - m`` that
         overflows, is a :class:`ComputationError` naming the stratum and
-        the column; y is checked first.  One ``np.errstate`` per stratum
-        keeps an overflowing deviation from printing NumPy's warning first.
+        the column; y is checked first.
         """
         n = self.capital_n
         columns = (self.y, self.x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            means = [s / n for s in row_sums(columns)]
-            deviations = row_sums([col - m for col, m in zip(columns, means)])
-        means = [m + s / n for m, s in zip(means, deviations)]
-        for name, m in zip("yx", means):
-            if not math.isfinite(m):
+        means = []
+        for name, col, parts in zip("yx", columns, exact_parts(columns)):
+            m = parts_sum(parts, col) / n
+            if math.isfinite(m):
+                m += fsum(parts + [-t for t in exact_product(n, m)]) / n
+            if not (math.isfinite(float(col.max()) - m) and math.isfinite(float(col.min()) - m)):
                 raise ComputationError(
                     f"stratum {self.id!r}: column {name} sums beyond the float "
                     "range; rescale x or y"
                 )
+            means.append(m)
         y_mean, x_mean = means
         return x_mean, y_mean
 

@@ -1,6 +1,7 @@
 """The exact row-sum kernel gives the bits of ``math.fsum``."""
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stratexp import exactsum
-from stratexp.exactsum import KERNEL_MIN_LENGTH, exact_parts, row_sums
+from stratexp.exactsum import KERNEL_MIN_LENGTH, exact_parts, exact_product, row_sums
 
 
 def reference(row: np.ndarray) -> float:
@@ -124,8 +125,6 @@ class TestKernelMatchesFsum:
 
 class TestExactParts:
     def test_parts_sum_exactly_to_the_row(self):
-        from fractions import Fraction
-
         rng = np.random.default_rng(3)
         block = rng.normal(size=(3, 700)) * 10.0 ** rng.integers(-20, 20, size=(3, 700))
         for row, parts in zip(block, exact_parts(block)):
@@ -136,3 +135,18 @@ class TestExactParts:
         rng = np.random.default_rng(4)
         cols = [rng.normal(size=500), rng.normal(size=500)]
         assert row_sums(cols) == row_sums(np.stack(cols)) == [math.fsum(c) for c in cols]
+
+
+class TestExactProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 2**60),
+        st.floats(allow_nan=False, allow_infinity=False, max_value=1e250, min_value=-1e250),
+    )
+    def test_terms_sum_exactly_to_the_product(self, n, m):
+        assert sum(map(Fraction, exact_product(n, m))) == n * Fraction(m)
+
+    @pytest.mark.parametrize("m", [5e-324, -2.5e-320, 2.2250738585072014e-308, 0.1, -0.0])
+    def test_tiny_and_zero_factors(self, m):
+        for n in (1, 3, 2**26 - 1, 2**26 + 5):
+            assert sum(map(Fraction, exact_product(n, m))) == n * Fraction(m)

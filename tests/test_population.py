@@ -237,6 +237,52 @@ class TestSummaries:
         assert summarize_stratum(stratum) == fsum_moments
 
 
+def exact_mean(values) -> Fraction:
+    return sum(map(Fraction, values)) / len(values)
+
+
+class TestMeans:
+    """A stratum mean is ``S / N`` plus the exactly rounded residual
+    ``(S - N * m) / N``, with S the exact column sum."""
+
+    def test_near_cancelling_column(self):
+        """The exact mean of these five values is 1e-99.  Rounding each
+        deviation ``y - m`` first gave 1.8e-99."""
+        ys = [-30000.0, -30000.0, -30000.0, 90000.0, 5e-99]
+        stratum = StratumPopulation("A", [1, 2, 3, 4, 5], ys, 2)
+        assert stratum.y_mean == float(exact_mean(ys)) == 1e-99
+
+    @pytest.mark.parametrize("size", [7, 40, 300])
+    def test_seeded_columns_are_correctly_rounded(self, size):
+        """On columns of one scale, cancelling columns and 6-decimal data,
+        the mean is the exact mean correctly rounded, for the fsum path and
+        the bucket kernel alike."""
+        rng = np.random.default_rng(size)
+        for trial in range(300):
+            kind = trial % 3
+            if kind == 0:
+                ys = rng.normal(size=size) * 10.0 ** int(rng.integers(-30, 30))
+            elif kind == 1:
+                half = rng.normal(size=size // 2) * 1e4
+                ys = np.concatenate((half, -half, rng.normal(size=size % 2 + 1) * 1e-99))
+            else:
+                ys = np.round(rng.uniform(0.0, 100.0, size), 6)
+            stratum = StratumPopulation("A", np.ones(ys.size), ys, 1)
+            assert stratum.y_mean == float(exact_mean(ys.tolist())), (kind, ys.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=30),
+        st.sampled_from([1, 10, 100]),
+    )
+    def test_within_one_ulp_of_the_exact_mean(self, ys, copies):
+        """Within one ulp of the exact mean for any column, short or long
+        enough for the bucket kernel."""
+        ys = ys * copies
+        stratum = StratumPopulation("A", np.ones(len(ys)), ys, 1)
+        assert abs(Fraction(stratum.y_mean) - exact_mean(ys)) <= Fraction(math.ulp(stratum.y_mean))
+
+
 class TestConstantColumns:
     """A constant column has exactly zero deviations, so nothing that
     involves it may come out as rounding noise."""
