@@ -110,7 +110,7 @@ def exact_product(n: int, m: float) -> list[float]:
     return terms
 
 
-def parts_sum(parts: list[float], row: np.ndarray) -> float:
+def _parts_sum(parts: list[float], row: np.ndarray) -> float:
     """The exactly rounded sum of ``row``, given its ``exact_parts``.
 
     A zero sum is taken from the row itself: ``math.fsum`` gives the sign
@@ -124,4 +124,21 @@ def row_sums(rows: Sequence[np.ndarray]) -> list[float]:
     """``fsum(row)`` for each row, with the same bits; see the module docstring."""
     if not _takes_kernel(rows):
         return [fsum(row.tolist()) for row in rows]
-    return [parts_sum(p, row) for p, row in zip(exact_parts(rows), rows)]
+    return [_parts_sum(p, row) for p, row in zip(exact_parts(rows), rows)]
+
+
+def row_means(rows: Sequence[np.ndarray]) -> list[float]:
+    """The mean of each row: ``m = S / N`` for the exactly rounded row sum S,
+    then ``m += fl(S - N * m) / N``, the residual being one exactly rounded
+    sum of the row's ``exact_parts`` and of ``-N * m`` (``exact_product``).
+    No deviation ``row - m`` is rounded before it is summed.  A mean is
+    ``inf`` or ``nan`` where the row sum leaves the float range.
+    """
+    n = len(rows[0])
+    means = []
+    for parts, row in zip(exact_parts(rows), rows):
+        m = _parts_sum(parts, row) / n
+        if math.isfinite(m):
+            m += fsum(parts + [-t for t in exact_product(n, m)]) / n
+        means.append(m)
+    return means

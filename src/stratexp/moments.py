@@ -35,9 +35,11 @@ of ``VTABLE_KEYS``: the mean over the stratum of
 (y - y_mean)^a (x - x_mean)^b, divisor N_h.  They are the whole interface
 between a population and the analysis; the S-quantities (divisor N_h - 1)
 are C_20, C_02 and C_11 times N_h / (N_h - 1).  Each moment is formed from
-the deviation columns with NumPy and reduced with ``math.fsum``, an exactly
-rounded sum; a sum that leaves the float range gives ``inf``, which
-``v_table`` reports, as it does an entry of the table that leaves it.
+the deviation columns with NumPy and reduced by
+:func:`stratexp.exactsum.row_sums`, an exactly rounded sum with the bits of
+``math.fsum``, all ten in one call per stratum; a sum that leaves the float
+range gives ``inf``, which ``v_table`` reports, as it does an entry of the
+table that leaves it.
 """
 
 from __future__ import annotations

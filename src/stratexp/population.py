@@ -6,11 +6,18 @@ planned SRSWOR sample size ``n_h`` with 1 <= n_h < N_h; its size ``N_h``
 is the column length.  Stratum weights are ``W_h = N_h / N`` so that the
 stratified sample mean is design-unbiased for the grand mean.
 
-A stratum mean is a corrected two-pass mean, ``m = fsum(col) / N`` and then
-``m += fsum(col - m) / N``.  The correction makes the mean of a constant
-column that constant exactly, so its deviations, and every central moment
-that involves it, are exactly zero.  :mod:`stratexp.moments` computes the
-central moments from these means.
+A stratum mean is ``m = S / N`` for the exactly rounded column sum S,
+corrected once by the exactly rounded residual, ``m += fl(S - N * m) / N``,
+with S and ``N * m`` taken exactly (:mod:`stratexp.exactsum`).  The
+correction makes the mean of a constant column that constant exactly, so
+its deviations, and every central moment that involves it, are exactly
+zero.  :mod:`stratexp.moments` computes the central moments from these
+means.
+
+``load_population_file`` reads a plain file (printable ASCII, no quotes,
+three fields on every line) with one ``np.loadtxt`` call and hands any
+other file to the ``csv`` reader of :func:`load_population`.  Both give
+the same columns, stratum order and error messages.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from .errors import ComputationError, PopulationError
-from .exactsum import exact_parts, exact_product, fsum, parts_sum
+from .exactsum import row_means
 
 CSV_HEADER = ("stratum", "x", "y")
 
@@ -86,27 +93,22 @@ class StratumPopulation:
         """(x mean, y mean).
 
         Each is ``m = S / N`` for the exactly rounded column sum S, then
-        ``m += fl(S - N * m) / N``: the residual is one exactly rounded sum
-        of the column and of ``-N * m`` (``exact_parts``, ``exact_product``),
-        so no deviation ``col - m`` is rounded before it is summed.
+        ``m += fl(S - N * m) / N`` with S and ``N * m`` taken exactly
+        (:func:`stratexp.exactsum.row_means`), so no deviation ``col - m``
+        is rounded before it is summed.
 
         A mean outside the float range, or a deviation ``col - m`` that
         overflows, is a :class:`ComputationError` naming the stratum and
         the column; y is checked first.
         """
-        n = self.capital_n
         columns = (self.y, self.x)
-        means = []
-        for name, col, parts in zip("yx", columns, exact_parts(columns)):
-            m = parts_sum(parts, col) / n
-            if math.isfinite(m):
-                m += fsum(parts + [-t for t in exact_product(n, m)]) / n
+        means = row_means(columns)
+        for name, col, m in zip("yx", columns, means):
             if not (math.isfinite(float(col.max()) - m) and math.isfinite(float(col.min()) - m)):
                 raise ComputationError(
                     f"stratum {self.id!r}: column {name} sums beyond the float "
                     "range; rescale x or y"
                 )
-            means.append(m)
         y_mean, x_mean = means
         return x_mean, y_mean
 
@@ -217,6 +219,25 @@ def _read_columns(reader) -> dict[str, tuple[list[float], list[float]]]:
     return columns
 
 
+def load_population(
+    source: IO[str] | Iterable[str], design: Mapping[str, int]
+) -> StratifiedPopulation:
+    """Read a ``stratum,x,y`` CSV stream and attach the sampling design.
+
+    ``design`` maps every stratum label appearing in the stream to its
+    planned sample size n_h.  Unit order within a stratum is preserved.
+    Raises :class:`PopulationError` on malformed rows and on CSV syntax the
+    reader rejects (both with line numbers), on design/label mismatches,
+    and on a sample size that :class:`StratumPopulation` rejects.
+    """
+    reader = csv.reader(source)
+    try:
+        columns = _read_columns(reader)
+    except csv.Error as exc:
+        raise PopulationError(f"line {reader.line_num}: {exc}") from None
+    return _attach_design(columns, design)
+
+
 def _attach_design(
     columns: Mapping[str, tuple[Iterable[float], Iterable[float]]],
     design: Mapping[str, int],
@@ -238,25 +259,6 @@ def _attach_design(
             for label, (xs, ys) in columns.items()
         )
     )
-
-
-def load_population(
-    source: IO[str] | Iterable[str], design: Mapping[str, int]
-) -> StratifiedPopulation:
-    """Read a ``stratum,x,y`` CSV stream and attach the sampling design.
-
-    ``design`` maps every stratum label appearing in the stream to its
-    planned sample size n_h.  Unit order within a stratum is preserved.
-    Raises :class:`PopulationError` on malformed rows and on CSV syntax the
-    reader rejects (both with line numbers), on design/label mismatches,
-    and on a sample size that :class:`StratumPopulation` rejects.
-    """
-    reader = csv.reader(source)
-    try:
-        columns = _read_columns(reader)
-    except csv.Error as exc:
-        raise PopulationError(f"line {reader.line_num}: {exc}") from None
-    return _attach_design(columns, design)
 
 
 _COMMA, _NEWLINE, _QUOTE = ord(","), ord("\n"), ord('"')
