@@ -25,8 +25,9 @@ rule for signed zeros.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,8 +42,8 @@ _KERNEL_MAX_LENGTH = 2**26
 _KERNEL_MAX_EXP = 960
 
 
-def _takes_kernel(rows: Sequence[np.ndarray]) -> bool:
-    return KERNEL_MIN_LENGTH <= len(rows[0]) <= _KERNEL_MAX_LENGTH
+def _takes_kernel(length: int) -> bool:
+    return KERNEL_MIN_LENGTH <= length <= _KERNEL_MAX_LENGTH
 
 
 def fsum(values) -> float:
@@ -61,7 +62,7 @@ def exact_parts(rows: Sequence[np.ndarray]) -> list[list[float]]:
     columns.  A row that the kernel does not take is returned as its own
     entries.
     """
-    if not _takes_kernel(rows):
+    if not _takes_kernel(len(rows[0])):
         return [row.tolist() for row in rows]
     block = np.array(rows, dtype=np.float64)  # a fresh copy, split in place
     exps = np.frexp(block, out=(block, np.empty(block.shape, np.intc)))[1]
@@ -120,10 +121,18 @@ def _parts_sum(parts: list[float], row: np.ndarray) -> float:
     return total if total else fsum(row.tolist())
 
 
-def row_sums(rows: Sequence[np.ndarray]) -> list[float]:
-    """``fsum(row)`` for each row, with the same bits; see the module docstring."""
-    if not _takes_kernel(rows):
-        return [fsum(row.tolist()) for row in rows]
+def row_sums(rows: Iterable[np.ndarray]) -> list[float]:
+    """``fsum(row)`` for each of the equal-length float64 rows, with the
+    same bits; see the module docstring.
+
+    Short rows are summed as ``rows`` yields them, so that a generator
+    holds one row at a time; only the kernel takes them all at once.
+    """
+    rows = iter(rows)
+    first = next(rows)
+    if not _takes_kernel(len(first)):
+        return [fsum(row.tolist()) for row in itertools.chain((first,), rows)]
+    rows = [first, *rows]
     return [_parts_sum(p, row) for p, row in zip(exact_parts(rows), rows)]
 
 
@@ -139,6 +148,6 @@ def row_means(rows: Sequence[np.ndarray]) -> list[float]:
     for parts, row in zip(exact_parts(rows), rows):
         m = _parts_sum(parts, row) / n
         if math.isfinite(m):
-            m += fsum(parts + [-t for t in exact_product(n, m)]) / n
+            m += fsum(parts + exact_product(n, -m)) / n
         means.append(m)
     return means

@@ -76,7 +76,7 @@ def summarize_stratum(stratum: StratumPopulation) -> dict[tuple[int, int], float
         dx2 = dx * dx
         ys = (1.0, dy, dy2, dy2 * dy)
         xs = (1.0, dx, dx2, dx2 * dx, dx2 * dx2)
-        sums = row_sums([ys[a] * xs[b] for a, b in VTABLE_KEYS])
+        sums = row_sums(ys[a] * xs[b] for a, b in VTABLE_KEYS)
     n = stratum.capital_n
     return {key: s / n for key, s in zip(VTABLE_KEYS, sums)}
 

@@ -103,8 +103,13 @@ class StratumPopulation:
         """
         columns = (self.y, self.x)
         means = row_means(columns)
+        # |col - m| <= 2 max|col|, so only an entry past 2**1022 can make a
+        # deviation overflow
+        wide = np.abs(columns).max() >= 2.0**1022
         for name, col, m in zip("yx", columns, means):
-            if not (math.isfinite(float(col.max()) - m) and math.isfinite(float(col.min()) - m)):
+            if not math.isfinite(m) or wide and not (
+                math.isfinite(float(col.max()) - m) and math.isfinite(float(col.min()) - m)
+            ):
                 raise ComputationError(
                     f"stratum {self.id!r}: column {name} sums beyond the float "
                     "range; rescale x or y"
