@@ -17,10 +17,14 @@ directly.  Long rows go through a vectorized bucket kernel:
   correctly rounded.
 
 Rows where the kernel cannot be exact take ``math.fsum`` of the row itself,
-so ``inf``, ``nan`` and the errors ``math.fsum`` raises behave as they do
-there: a row with a non-finite entry or an entry near the top of the float
-range, and a row whose exact sum is zero, whose sign is ``math.fsum``'s own
-rule for signed zeros.
+so ``inf`` and ``nan`` behave as they do there (``inf`` where ``math.fsum``
+raises): a row with a non-finite entry or an entry near the top of the
+float range, and a row whose exact sum is zero, whose sign is
+``math.fsum``'s own rule for signed zeros.
+
+``row_means(rows)`` takes each row's mean from the same exact parts: the
+exactly rounded sum over N, corrected once by the exactly rounded residual
+``S - N * m``.
 """
 
 from __future__ import annotations

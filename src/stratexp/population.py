@@ -273,22 +273,23 @@ _FAST_MIN_BYTES = 4096
 _SCAN_CHUNK = 1 << 16  # bytes per slice: no full-length temporary
 
 
-def _scan(buf: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """The int32 offsets of every comma and newline, and the number of
-    newlines; ``None`` if a byte is neither printable ASCII other than
-    ``"`` nor a newline."""
-    found, newlines = [], 0
+def _scan(buf: np.ndarray) -> np.ndarray | None:
+    """The int32 offsets of every comma and newline; ``None`` if a byte is
+    neither printable ASCII other than ``"`` nor a newline."""
+    found = []
     for lo in range(0, buf.size, _SCAN_CHUNK):
         part = buf[lo : lo + _SCAN_CHUNK]
         is_newline = part == _NEWLINE
-        count = np.count_nonzero(is_newline)
-        if part.max() > 126 or np.count_nonzero(part < 32) != count or _QUOTE in part:
+        if (
+            part.max() > 126
+            or np.count_nonzero(part < 32) != np.count_nonzero(is_newline)
+            or _QUOTE in part
+        ):
             return None
         offsets = np.flatnonzero(is_newline | (part == _COMMA)).astype(np.int32)
         offsets += lo
         found.append(offsets)
-        newlines += count
-    return np.concatenate(found), newlines
+    return np.concatenate(found)
 
 
 def _fast_columns(data: bytes) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
@@ -304,16 +305,16 @@ def _fast_columns(data: bytes) -> dict[str, tuple[np.ndarray, np.ndarray]] | Non
     equal label bytes starts.
     """
     buf = np.frombuffer(data, np.uint8)
-    scan = _scan(buf) if 0 < buf.size < 2**31 else None
-    if scan is None:
+    seps = _scan(buf) if 0 < buf.size < 2**31 else None
+    if seps is None:
         return None
-    seps, newline_count = scan
     # every line, the header included, must be label , x , y newline (the
-    # last newline optional): every third separator is a newline, and no
-    # other one is.  Text after the last newline has no comma, which
-    # np.loadtxt refuses.
+    # last newline optional), so every third separator is a newline.  A line
+    # with fewer than two commas is one np.loadtxt refuses (a field is
+    # missing) or skips (it is empty), and the row count below catches a
+    # skipped one.
     line_ends = seps[2::3]
-    if seps.size % 3 == 1 or line_ends.size != newline_count:
+    if seps.size % 3 == 1:
         return None
     if not (buf[line_ends] == _NEWLINE).all():
         return None

@@ -6,7 +6,6 @@ runs, the columns, the stratum order and every error message must be the
 ones the csv reader gives.
 """
 
-import io
 import os
 import tempfile
 import tracemalloc
