@@ -144,14 +144,24 @@ def row_means(rows: Sequence[np.ndarray]) -> list[float]:
     """The mean of each row: ``m = S / N`` for the exactly rounded row sum S,
     then ``m += fl(S - N * m) / N``, the residual being one exactly rounded
     sum of the row's ``exact_parts`` and of ``-N * m`` (``exact_product``).
-    No deviation ``row - m`` is rounded before it is summed.  A mean is
-    ``inf`` or ``nan`` where the row sum leaves the float range.
+    No deviation ``row - m`` is rounded before it is summed.
+
+    A mean is ``inf`` or ``nan`` where the row sum leaves the float range,
+    and ``inf`` where a deviation ``row - m`` would.  Where ``N * m`` itself
+    rounds past the float range, ``m = S / N`` is not corrected.
     """
     n = len(rows[0])
     means = []
     for parts, row in zip(exact_parts(rows), rows):
         m = _parts_sum(parts, row) / n
         if math.isfinite(m):
-            m += fsum(parts + exact_product(n, -m)) / n
+            try:
+                m += fsum(parts + exact_product(n, -m)) / n
+            except OverflowError:  # N * m rounds past the float range: keep S / N
+                pass
+            # the parts are the row itself, or the buckets of a row whose
+            # entries, and so its deviations, are far inside the float range
+            if not (math.isfinite(max(parts) - m) and math.isfinite(min(parts) - m)):
+                m = math.inf
         means.append(m)
     return means

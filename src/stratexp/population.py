@@ -101,15 +101,9 @@ class StratumPopulation:
         overflows, is a :class:`ComputationError` naming the stratum and
         the column; y is checked first.
         """
-        columns = (self.y, self.x)
-        means = row_means(columns)
-        # |col - m| <= 2 max|col|, so only an entry past 2**1022 can make a
-        # deviation overflow
-        wide = np.abs(columns).max() >= 2.0**1022
-        for name, col, m in zip("yx", columns, means):
-            if not math.isfinite(m) or wide and not (
-                math.isfinite(float(col.max()) - m) and math.isfinite(float(col.min()) - m)
-            ):
+        means = row_means((self.y, self.x))
+        for name, m in zip("yx", means):
+            if not math.isfinite(m):
                 raise ComputationError(
                     f"stratum {self.id!r}: column {name} sums beyond the float "
                     "range; rescale x or y"

@@ -1,6 +1,7 @@
 """The exact row-sum kernel gives the bits of ``math.fsum``."""
 
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stratexp import exactsum
-from stratexp.exactsum import KERNEL_MIN_LENGTH, exact_parts, exact_product, row_sums
+from stratexp.exactsum import KERNEL_MIN_LENGTH, exact_parts, exact_product, row_means, row_sums
 
 
 def reference(row: np.ndarray) -> float:
@@ -150,3 +151,19 @@ class TestExactProduct:
     def test_tiny_and_zero_factors(self, m):
         for n in (1, 3, 2**26 - 1, 2**26 + 5):
             assert sum(map(Fraction, exact_product(n, m))) == n * Fraction(m)
+
+
+class TestRowMeans:
+    @pytest.mark.parametrize("length", [5, 301])
+    def test_overflowing_deviation_gives_inf(self, length):
+        """The sum of the largest float and its negation, alternating, is in
+        range, but the deviation of a negative entry from the mean is not."""
+        top = sys.float_info.max
+        row = np.resize([top, -top], length)
+        assert math.fsum(row.tolist()) == top
+        assert row_means(np.stack((row, np.ones(length)))) == [math.inf, 1.0]
+
+    @pytest.mark.parametrize("length", [5, 301])
+    def test_large_entries_with_representable_deviations(self, length):
+        row = np.resize([8e307, -8e307], length)
+        assert row_means(np.stack((row, -row))) == [8e307 / length, -8e307 / length]
