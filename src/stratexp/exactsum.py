@@ -29,9 +29,8 @@ exactly rounded sum over N, corrected once by the exactly rounded residual
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,18 +124,11 @@ def _parts_sum(parts: list[float], row: np.ndarray) -> float:
     return total if total else fsum(row.tolist())
 
 
-def row_sums(rows: Iterable[np.ndarray]) -> list[float]:
+def row_sums(rows: Sequence[np.ndarray]) -> list[float]:
     """``fsum(row)`` for each of the equal-length float64 rows, with the
-    same bits; see the module docstring.
-
-    Short rows are summed as ``rows`` yields them, so that a generator
-    holds one row at a time; only the kernel takes them all at once.
-    """
-    rows = iter(rows)
-    first = next(rows)
-    if not _takes_kernel(len(first)):
-        return [fsum(row.tolist()) for row in itertools.chain((first,), rows)]
-    rows = [first, *rows]
+    same bits; see the module docstring."""
+    if not _takes_kernel(len(rows[0])):
+        return [fsum(row.tolist()) for row in rows]
     return [_parts_sum(p, row) for p, row in zip(exact_parts(rows), rows)]
 
 

@@ -72,11 +72,12 @@ def summarize_stratum(stratum: StratumPopulation) -> dict[tuple[int, int], float
     with np.errstate(over="ignore"):  # v_table reports a moment that overflows
         dy = stratum.y - stratum.y_mean
         dx = stratum.x - stratum.x_mean
-        dy2 = dy * dy
-        dx2 = dx * dx
-        ys = (1.0, dy, dy2, dy2 * dy)
-        xs = (1.0, dx, dx2, dx2 * dx, dx2 * dx2)
-        sums = row_sums(ys[a] * xs[b] for a, b in VTABLE_KEYS)
+        dy2, dx2 = dy * dy, dx * dx
+        dy3, dx3 = dy2 * dy, dx2 * dx
+        # (y - y_mean)^a (x - x_mean)^b for (a, b) in VTABLE_KEYS order
+        sums = row_sums(
+            (dy2, dx2, dy * dx, dy3, dy2 * dx, dy * dx2, dx3, dy2 * dx2, dy * dx3, dx2 * dx2)
+        )
     n = stratum.capital_n
     return {key: s / n for key, s in zip(VTABLE_KEYS, sums)}
 
