@@ -24,7 +24,9 @@ float range, and a row whose exact sum is zero, whose sign is
 
 ``row_means(rows)`` takes each row's mean from the same exact parts: the
 exactly rounded sum over N, corrected once by the exactly rounded residual
-``S - N * m``.
+``S - N * m``.  ``fold(values)`` keeps an exact running sum in a few
+floats, and ``fsum`` is the package's one summation rule: ``math.fsum``,
+with ``inf`` where it raises.
 """
 
 from __future__ import annotations
@@ -56,6 +58,16 @@ def fsum(values) -> float:
         return math.fsum(values)
     except (OverflowError, ValueError):
         return math.inf
+
+
+def fold(values: list[float]) -> list[float]:
+    """A few floats whose exact sum is that of ``values``, each the exactly
+    rounded rest, ending at a zero or non-finite one; so
+    ``parts = fold(parts + block)`` keeps an exact running sum."""
+    parts = [fsum(values)]
+    while parts[-1] and math.isfinite(parts[-1]):
+        parts.append(fsum(values + [-p for p in parts]))
+    return parts
 
 
 def exact_parts(rows: Sequence[np.ndarray]) -> list[list[float]]:

@@ -57,6 +57,7 @@ from itertools import zip_longest
 
 from .errors import ComputationError
 from .estimators import EstimatorKind, EstimatorSpec
+from .exactsum import fsum
 from .moments import VTable
 
 Monomial = tuple[int, int]  # (power of e0, power of e1)
@@ -224,9 +225,9 @@ def _evaluate(
             n, d = _horner(nums, den, p, q)
             if n:
                 terms.append(n / d * _moment(v, a, b))
-        result = scale * math.fsum(terms)
-    except (OverflowError, ValueError):
-        result = math.nan
+    except (OverflowError, ValueError):  # a non-finite parameter, or n / d too large
+        terms = [math.nan]
+    result = scale * fsum(terms)
     if not math.isfinite(result):
         raise ComputationError(
             f"estimator {spec.label()} overflows the float range "
@@ -261,7 +262,7 @@ def mse_parameter_polynomial(kind: EstimatorKind, v: VTable) -> list[float]:
                 buckets.append([])
             buckets[k].append(n / den * m)
     scale = v.ybar**2
-    return [scale * math.fsum(vals) for vals in buckets]
+    return [scale * fsum(vals) for vals in buckets]
 
 
 def _printed(**weights: Fraction) -> CoefficientTable:

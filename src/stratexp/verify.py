@@ -9,9 +9,10 @@ estimator reads.
 
 The enumeration oracle realizes the design expectation exactly: strata are
 sampled independently, so the joint sample space is the Cartesian product
-of the per-stratum combinations, each joint sample equally likely.  It is
-what every analytic moment and approximation in this package is certified
-against.
+of the per-stratum combinations, each joint sample equally likely.  Each
+expectation is the exactly rounded sum over the space (the bits of
+``math.fsum``) divided by its size.  It is what every analytic moment and
+approximation in this package is certified against.
 
 The Monte Carlo oracle is stochastic but fully reproducible: replicate r
 draws from a Philox4x64 counter-based generator keyed by (seed, r), so a
@@ -36,9 +37,13 @@ import numpy as np
 
 from .errors import ComputationError, DegenerateAuxiliaryError, EnumerationLimitError
 from .estimators import EstimatorSpec, estimate
+from .exactsum import fold, fsum
 from .population import StratifiedPopulation, StratumPopulation
 
 DEFAULT_ENUM_LIMIT = 10**7
+
+#: samples whose deviations ``exact_bias_mse`` holds before folding them
+BLOCK = 1024
 
 Sample = tuple[tuple[tuple[int, ...], ...], float, float]
 
@@ -64,27 +69,6 @@ def _sample(
         math.fsum(w * yb for w, yb in zip(weights, ybars)),
         math.fsum(w * xb for w, xb in zip(weights, xbars)),
     )
-
-
-class _CompensatedSum:
-    """Neumaier compensated accumulator: O(1) memory, order-stable."""
-
-    __slots__ = ("total", "compensation")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.compensation = 0.0
-
-    def add(self, value: float) -> None:
-        t = self.total + value
-        if abs(self.total) >= abs(value):
-            self.compensation += (self.total - t) + value
-        else:
-            self.compensation += (value - t) + self.total
-        self.total = t
-
-    def value(self) -> float:
-        return self.total + self.compensation
 
 
 @dataclass(frozen=True)
@@ -133,12 +117,9 @@ def exact_expectation(
     limit: int = DEFAULT_ENUM_LIMIT,
 ) -> float:
     """Exact design expectation of ``statistic(ybar_st, xbar_st)`` over every
-    joint sample."""
+    joint sample: the exactly rounded sum over the size of the space."""
     dist = ExactDesignDistribution(pop, limit)
-    acc = _CompensatedSum()
-    for _, ybar_st, xbar_st in dist:
-        acc.add(statistic(ybar_st, xbar_st))
-    return acc.value() / dist.size
+    return fsum(statistic(ybar_st, xbar_st) for _, ybar_st, xbar_st in dist) / dist.size
 
 
 def exact_bias_mse(
@@ -149,18 +130,22 @@ def exact_bias_mse(
     """Exact (bias, MSE) of each estimator under the design, in ``specs`` order.
 
     One pass over the sample space evaluates every estimator on each sample.
-    Accumulates t - Ybar directly to avoid cancellation in the bias.
+    The deviations t - Ybar, taken directly to avoid cancellation in the
+    bias, are held for ``BLOCK`` samples, then folded with their squares
+    into exact running sums: memory does not grow with the space.
     Aborts, naming the estimator and the sample, if an estimator fails
     anywhere on the sample space: exactness certifies, it does not skip.
     Aborts, naming the estimator, if a bias or MSE is not finite; a
     squared deviation that overflows leaves its sum non-finite.
     """
     dist = ExactDesignDistribution(pop, limit)
+    size = dist.size
     ybar_pop = pop.grand_y_mean
     xbar_pop = pop.grand_x_mean
-    sums = [(_CompensatedSum(), _CompensatedSum()) for _ in specs]
-    for index_sets, ybar_st, xbar_st in dist:
-        for spec, (acc_d, acc_d2) in zip(specs, sums):
+    block: list[float] = []  # d = t - Ybar, sample by sample, in specs order
+    sums = [([], []) for _ in specs]  # exact parts of the sums of d and d * d
+    for count, (index_sets, ybar_st, xbar_st) in enumerate(dist, 1):
+        for spec in specs:
             try:
                 t = estimate(spec, ybar_st, xbar_st, xbar_pop)
             except ComputationError as exc:
@@ -168,18 +153,19 @@ def exact_bias_mse(
                     f"estimator {spec.label()} failed on sample with index sets "
                     f"{index_sets}: {exc}"
                 ) from exc
-            d = t - ybar_pop
-            acc_d.add(d)
-            acc_d2.add(d * d)
-    results = []
-    for spec, (acc_d, acc_d2) in zip(specs, sums):
-        b, m = acc_d.value() / dist.size, acc_d2.value() / dist.size
+            block.append(t - ybar_pop)
+        if count % BLOCK == 0 or count == size:
+            for k, (d_parts, d2_parts) in enumerate(sums):
+                d = block[k :: len(specs)]
+                sums[k] = (fold(d_parts + d), fold(d2_parts + [x * x for x in d]))
+            block.clear()
+    results = [(fsum(d) / size, fsum(d2) / size) for d, d2 in sums]
+    for spec, (b, m) in zip(specs, results):
         if not (math.isfinite(b) and math.isfinite(m)):
             raise ComputationError(
                 f"estimator {spec.label()} overflows the float range "
                 "in its exact bias or MSE"
             )
-        results.append((b, m))
     return results
 
 
@@ -282,11 +268,9 @@ def monte_carlo(
         raise ComputationError(f"only {n} usable replicates out of {replicates}")
 
     def summarize(spec: EstimatorSpec, values: list[float]) -> McEstimate:
-        try:
-            mean = math.fsum(values) / n
-            var = math.fsum((x - mean) ** 2 for x in values) / (n - 1)
-        except (OverflowError, ValueError):
-            mean = var = math.nan
+        mean = fsum(values) / n
+        deviations = [x - mean for x in values]
+        var = fsum([d * d for d in deviations]) / (n - 1)
         if not (math.isfinite(mean) and math.isfinite(var)):
             raise ComputationError(
                 f"estimator {spec.label()} overflows the float range "

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stratexp import exactsum
-from stratexp.exactsum import KERNEL_MIN_LENGTH, exact_parts, exact_product, row_means, row_sums
+from stratexp.exactsum import KERNEL_MIN_LENGTH, exact_parts, exact_product, fold, row_means, row_sums
 
 
 def reference(row: np.ndarray) -> float:
@@ -136,6 +136,40 @@ class TestExactParts:
         rng = np.random.default_rng(4)
         cols = [rng.normal(size=500), rng.normal(size=500)]
         assert row_sums(cols) == row_sums(np.stack(cols)) == [math.fsum(c) for c in cols]
+
+
+def exact_sum(values) -> Fraction:
+    return sum(map(Fraction, values), Fraction(0))
+
+
+class TestFold:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=60))
+    def test_parts_sum_exactly_to_the_values(self, values):
+        parts = fold(values)
+        assert parts[-1] == 0.0
+        assert exact_sum(parts) == exact_sum(values)
+        assert math.fsum(parts).hex() == math.fsum(values).hex()
+
+    def test_a_running_fold_stays_exact_and_short(self):
+        rng = np.random.default_rng(5)
+        values = (rng.normal(size=5000) * 10.0 ** rng.integers(-30, 30, 5000)).tolist()
+        parts = []
+        for start in range(0, len(values), 100):
+            parts = fold(parts + values[start : start + 100])
+            assert len(parts) <= 8
+        assert exact_sum(parts) == exact_sum(values)
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [([math.inf, 1.0], math.inf), ([1e308, 1e308], math.inf), ([math.inf, -math.inf], math.inf)],
+    )
+    def test_a_sum_past_the_float_range_ends_the_parts(self, values, want):
+        assert fold(values) == [want]
+
+    def test_nan_ends_the_parts(self):
+        parts = fold([1.0, math.nan])
+        assert len(parts) == 1 and math.isnan(parts[0])
 
 
 class TestExactProduct:

@@ -1,5 +1,6 @@
 """Enumeration and Monte Carlo oracles: exactness, determinism, consistency."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction as F
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stratexp import verify
 from stratexp.errors import ComputationError, EnumerationLimitError
-from stratexp.estimators import t1s, t2s, t3s, t4s
+from stratexp.estimators import estimate, t1s, t2s, t3s, t4s
 from stratexp.moments import v_table
 from stratexp.verify import (
     ExactDesignDistribution,
@@ -65,6 +67,12 @@ class TestEnumeration:
         assert ybar == pytest.approx(0.5 * 4.0 + 0.5 * 2.5)
         assert xbar == pytest.approx(0.5 * 2.0 + 0.5 * 5.5)
 
+    def test_expectation_is_exactly_rounded(self, synthetic):
+        """700 samples, 140 of each value: the exact sum is 140.  Summing in
+        order with a running compensation loses it to the 1e200 terms."""
+        values = itertools.cycle([1e200, 1e100, 1.0, -1e200, -1e100])
+        assert exact_expectation(synthetic, lambda y, x: next(values)) == 0.2
+
     def test_space_limit_error_names_size(self, synthetic):
         with pytest.raises(EnumerationLimitError, match="700"):
             ExactDesignDistribution(synthetic, limit=699)
@@ -97,6 +105,41 @@ class TestExactBiasMse:
         with pytest.raises(ComputationError, match=r"index sets"):
             exact_bias_mse(pop, [t1s()])
 
+
+    @pytest.mark.parametrize("block", [699, 700, 701, 64])
+    def test_sums_have_the_bits_of_fsum_over_the_enumeration(self, synthetic, monkeypatch, block):
+        """The 700 samples of the bundled population fill one block but one
+        sample, exactly one block, one block and one sample, and 11 blocks."""
+        monkeypatch.setattr(verify, "BLOCK", block)
+        specs = [t1s(), t2s(), t3s(-7.5), t4s(2.5), t3s(100.0)]
+        ybar, xbar = synthetic.grand_y_mean, synthetic.grand_x_mean
+        for spec, (bias_e, mse_e) in zip(specs, exact_bias_mse(synthetic, specs)):
+            d = [estimate(spec, y, x, xbar) - ybar for _, y, x in ExactDesignDistribution(synthetic)]
+            assert bias_e.hex() == (math.fsum(d) / 700).hex(), spec
+            assert mse_e.hex() == (math.fsum([v * v for v in d]) / 700).hex(), spec
+
+    def test_memory_does_not_grow_across_blocks(self, monkeypatch):
+        """Ten times the samples, 14 blocks against 140: the peak stays where
+        it is.  Keeping every deviation would take about 1 MB more."""
+        monkeypatch.setattr(verify, "BLOCK", 50)
+        ys = [1.0, 4.0, 2.0, 8.0, 5.0, 7.0, 3.0]
+        xs = [2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0]
+        strata = [("A", xs[:6], ys[:6], 3), ("B", xs, ys, 3), ("C", xs[:5], ys[:5], 2)]
+        specs = [t1s(), t2s(), t3s(0.5), t4s(0.3)]
+
+        def peak(pop):
+            exact_bias_mse(pop, specs)
+            tracemalloc.start()
+            try:
+                exact_bias_mse(pop, specs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = make_population(*strata[:2])
+        large = make_population(*strata)
+        assert ExactDesignDistribution(large).size == 10 * ExactDesignDistribution(small).size
+        assert peak(large) < peak(small) + 32 * 1024
 
     def test_squared_deviation_overflow_names_the_estimator(self, synthetic):
         """alpha = 12000: every estimate is finite, but d * d overflows and the
