@@ -22,16 +22,17 @@ raises): a row with a non-finite entry or an entry near the top of the
 float range, and a row whose exact sum is zero, whose sign is
 ``math.fsum``'s own rule for signed zeros.
 
-``row_means(rows)`` takes each row's mean from the same exact parts: the
-exactly rounded sum over N, corrected once by the exactly rounded residual
-``S - N * m``.  ``fold(values)`` keeps an exact running sum in a few
-floats, and ``fsum`` is the package's one summation rule: ``math.fsum``,
-with ``inf`` where it raises.
+``row_means(rows)`` takes each row's correctly rounded mean from the same
+exact parts: the exactly rounded sum over N, corrected by the exactly
+rounded residual ``S - N * m``.  ``fold(values)`` keeps an exact running
+sum in a few floats, and ``fsum`` is ``math.fsum`` with ``inf`` where it
+raises.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from typing import Sequence
 
 import numpy as np
@@ -145,10 +146,14 @@ def row_sums(rows: Sequence[np.ndarray]) -> list[float]:
 
 
 def row_means(rows: Sequence[np.ndarray]) -> list[float]:
-    """The mean of each row: ``m = S / N`` for the exactly rounded row sum S,
-    then ``m += fl(S - N * m) / N``, the residual being one exactly rounded
-    sum of the row's ``exact_parts`` and of ``-N * m`` (``exact_product``).
-    No deviation ``row - m`` is rounded before it is summed.
+    """The correctly rounded mean of each row, ties to even.
+
+    ``m = S / N`` for the exactly rounded row sum S is corrected once,
+    ``m += fl(S - N * m) / N``, the residual being one exactly rounded sum
+    of the row's ``exact_parts`` and of ``-N * m`` (``exact_product``).  No
+    deviation ``row - m`` is rounded before it is summed.  Only where the
+    exact mean lies near the midpoint between m and a neighbouring float
+    does a second, exact residual decide between the two.
 
     A mean is ``inf`` or ``nan`` where the row sum leaves the float range,
     and ``inf`` where a deviation ``row - m`` would.  Where ``N * m`` itself
@@ -160,7 +165,7 @@ def row_means(rows: Sequence[np.ndarray]) -> list[float]:
         m = _parts_sum(parts, row) / n
         if math.isfinite(m):
             try:
-                m += fsum(parts + exact_product(n, -m)) / n
+                m = _round_mean(parts, n, m)
             except OverflowError:  # N * m rounds past the float range: keep S / N
                 pass
             # the parts are the row itself, or the buckets of a row whose
@@ -169,3 +174,34 @@ def row_means(rows: Sequence[np.ndarray]) -> list[float]:
                 m = math.inf
         means.append(m)
     return means
+
+
+def _round_mean(parts: list[float], n: int, m0: float) -> float:
+    """The float nearest the exact ``sum(parts) / n``, from ``m0 = S / n``."""
+    residual = fsum(parts + exact_product(n, -m0))
+    m = m0 + residual / n
+    if not residual:  # m0 is the exact mean
+        return m
+    # the exact mean lies ``offset`` from m, to about 2**-48 of ``gap``:
+    # m0 - m is exact, the two being within a few ulps
+    offset = (m0 - m) + residual / n
+    gap = abs(math.nextafter(m, math.copysign(math.inf, offset)) - m)
+    if 2.0 * abs(offset) < gap * (1.0 - 2.0**-20) and gap >= 2.0**-1000:
+        return m
+    # Near or past a rounding midpoint, or so small that residual / n lost
+    # bits to underflow: the exact residual R = S - N * m decides, by the
+    # sign of 2 * R - N * step for the step to the neighbour on its side.
+    exact = fold(parts + exact_product(n, -m))
+    step = math.nextafter(m, math.copysign(math.inf, exact[0])) - m
+    if not exact[0] or math.isinf(step):
+        return m
+    beyond = fsum([2.0 * r for r in exact] + exact_product(n, -step))
+    # past the midpoint, or on it with m odd: a tie goes to the even neighbour
+    if (beyond > 0.0 if step > 0.0 else beyond < 0.0) or (not beyond and _odd(m)):
+        return m + step
+    return m
+
+
+def _odd(x: float) -> bool:
+    """Whether the last bit of ``x``'s significand is 1."""
+    return bool(struct.unpack("<Q", struct.pack("<d", x))[0] & 1)

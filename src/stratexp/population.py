@@ -6,13 +6,14 @@ planned SRSWOR sample size ``n_h`` with 1 <= n_h < N_h; its size ``N_h``
 is the column length.  Stratum weights are ``W_h = N_h / N`` so that the
 stratified sample mean is design-unbiased for the grand mean.
 
-A stratum mean is ``m = S / N`` for the exactly rounded column sum S,
-corrected once by the exactly rounded residual, ``m += fl(S - N * m) / N``,
-with S and ``N * m`` taken exactly (:mod:`stratexp.exactsum`).  The
-correction makes the mean of a constant column that constant exactly, so
-its deviations, and every central moment that involves it, are exactly
-zero.  :mod:`stratexp.moments` computes the central moments from these
-means.
+A stratum mean is the exact mean correctly rounded: ``m = S / N`` for the
+exactly rounded column sum S, corrected by the exactly rounded residual,
+``m += fl(S - N * m) / N``, with S and ``N * m`` taken exactly, and near a
+rounding midpoint decided by the exact residual
+(:func:`stratexp.exactsum.row_means`).  The correction makes the mean of a
+constant column that constant exactly, so its deviations, and every
+central moment that involves it, are exactly zero.
+:mod:`stratexp.moments` computes the central moments from these means.
 
 ``load_population_file`` reads a plain file (printable ASCII, no quotes,
 three fields on every line) with one ``np.loadtxt`` call and hands any
@@ -92,10 +93,9 @@ class StratumPopulation:
     def _means(self) -> tuple[float, float]:
         """(x mean, y mean).
 
-        Each is ``m = S / N`` for the exactly rounded column sum S, then
-        ``m += fl(S - N * m) / N`` with S and ``N * m`` taken exactly
-        (:func:`stratexp.exactsum.row_means`), so no deviation ``col - m``
-        is rounded before it is summed.
+        Each is the exact mean correctly rounded, ties to even
+        (:func:`stratexp.exactsum.row_means`): no deviation ``col - m`` is
+        rounded before it is summed.
 
         A mean outside the float range, or a deviation ``col - m`` that
         overflows, is a :class:`ComputationError` naming the stratum and

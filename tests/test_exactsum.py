@@ -201,3 +201,48 @@ class TestRowMeans:
     def test_large_entries_with_representable_deviations(self, length):
         row = np.resize([8e307, -8e307], length)
         assert row_means(np.stack((row, -row))) == [8e307 / length, -8e307 / length]
+
+    def test_means_once_one_ulp_off_are_correctly_rounded(self):
+        """In this stream, trials 180 and 1140 (among others) were one ulp
+        off: the exact mean lay just below a rounding midpoint, and rounding
+        the residual ``S - N * m`` before dividing pushed it across."""
+        rng = np.random.default_rng(1)
+        for trial in range(1141):
+            row = rng.standard_normal(16) * 10.0 ** rng.integers(-100, 101, 16).astype(float)
+            got = row_means(np.stack((row, -row)))
+            want = float(exact_sum(row.tolist()) / 16)
+            assert got == [want, -want], trial
+            if trial == 180:
+                assert got[0].hex() == "0x1.6148f3cdbb135p+304"
+
+    @pytest.mark.parametrize(
+        "row, want",
+        [
+            ([1.0, 2.0**-53], 0.5),  # a tie: 0.5 is even
+            ([1.0, 3 * 2.0**-53], 0.5 + 2.0**-52),  # a tie: the upper neighbour is even
+            ([-1.0, -3 * 2.0**-53], -0.5 - 2.0**-52),
+            ([1.0, 2.0**-53 + 2.0**-105], 0.5 + 2.0**-53),  # just past the midpoint
+            ([1.0, 2.0**-53 - 2.0**-106], 0.5),  # just short of it
+            ([1.5e-323, 0.0], 1e-323),  # 1.5 subnormal units: a tie, 2 is even
+            ([5e-324, 0.0], 0.0),  # half a unit: a tie, 0 is even
+        ],
+    )
+    def test_near_and_at_a_midpoint(self, row, want):
+        assert float(exact_sum(row) / len(row)) == want
+        assert row_means(np.array([row]))[0] == want
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [-2.8713149446709293e-307, -3.83824277737e-313, 3.30467e-318,
+             1.5279591964525557e-307, 2.095518505593e-311, -5.747914653547e-311],
+            [2.11351443903826e-310, -4.97829744963e-313, -4.78349e-318,
+             2.010102952907674e-309, 1.2746736e-317, 1.6131293171153706e-307],
+            [-6.353493061678613e-308, 6.6123709779374e-311, 1.619299232077181e-308,
+             -4.895329279e-314, -2.67610556834e-313, -3.464986e-318],
+        ],
+    )
+    def test_means_near_the_bottom_of_the_float_range(self, row):
+        """Subnormal or barely normal means, where ``residual / N`` loses up
+        to half a unit to underflow: the exact residual decides."""
+        assert row_means(np.array([row]))[0] == float(exact_sum(row) / len(row))
