@@ -252,7 +252,8 @@ def mse_parameter_polynomial(kind: EstimatorKind, v: VTable) -> list[float]:
     Returns ascending coefficients (quartic for the tunable exponent,
     quadratic for the mixture), already scaled by Ybar^2: the column sums
     of the order-2 MSE table, each an exactly-summed dot product of
-    rational weights with table entries.
+    rational weights with table entries.  A coefficient outside the float
+    range is a :class:`ComputationError` naming the estimator.
     """
     buckets: list[list[float]] = []
     for (a, b), nums, den in coefficient_table(kind, "mse", 2):
@@ -262,7 +263,13 @@ def mse_parameter_polynomial(kind: EstimatorKind, v: VTable) -> list[float]:
                 buckets.append([])
             buckets[k].append(n / den * m)
     scale = v.ybar**2
-    return [scale * fsum(vals) for vals in buckets]
+    coeffs = [scale * fsum(vals) for vals in buckets]
+    if not all(map(math.isfinite, coeffs)):
+        raise ComputationError(
+            f"estimator {kind.value} overflows the float range "
+            "in its series expansion"
+        )
+    return coeffs
 
 
 def _printed(**weights: Fraction) -> CoefficientTable:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratexp.errors import DegenerateAuxiliaryError
+from stratexp.errors import ComputationError, DegenerateAuxiliaryError
 from stratexp.estimators import EstimatorKind, t3s, t4s
 from stratexp.expansion import mse, mse_parameter_polynomial
 from stratexp.optimize import (
@@ -224,6 +224,21 @@ class TestSearchMechanics:
         out = optimize_alpha(v, order=2)
         assert out.objective < 0
         assert out.objective_negative
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "entry", [{"V04": 1e308}, {"V22": 1.7e308}, {"V13": -1.7e308}, {"V02": 1e308}]
+    )
+    @pytest.mark.parametrize("optimize, label", [(optimize_alpha, "t3s"), (optimize_theta, "t4s")])
+    def test_polynomial_outside_the_float_range_is_a_typed_error(
+        self, synthetic_v, entry, optimize, label
+    ):
+        """The order-2 objective has a coefficient outside the float range;
+        root finding on it used to fail inside NumPy."""
+        v = synthetic_v.replace_entries(**entry)
+        with pytest.raises(ComputationError, match=rf"^estimator {label} overflows"):
+            optimize(v, 2)
 
 
 class TestOrderValidation:
