@@ -160,12 +160,9 @@ class TestFold:
             assert len(parts) <= 8
         assert exact_sum(parts) == exact_sum(values)
 
-    @pytest.mark.parametrize(
-        "values, want",
-        [([math.inf, 1.0], math.inf), ([1e308, 1e308], math.inf), ([math.inf, -math.inf], math.inf)],
-    )
-    def test_a_sum_past_the_float_range_ends_the_parts(self, values, want):
-        assert fold(values) == [want]
+    @pytest.mark.parametrize("values", [[math.inf, 1.0], [1e308, 1e308], [math.inf, -math.inf]])
+    def test_a_sum_past_the_float_range_ends_the_parts(self, values):
+        assert fold(values) == [math.inf]
 
     def test_nan_ends_the_parts(self):
         parts = fold([1.0, math.nan])
@@ -225,24 +222,19 @@ class TestRowMeans:
             ([1.0, 2.0**-53 - 2.0**-106], 0.5),  # just short of it
             ([1.5e-323, 0.0], 1e-323),  # 1.5 subnormal units: a tie, 2 is even
             ([5e-324, 0.0], 0.0),  # half a unit: a tie, 0 is even
+            # barely normal or subnormal means, where residual / N loses up
+            # to half a unit to underflow
+            ([-2.8713149446709293e-307, -3.83824277737e-313, 3.30467e-318,
+              1.5279591964525557e-307, 2.095518505593e-311, -5.747914653547e-311],
+             -2.239541376738166e-308),
+            ([2.11351443903826e-310, -4.97829744963e-313, -4.78349e-318,
+              2.010102952907674e-309, 1.2746736e-317, 1.6131293171153706e-307],
+             2.725564804776114e-308),
+            ([-6.353493061678613e-308, 6.6123709779374e-311, 1.619299232077181e-308,
+              -4.895329279e-314, -2.67610556834e-313, -3.464986e-318],
+             -7.879355192258262e-309),
         ],
     )
     def test_near_and_at_a_midpoint(self, row, want):
         assert float(exact_sum(row) / len(row)) == want
         assert row_means(np.array([row]))[0] == want
-
-    @pytest.mark.parametrize(
-        "row",
-        [
-            [-2.8713149446709293e-307, -3.83824277737e-313, 3.30467e-318,
-             1.5279591964525557e-307, 2.095518505593e-311, -5.747914653547e-311],
-            [2.11351443903826e-310, -4.97829744963e-313, -4.78349e-318,
-             2.010102952907674e-309, 1.2746736e-317, 1.6131293171153706e-307],
-            [-6.353493061678613e-308, 6.6123709779374e-311, 1.619299232077181e-308,
-             -4.895329279e-314, -2.67610556834e-313, -3.464986e-318],
-        ],
-    )
-    def test_means_near_the_bottom_of_the_float_range(self, row):
-        """Subnormal or barely normal means, where ``residual / N`` loses up
-        to half a unit to underflow: the exact residual decides."""
-        assert row_means(np.array([row]))[0] == float(exact_sum(row) / len(row))
