@@ -269,8 +269,7 @@ def monte_carlo(
 
     def summarize(spec: EstimatorSpec, values: list[float]) -> McEstimate:
         mean = fsum(values) / n
-        deviations = [x - mean for x in values]
-        var = fsum([d * d for d in deviations]) / (n - 1)
+        var = fsum([(x - mean) * (x - mean) for x in values]) / (n - 1)
         if not (math.isfinite(mean) and math.isfinite(var)):
             raise ComputationError(
                 f"estimator {spec.label()} overflows the float range "
