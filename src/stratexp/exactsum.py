@@ -32,7 +32,7 @@ raises.
 from __future__ import annotations
 
 import math
-import struct
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -153,7 +153,7 @@ def row_means(rows: Sequence[np.ndarray]) -> list[float]:
     of the row's ``exact_parts`` and of ``-N * m`` (``exact_product``).  No
     deviation ``row - m`` is rounded before it is summed.  Only where the
     exact mean lies near the midpoint between m and a neighbouring float
-    does a second, exact residual decide between the two.
+    is it taken as a ``Fraction`` and rounded from there.
 
     A mean is ``inf`` or ``nan`` where the row sum leaves the float range,
     and ``inf`` where a deviation ``row - m`` would.  Where ``N * m`` itself
@@ -189,19 +189,5 @@ def _round_mean(parts: list[float], n: int, m0: float) -> float:
     if 2.0 * abs(offset) < gap * (1.0 - 2.0**-20) and gap >= 2.0**-1000:
         return m
     # Near or past a rounding midpoint, or so small that residual / n lost
-    # bits to underflow: the exact residual R = S - N * m decides, by the
-    # sign of 2 * R - N * step for the step to the neighbour on its side.
-    exact = fold(parts + exact_product(n, -m))
-    step = math.nextafter(m, math.copysign(math.inf, exact[0])) - m
-    if not exact[0] or math.isinf(step):
-        return m
-    beyond = fsum([2.0 * r for r in exact] + exact_product(n, -step))
-    # past the midpoint, or on it with m odd: a tie goes to the even neighbour
-    if (beyond > 0.0 if step > 0.0 else beyond < 0.0) or (not beyond and _odd(m)):
-        return m + step
-    return m
-
-
-def _odd(x: float) -> bool:
-    """Whether the last bit of ``x``'s significand is 1."""
-    return bool(struct.unpack("<Q", struct.pack("<d", x))[0] & 1)
+    # bits to underflow: the exact mean, rounded by Python, ties to even.
+    return float(sum(map(Fraction, parts), Fraction(0)) / n)

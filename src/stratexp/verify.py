@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ from .population import StratifiedPopulation, StratumPopulation
 
 DEFAULT_ENUM_LIMIT = 10**7
 
-#: samples whose deviations ``exact_bias_mse`` holds before folding them
+#: samples whose values the enumeration oracle holds before folding them
 BLOCK = 1024
 
 Sample = tuple[tuple[tuple[int, ...], ...], float, float]
@@ -117,9 +117,25 @@ def exact_expectation(
     limit: int = DEFAULT_ENUM_LIMIT,
 ) -> float:
     """Exact design expectation of ``statistic(ybar_st, xbar_st)`` over every
-    joint sample: the exactly rounded sum over the size of the space."""
+    joint sample: the exactly rounded sum over the size of the space.
+
+    The values are held for ``BLOCK`` samples, then folded into an exact
+    running sum.  An error the statistic raises propagates as it is.
+    Aborts if the sum is not finite: a value is infinite or nan, or the
+    sum leaves the float range.
+    """
     dist = ExactDesignDistribution(pop, limit)
-    return fsum(statistic(ybar_st, xbar_st) for _, ybar_st, xbar_st in dist) / dist.size
+    values = (statistic(ybar_st, xbar_st) for _, ybar_st, xbar_st in dist)
+    parts: list[float] = []
+    while block := list(islice(values, BLOCK)):
+        parts = fold(parts + block)
+    total = fsum(parts)
+    if not math.isfinite(total):
+        raise ComputationError(
+            "the statistic's exact expectation is not finite: a value is "
+            "infinite or nan, or their sum leaves the float range"
+        )
+    return total / dist.size
 
 
 def exact_bias_mse(

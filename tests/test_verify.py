@@ -73,6 +73,66 @@ class TestEnumeration:
         values = itertools.cycle([1e200, 1e100, 1.0, -1e200, -1e100])
         assert exact_expectation(synthetic, lambda y, x: next(values)) == 0.2
 
+    @pytest.mark.parametrize("block", [699, 700, 701, 64])
+    def test_expectation_has_the_bits_of_fsum(self, synthetic, monkeypatch, block):
+        """One block but one sample, one block, one block and one sample, 11
+        blocks; the large values cancel across blocks."""
+        monkeypatch.setattr(verify, "BLOCK", block)
+        big = itertools.cycle([0.0, 1e200, 0.0, 0.0, -1e200])
+        values = [next(big) or y for _, y, _ in ExactDesignDistribution(synthetic)]
+        given = iter(values)
+        got = exact_expectation(synthetic, lambda y, x: next(given))
+        assert got.hex() == (math.fsum(values) / 700).hex()
+
+    @pytest.mark.parametrize(
+        "statistic, error",
+        [
+            (lambda y, x: math.sqrt(-y), ValueError),
+            (lambda y, x: math.log(x - x), ValueError),
+            (lambda y, x: (y * 1e300) ** 2, OverflowError),
+            (lambda y, x: y / 0.0, ZeroDivisionError),
+        ],
+    )
+    def test_an_error_of_the_statistic_propagates(self, synthetic, statistic, error):
+        with pytest.raises(error):
+            exact_expectation(synthetic, statistic)
+
+    @pytest.mark.parametrize(
+        "statistic",
+        [
+            lambda y, x: math.inf,
+            lambda y, x: -math.inf,
+            lambda y, x: math.nan,
+            lambda y, x: math.inf if y > 5.0 else -math.inf,
+            lambda y, x: 1e308,
+            lambda y, x: -1e308,
+        ],
+    )
+    def test_a_sum_that_is_not_finite_is_an_error(self, synthetic, monkeypatch, statistic):
+        """Infinite or nan values, an undefined inf - inf and sums past the
+        float range, also where they meet in a later block."""
+        monkeypatch.setattr(verify, "BLOCK", 64)
+        with pytest.raises(ComputationError, match="not finite"):
+            exact_expectation(synthetic, statistic)
+
+    def test_expectation_memory_does_not_grow_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(verify, "BLOCK", 50)
+        ys = [1.0, 4.0, 2.0, 8.0, 5.0, 7.0, 3.0]
+        xs = [2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0]
+        strata = [("A", xs[:6], ys[:6], 3), ("B", xs, ys, 3), ("C", xs[:5], ys[:5], 2)]
+
+        def peak(pop):
+            exact_expectation(pop, lambda y, x: y * x)
+            tracemalloc.start()
+            try:
+                exact_expectation(pop, lambda y, x: y * x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = make_population(*strata[:2]), make_population(*strata)
+        assert peak(large) < peak(small) + 32 * 1024
+
     def test_space_limit_error_names_size(self, synthetic):
         with pytest.raises(EnumerationLimitError, match="700"):
             ExactDesignDistribution(synthetic, limit=699)
@@ -104,7 +164,6 @@ class TestExactBiasMse:
         pop = make_population(("A", [-3, 1, 2, 4], [1, 2, 3, 4], 2))
         with pytest.raises(ComputationError, match=r"index sets"):
             exact_bias_mse(pop, [t1s()])
-
 
     @pytest.mark.parametrize("block", [699, 700, 701, 64])
     def test_sums_have_the_bits_of_fsum_over_the_enumeration(self, synthetic, monkeypatch, block):
@@ -142,8 +201,8 @@ class TestExactBiasMse:
         assert peak(large) < peak(small) + 32 * 1024
 
     def test_squared_deviation_overflow_names_the_estimator(self, synthetic):
-        """alpha = 12000: every estimate is finite, but d * d overflows and the
-        compensated sum would turn inf - inf into nan."""
+        """alpha = 12000: every estimate is finite, but d * d overflows, so
+        the folded sum of the squares is not finite."""
         with pytest.raises(ComputationError, match=r"t3s\(alpha=12000\) overflows"):
             exact_bias_mse(synthetic, [t1s(), t3s(12000.0)])
 
