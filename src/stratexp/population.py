@@ -15,10 +15,20 @@ constant column that constant exactly, so its deviations, and every
 central moment that involves it, are exactly zero.
 :mod:`stratexp.moments` computes the central moments from these means.
 
-``load_population_file`` reads a plain file (printable ASCII, no quotes,
-three fields on every line) with one ``np.loadtxt`` call and hands any
-other file to the ``csv`` reader of :func:`load_population`.  Both give
-the same columns, stratum order and error messages.
+``load_population_file`` reads the file's bytes once and decides on them
+whether the file is plain (printable ASCII, no quotes, three fields on
+every line).  A plain file of 7 KiB or more has its numbers parsed by one
+``np.loadtxt`` call on its absolute path, which reads the file in C-level
+chunks; an in-memory stream would be read line by line through a Python
+iterator, which takes about 1.6 times as long on a 100 000-row file.
+NumPy opens the file again, so this route is taken only where the file it
+opens must hold the same bytes: a regular file (a FIFO or pipe would block
+or read empty), not named as a compressed file (NumPy would decompress
+it), with the same device, inode, size and modification time after the
+parse as before the read.  Any other file, and a plain file whose parse
+fails a guard, goes from the bytes already read to the ``csv`` reader of
+:func:`load_population`.  Both give the same columns, stratum order and
+error messages.
 """
 
 from __future__ import annotations
@@ -27,6 +37,9 @@ import csv
 import io
 import math
 import operator
+import os
+import stat
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Mapping
@@ -261,10 +274,14 @@ def _attach_design(
 
 
 _COMMA, _NEWLINE, _QUOTE = ord(","), ord("\n"), ord('"')
-# Below this file size the csv reader is as fast as the NumPy path, whose
-# fixed cost is about 90 us.
-_FAST_MIN_BYTES = 4096
+# Below this file size the csv reader is faster than NumPy's file reader,
+# which opens the file again through NumPy's DataSource.  With warm caches
+# the two take the same time at about 5.3 KB; with a report run between two
+# loads, as on the command line, at about 7 KB.
+_FAST_MIN_BYTES = 7 << 10
 _SCAN_CHUNK = 1 << 16  # bytes per slice: no full-length temporary
+# suffixes that np.loadtxt opens through a decompressor
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _scan(buf: np.ndarray) -> np.ndarray | None:
@@ -286,16 +303,15 @@ def _scan(buf: np.ndarray) -> np.ndarray | None:
     return np.concatenate(found)
 
 
-def _fast_columns(data: bytes) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
-    """The columns of a plain CSV file, as ``_read_columns`` reads them, or
-    ``None`` when the file is not plain enough to be read this way.
+def _plain_layout(data: bytes) -> tuple[int, dict[str, list[tuple[int, int]]]] | None:
+    """The row count of a plain CSV file and, for each stratum label in
+    order of first appearance, its runs of rows ``[lo, hi)``; ``None`` when
+    the bytes are not plain.
 
     Plain means: printable ASCII and newlines only (no quote, ``\\r``, tab
-    or byte-order mark), a valid header, then lines of exactly three fields,
-    none blank, the last newline optional, and finite numbers that
-    ``np.loadtxt`` parses.  ``np.loadtxt`` rounds a decimal exactly as
-    ``float`` does, and rejects what it cannot parse (``1_000``), so a value
-    read here has ``float``'s bits.  Labels are decoded only where a run of
+    or byte-order mark), a valid header, then lines of exactly three fields
+    with a non-blank label, the last newline optional.  The numbers are
+    judged by ``_parse_values``.  Labels are decoded only where a run of
     equal label bytes starts.
     """
     buf = np.frombuffer(data, np.uint8)
@@ -305,8 +321,8 @@ def _fast_columns(data: bytes) -> dict[str, tuple[np.ndarray, np.ndarray]] | Non
     # every line, the header included, must be label , x , y newline (the
     # last newline optional), so every third separator is a newline.  A line
     # with fewer than two commas is one np.loadtxt refuses (a field is
-    # missing) or skips (it is empty), and the row count below catches a
-    # skipped one.
+    # missing) or skips (it is empty), and the row count of
+    # ``_parse_values`` catches a skipped one.
     line_ends = seps[2::3]
     if seps.size % 3 == 1:
         return None
@@ -318,15 +334,6 @@ def _fast_columns(data: bytes) -> dict[str, tuple[np.ndarray, np.ndarray]] | Non
         return None
     header = data[: line_ends[0]].decode("ascii").split(",")
     if [h.strip().lower() for h in header] != list(CSV_HEADER):
-        return None
-    try:
-        values = np.loadtxt(
-            io.BytesIO(data), delimiter=",", usecols=(1, 2), comments=None,
-            skiprows=1, ndmin=2,
-        )
-    except ValueError:
-        return None
-    if len(values) != count or not np.isfinite(values).all():
         return None
     starts = line_ends[:count] + 1
     lengths = ends - starts
@@ -346,6 +353,37 @@ def _fast_columns(data: bytes) -> dict[str, tuple[np.ndarray, np.ndarray]] | Non
         if not label:
             return None
         spans.setdefault(label, []).append((lo, hi))
+    return count, spans
+
+
+def _parse_values(source, rows: int) -> np.ndarray | None:
+    """The x and y fields of the ``rows`` data lines of ``source``, which
+    ``np.loadtxt`` reads, as a ``rows x 2`` array; ``None`` when NumPy
+    refuses a field or warns, finds another number of rows, or reads a
+    value that is not finite.
+
+    ``np.loadtxt`` rounds a decimal exactly as ``float`` does, and rejects
+    what it cannot parse (``1_000``), so a value read here has ``float``'s
+    bits.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(
+                source, delimiter=",", usecols=(1, 2), comments=None, skiprows=1,
+                ndmin=2, encoding="ascii",
+            )
+        except (OSError, ValueError, Warning):
+            return None
+    if len(values) != rows or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _columns(
+    values: np.ndarray, spans: Mapping[str, list[tuple[int, int]]]
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """``label -> (x, y)`` from the parsed rows and each label's runs."""
     columns = {}
     for label, bounds in spans.items():
         parts = [values[lo:hi] for lo, hi in bounds]
@@ -354,21 +392,57 @@ def _fast_columns(data: bytes) -> dict[str, tuple[np.ndarray, np.ndarray]] | Non
     return columns
 
 
+def _identity(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _file_columns(
+    path: str, before: os.stat_result, data: bytes
+) -> dict[str, tuple[np.ndarray, np.ndarray]] | None:
+    """The columns of the plain file that ``path`` named when ``data`` was
+    read from it and ``before`` taken, as ``_read_columns`` reads them, or
+    ``None`` when NumPy's file reader cannot be trusted to see ``data``.
+
+    NumPy reads the file again, from its path, in C-level chunks.  So the
+    file must be a regular one (a FIFO would block or read empty), must not
+    carry a suffix that NumPy decompresses, and must have the same device,
+    inode, size and modification time after the parse as before the read.
+    """
+    if not stat.S_ISREG(before.st_mode) or os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
+        return None
+    layout = _plain_layout(data)
+    if layout is None:
+        return None
+    rows, spans = layout
+    try:
+        # absolute, so that NumPy never takes a relative "http://host/p.csv"
+        # for a URL; joined but not normalized, so that ".." after a
+        # symbolic link names the file that open() read
+        source = os.path.join(os.getcwd(), path)
+        values = _parse_values(source, rows)
+        if values is None or _identity(os.stat(source)) != _identity(before):
+            return None
+    except OSError:
+        return None
+    return _columns(values, spans)
+
+
 def load_population_file(path: str, design: Mapping[str, int]) -> StratifiedPopulation:
     """Read ``path`` as UTF-8 CSV, with or without a byte-order mark, and
     attach the design as :func:`load_population` does.
 
-    A plain file (see ``_fast_columns``) is read with NumPy; any other file
-    goes through :func:`load_population`, which owns every error message.
-    Both give the same columns.  A file that is not UTF-8 text is a
-    :class:`PopulationError` naming it.
+    A plain regular file (see ``_file_columns``) is parsed by NumPy's file
+    reader; any other file goes through :func:`load_population`, which owns
+    every error message.  Both give the same columns.  A file that is not
+    UTF-8 text is a :class:`PopulationError` naming it.
     """
     try:
         with open(path, "rb") as fh:
+            before = os.fstat(fh.fileno())
             data = fh.read()
     except OSError as exc:
         raise PopulationError(f"cannot read population file {path!r}: {exc}") from exc
-    columns = _fast_columns(data) if len(data) >= _FAST_MIN_BYTES else None
+    columns = _file_columns(path, before, data) if len(data) >= _FAST_MIN_BYTES else None
     if columns is not None:
         return _attach_design(columns, design)
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")

@@ -51,10 +51,17 @@ Sample = tuple[tuple[tuple[int, ...], ...], float, float]
 def stratum_means(stratum: StratumPopulation, idx: Sequence[int]) -> tuple[float, float]:
     """(ybar_h, xbar_h): the plain means of y and x over units ``idx`` of a stratum.
 
-    Each mean is a left-to-right ``sum`` of the selected values over n_h.
+    Each mean is the left-to-right sum of the selected values (the last
+    running sum of ``np.add.accumulate``, which is ``np.cumsum`` without its
+    Python wrapper) over n_h, on every Python: the builtin ``sum`` is
+    compensated from Python 3.12 on.  Adding 0.0 makes an all ``-0.0``
+    selection sum to 0.0, as ``sum`` does.
     """
     n = stratum.small_n
-    return sum(stratum.y.take(idx).tolist()) / n, sum(stratum.x.take(idx).tolist()) / n
+    return (
+        (float(np.add.accumulate(stratum.y.take(idx))[-1]) + 0.0) / n,
+        (float(np.add.accumulate(stratum.x.take(idx))[-1]) + 0.0) / n,
+    )
 
 
 def _sample(

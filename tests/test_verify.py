@@ -67,6 +67,16 @@ class TestEnumeration:
         assert ybar == pytest.approx(0.5 * 4.0 + 0.5 * 2.5)
         assert xbar == pytest.approx(0.5 * 2.0 + 0.5 * 5.5)
 
+    def test_sample_means_sum_left_to_right(self):
+        """1e16 + 1.0 rounds back to 1e16, so the y sum is 0.0 left to right
+        (a compensated sum, as ``sum`` is from Python 3.12 on, gives 1.0);
+        an all -0.0 selection sums to 0.0."""
+        pop = make_population(("A", [1, 2, 3, 4, 5, 6], [1e16, 1.0, -1e16, -0.0, -0.0, -0.0], 3))
+        stratum = pop.strata[0]
+        assert stratum_means(stratum, (0, 1, 2)) == (0.0, 2.0)
+        ybar, xbar = stratum_means(stratum, (3, 4, 5))
+        assert math.copysign(1.0, ybar) == 1.0 and xbar == 5.0
+
     def test_expectation_is_exactly_rounded(self, synthetic):
         """700 samples, 140 of each value: the exact sum is 140.  Summing in
         order with a running compensation loses it to the 1e200 terms."""
