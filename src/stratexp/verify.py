@@ -12,7 +12,12 @@ sampled independently, so the joint sample space is the Cartesian product
 of the per-stratum combinations, each joint sample equally likely.  Each
 expectation is the exactly rounded sum over the space (the bits of
 ``math.fsum``) divided by its size.  It is what every analytic moment and
-approximation in this package is certified against.
+approximation in this package is certified against.  Each stratum's
+combination means are built once, as arrays, by the same ``stratum_means``
+that Monte Carlo calls on one sample; the joint samples are then walked a
+block at a time, and every estimator is called once per sample.  No Python
+object is kept per combination or per sample, so memory grows with the
+strata's combination counts, not with the joint space.
 
 The Monte Carlo oracle is stochastic but fully reproducible: replicate r
 draws from a Philox4x64 counter-based generator keyed by (seed, r), so a
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -48,34 +53,26 @@ BLOCK = 1024
 Sample = tuple[tuple[tuple[int, ...], ...], float, float]
 
 
-def stratum_means(stratum: StratumPopulation, idx: Sequence[int]) -> tuple[float, float]:
-    """(ybar_h, xbar_h): the plain means of y and x over units ``idx`` of a stratum.
+def stratum_means(
+    stratum: StratumPopulation, idx: Sequence[int] | np.ndarray
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(ybar_h, xbar_h): the plain means of y and x over units ``idx`` of a
+    stratum; for a 2-D ``idx``, two arrays holding the means of each row.
 
-    Each mean is the left-to-right sum of the selected values (the last
-    running sum of ``np.add.accumulate``, which is ``np.cumsum`` without its
-    Python wrapper) over n_h, on every Python: the builtin ``sum`` is
-    compensated from Python 3.12 on.  Adding 0.0 makes an all ``-0.0``
-    selection sum to 0.0, as ``sum`` does.
+    Both oracles take their sample means from here.  Each mean is the
+    left-to-right sum of the selected values (the last running sum of
+    ``np.add.accumulate``, which is ``np.cumsum`` without its Python
+    wrapper) over n_h, on every Python: the builtin ``sum`` is compensated
+    from Python 3.12 on.  Adding 0.0 makes an all ``-0.0`` selection sum
+    to 0.0, as ``sum`` does.
     """
+    idx = np.asarray(idx)
     n = stratum.small_n
-    return (
-        (float(np.add.accumulate(stratum.y.take(idx))[-1]) + 0.0) / n,
-        (float(np.add.accumulate(stratum.x.take(idx))[-1]) + 0.0) / n,
-    )
-
-
-def _sample(
-    weights: Sequence[float],
-    index_sets: tuple[tuple[int, ...], ...],
-    means: Sequence[tuple[float, float]],
-) -> Sample:
-    """The sample with per-stratum ``means`` (ybar_h, xbar_h) combined by ``weights``."""
-    ybars, xbars = zip(*means)
-    return (
-        index_sets,
-        math.fsum(w * yb for w, yb in zip(weights, ybars)),
-        math.fsum(w * xb for w, xb in zip(weights, xbars)),
-    )
+    # .T[-1] is the last running sum: a scalar for one index set, an array
+    # of one per row for a 2-D idx.
+    ysum = np.add.accumulate(stratum.y.take(idx), axis=-1).T[-1]
+    xsum = np.add.accumulate(stratum.x.take(idx), axis=-1).T[-1]
+    return (ysum + 0.0) / n, (xsum + 0.0) / n
 
 
 @dataclass(frozen=True)
@@ -102,20 +99,56 @@ class ExactDesignDistribution:
     def size(self) -> int:
         return math.prod(self.stratum_space_sizes)
 
-    def __iter__(self) -> Iterator[Sample]:
-        """Yield every joint sample once, lexicographically per stratum."""
+    def _combinations(self) -> list[Iterator[tuple[int, ...]]]:
+        """Each stratum's n_h-subsets of its unit indices, lexicographically."""
+        return [combinations(range(s.capital_n), s.small_n) for s in self.population.strata]
+
+    def _index_sets(self, position: int) -> tuple[tuple[int, ...], ...]:
+        """The index sets of the joint sample at ``position`` in enumeration order."""
+        ranks = np.unravel_index(position, self.stratum_space_sizes)
+        return tuple(
+            next(islice(combos, int(rank), None))
+            for combos, rank in zip(self._combinations(), ranks)
+        )
+
+    def _weighted_means(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per stratum, W_h * ybar_h and W_h * xbar_h over every combination,
+        lexicographically; the combinations are taken ``BLOCK`` at a time."""
         pop = self.population
-        weights = pop.weights
-        per_stratum = [
-            [
-                (idx, stratum_means(s, idx))
-                for idx in combinations(range(s.capital_n), s.small_n)
-            ]
-            for s in pop.strata
-        ]
-        for picks in product(*per_stratum):
-            index_sets, means = zip(*picks)
-            yield _sample(weights, index_sets, means)
+        out = []
+        for w, s, combos, size in zip(
+            pop.weights, pop.strata, self._combinations(), self.stratum_space_sizes
+        ):
+            wy, wx = np.empty(size), np.empty(size)
+            for start in range(0, size, BLOCK):
+                rows = min(BLOCK, size - start)
+                idx = np.fromiter(
+                    chain.from_iterable(islice(combos, rows)), np.intp, rows * s.small_n
+                )
+                ybars, xbars = stratum_means(s, idx.reshape(rows, s.small_n))
+                np.multiply(w, ybars, out=wy[start : start + rows])
+                np.multiply(w, xbars, out=wx[start : start + rows])
+            out.append((wy, wx))
+        return out
+
+    def _mean_blocks(self) -> Iterator[tuple[list[float], list[float]]]:
+        """(ybar_st values, xbar_st values) of every joint sample, ``BLOCK``
+        samples at a time, in enumeration order: ``itertools.product`` of the
+        strata's combinations, the last stratum varying fastest.  Each is the
+        ``math.fsum`` of the weighted stratum means."""
+        wys, wxs = zip(*self._weighted_means())
+        size, sizes = self.size, self.stratum_space_sizes
+        for start in range(0, size, BLOCK):
+            picks = np.unravel_index(np.arange(start, min(start + BLOCK, size)), sizes)
+            ys = [wy.take(p).tolist() for wy, p in zip(wys, picks)]
+            xs = [wx.take(p).tolist() for wx, p in zip(wxs, picks)]
+            yield list(map(math.fsum, zip(*ys))), list(map(math.fsum, zip(*xs)))
+
+    def __iter__(self) -> Iterator[Sample]:
+        """Yield every joint sample once, in enumeration order."""
+        index_sets = product(*self._combinations())
+        for ybars, xbars in self._mean_blocks():
+            yield from zip(islice(index_sets, len(ybars)), ybars, xbars)
 
 
 def exact_expectation(
@@ -132,10 +165,9 @@ def exact_expectation(
     sum leaves the float range.
     """
     dist = ExactDesignDistribution(pop, limit)
-    values = (statistic(ybar_st, xbar_st) for _, ybar_st, xbar_st in dist)
     parts: list[float] = []
-    while block := list(islice(values, BLOCK)):
-        parts = fold(parts + block)
+    for ybars, xbars in dist._mean_blocks():
+        parts = fold(parts + [statistic(y, x) for y, x in zip(ybars, xbars)])
     total = fsum(parts)
     if not math.isfinite(total):
         raise ComputationError(
@@ -152,12 +184,14 @@ def exact_bias_mse(
 ) -> list[tuple[float, float]]:
     """Exact (bias, MSE) of each estimator under the design, in ``specs`` order.
 
-    One pass over the sample space evaluates every estimator on each sample.
-    The deviations t - Ybar, taken directly to avoid cancellation in the
-    bias, are held for ``BLOCK`` samples, then folded with their squares
-    into exact running sums: memory does not grow with the space.
-    Aborts, naming the estimator and the sample, if an estimator fails
-    anywhere on the sample space: exactness certifies, it does not skip.
+    One pass over the sample space evaluates every estimator on each sample,
+    one estimator at a time over a block of ``BLOCK`` samples.  The
+    deviations t - Ybar, taken directly to avoid cancellation in the bias,
+    are folded with their squares into exact running sums block by block:
+    memory does not grow with the space.
+    Aborts if an estimator fails anywhere on the sample space, naming the
+    first failing sample in enumeration order and the first estimator in
+    ``specs`` order that fails on it: exactness certifies, it does not skip.
     Aborts, naming the estimator, if a bias or MSE is not finite; a
     squared deviation that overflows leaves its sum non-finite.
     """
@@ -165,23 +199,30 @@ def exact_bias_mse(
     size = dist.size
     ybar_pop = pop.grand_y_mean
     xbar_pop = pop.grand_x_mean
-    block: list[float] = []  # d = t - Ybar, sample by sample, in specs order
     sums = [([], []) for _ in specs]  # exact parts of the sums of d and d * d
-    for count, (index_sets, ybar_st, xbar_st) in enumerate(dist, 1):
-        for spec in specs:
-            try:
-                t = estimate(spec, ybar_st, xbar_st, xbar_pop)
-            except ComputationError as exc:
-                raise ComputationError(
-                    f"estimator {spec.label()} failed on sample with index sets "
-                    f"{index_sets}: {exc}"
-                ) from exc
-            block.append(t - ybar_pop)
-        if count % BLOCK == 0 or count == size:
-            for k, (d_parts, d2_parts) in enumerate(sums):
-                d = block[k :: len(specs)]
-                sums[k] = (fold(d_parts + d), fold(d2_parts + [x * x for x in d]))
-            block.clear()
+    start = 0
+    for ybars, xbars in dist._mean_blocks():
+        try:
+            block = [
+                [estimate(spec, y, x, xbar_pop) - ybar_pop for y, x in zip(ybars, xbars)]
+                for spec in specs
+            ]
+        except ComputationError:
+            # Scan the block again sample by sample to name the first failure.
+            for offset, (y, x) in enumerate(zip(ybars, xbars)):
+                for spec in specs:
+                    try:
+                        estimate(spec, y, x, xbar_pop)
+                    except ComputationError as exc:
+                        raise ComputationError(
+                            f"estimator {spec.label()} failed on sample with index "
+                            f"sets {dist._index_sets(start + offset)}: {exc}"
+                        ) from exc
+            raise
+        for k, d in enumerate(block):
+            d_parts, d2_parts = sums[k]
+            sums[k] = (fold(d_parts + d), fold(d2_parts + [x * x for x in d]))
+        start += len(ybars)
     results = [(fsum(d) / size, fsum(d2) / size) for d, d2 in sums]
     for spec, (b, m) in zip(specs, results):
         if not (math.isfinite(b) and math.isfinite(m)):
@@ -241,10 +282,12 @@ def draw_sample(pop: StratifiedPopulation, seed: int, rep: int) -> Sample:
             chosen.append(moved.get(j, j))
             moved[j] = moved.get(i, i)
         index_sets.append(tuple(chosen))
-    return _sample(
-        pop.weights,
+    means = [stratum_means(s, sel) for s, sel in zip(pop.strata, index_sets)]
+    weights = pop.weights
+    return (
         tuple(index_sets),
-        [stratum_means(s, sel) for s, sel in zip(pop.strata, index_sets)],
+        math.fsum(w * yb for w, (yb, _) in zip(weights, means)),
+        math.fsum(w * xb for w, (_, xb) in zip(weights, means)),
     )
 
 

@@ -180,7 +180,9 @@ class TestPipeline:
         )
         report = run(base_config(verify="exact"))
         assert len(report.rows) == 4
-        assert len(calls) == math.comb(6, 3) + math.comb(7, 3)  # N = (6, 7), n = (3, 3)
+        # One call per stratum, N = (6, 7), n = (3, 3): a row per combination.
+        rows = [(s.id, len(idx)) for s, idx in calls]
+        assert rows == [("A", math.comb(6, 3)), ("B", math.comb(7, 3))]
 
     def test_mc_starts_no_thread(self, monkeypatch):
         import threading

@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import operator
 import tracemalloc
 from fractions import Fraction as F
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -24,6 +26,33 @@ from stratexp.verify import (
 )
 
 from helpers import make_population, mc_report_without_workers
+
+
+def reference_samples(pop):
+    """The joint samples written out one by one: ``product`` of each
+    stratum's ``combinations``, stratum means summed left to right with
+    ``reduce`` (plus 0.0, so an all -0.0 selection gives 0.0), and their
+    weighted sum by ``math.fsum``."""
+    per_stratum = []
+    for s in pop.strata:
+        ys, xs = s.y.tolist(), s.x.tolist()
+        per_stratum.append([
+            (
+                idx,
+                (reduce(operator.add, [ys[i] for i in idx]) + 0.0) / s.small_n,
+                (reduce(operator.add, [xs[i] for i in idx]) + 0.0) / s.small_n,
+            )
+            for idx in itertools.combinations(range(s.capital_n), s.small_n)
+        ])
+    for picks in itertools.product(*per_stratum):
+        yield (
+            tuple(idx for idx, _, _ in picks),
+            math.fsum(w * yb for w, (_, yb, _) in zip(pop.weights, picks)),
+            math.fsum(w * xb for w, (_, _, xb) in zip(pop.weights, picks)),
+        )
+
+
+VALUES = st.one_of(st.sampled_from([-0.0, 1e16, 1.0, -1e16]), st.floats(-100.0, 100.0))
 
 
 class TestEnumeration:
@@ -76,6 +105,34 @@ class TestEnumeration:
         assert stratum_means(stratum, (0, 1, 2)) == (0.0, 2.0)
         ybar, xbar = stratum_means(stratum, (3, 4, 5))
         assert math.copysign(1.0, ybar) == 1.0 and xbar == 5.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        strata=st.lists(
+            st.integers(2, 5).flatmap(
+                lambda cap: st.tuples(
+                    st.lists(VALUES, min_size=cap, max_size=cap),
+                    st.lists(VALUES, min_size=cap, max_size=cap),
+                    st.integers(1, cap - 1),
+                )
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        block=st.sampled_from([1, 3, 1024]),
+    )
+    @example(strata=[([1e16, 1.0, -1e16, -0.0], [-0.0, -0.0, 1.0, 1e16], 2)], block=1024)
+    def test_samples_have_the_bits_of_the_scalar_reference(self, strata, block):
+        """The array means, combined block by block, give each sample the
+        index sets and the bits of the sample-by-sample reference."""
+        pop = make_population(*((f"S{h}", xs, ys, n) for h, (xs, ys, n) in enumerate(strata)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "BLOCK", block)
+            got = list(ExactDesignDistribution(pop))
+        want = list(reference_samples(pop))
+        assert [idx for idx, _, _ in got] == [idx for idx, _, _ in want]
+        for (_, y, x), (_, y_ref, x_ref) in zip(got, want):
+            assert (y.hex(), x.hex()) == (y_ref.hex(), x_ref.hex())
 
     def test_expectation_is_exactly_rounded(self, synthetic):
         """700 samples, 140 of each value: the exact sum is 140.  Summing in
@@ -172,8 +229,33 @@ class TestExactBiasMse:
     def test_degenerate_sample_aborts_with_description(self):
         """x = {-3, 1, 2, 4} has mean 1; the sample {-3, 1} hits the pole."""
         pop = make_population(("A", [-3, 1, 2, 4], [1, 2, 3, 4], 2))
-        with pytest.raises(ComputationError, match=r"index sets"):
+        with pytest.raises(ComputationError) as info:
             exact_bias_mse(pop, [t1s()])
+        assert str(info.value) == (
+            "estimator t1s failed on sample with index sets ((0, 1),): "
+            "degenerate auxiliary configuration: Xbar + xbar_st = 0"
+        )
+
+    @pytest.mark.parametrize("block", [1024, 4, 1])
+    @pytest.mark.parametrize(
+        "specs, named",
+        [
+            # t3s(1e6) overflows on the first sample, t3s(-1e6) only on the
+            # seventh: the first failing sample is named, not the first spec.
+            ([t3s(-1e6), t3s(1e6)], "t3s(alpha=1e+06) failed on sample with index sets ((0, 1),)"),
+            ([t3s(-1e6)], "t3s(alpha=-1e+06) failed on sample with index sets ((1, 4),)"),
+        ],
+    )
+    def test_failure_names_the_first_sample_then_the_first_estimator(
+        self, monkeypatch, block, specs, named
+    ):
+        """x = y = 1..5, n = 2: samples with xbar_st < 3 overflow alpha = 1e6,
+        those with xbar_st > 3 overflow alpha = -1e6."""
+        monkeypatch.setattr(verify, "BLOCK", block)
+        pop = make_population(("A", [1, 2, 3, 4, 5], [1, 2, 3, 4, 5], 2))
+        with pytest.raises(ComputationError) as info:
+            exact_bias_mse(pop, specs)
+        assert str(info.value).startswith(f"estimator {named}: estimator ")
 
     @pytest.mark.parametrize("block", [699, 700, 701, 64])
     def test_sums_have_the_bits_of_fsum_over_the_enumeration(self, synthetic, monkeypatch, block):
@@ -183,7 +265,7 @@ class TestExactBiasMse:
         specs = [t1s(), t2s(), t3s(-7.5), t4s(2.5), t3s(100.0)]
         ybar, xbar = synthetic.grand_y_mean, synthetic.grand_x_mean
         for spec, (bias_e, mse_e) in zip(specs, exact_bias_mse(synthetic, specs)):
-            d = [estimate(spec, y, x, xbar) - ybar for _, y, x in ExactDesignDistribution(synthetic)]
+            d = [estimate(spec, y, x, xbar) - ybar for _, y, x in reference_samples(synthetic)]
             assert bias_e.hex() == (math.fsum(d) / 700).hex(), spec
             assert mse_e.hex() == (math.fsum([v * v for v in d]) / 700).hex(), spec
 
@@ -209,6 +291,21 @@ class TestExactBiasMse:
         large = make_population(*strata)
         assert ExactDesignDistribution(large).size == 10 * ExactDesignDistribution(small).size
         assert peak(large) < peak(small) + 32 * 1024
+
+    def test_memory_near_one_large_stratum(self):
+        """One stratum, N = 30 and n = 5: 142 506 samples.  A Python tuple
+        per combination took about 35 MB; two float arrays take 2.3 MB."""
+        xs = [float(1 + 7 * u % 13) for u in range(30)]
+        ys = [float(2 + u * u % 17) for u in range(30)]
+        pop = make_population(("A", xs, ys, 5))
+        assert ExactDesignDistribution(pop).size == 142506
+        tracemalloc.start()
+        try:
+            exact_bias_mse(pop, [t1s()])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 1024 * 1024
 
     def test_squared_deviation_overflow_names_the_estimator(self, synthetic):
         """alpha = 12000: every estimate is finite, but d * d overflows, so
