@@ -23,16 +23,15 @@ float range, and a row whose exact sum is zero, whose sign is
 ``math.fsum``'s own rule for signed zeros.
 
 ``row_means(rows)`` takes each row's correctly rounded mean from the same
-exact parts: the exactly rounded sum over N, corrected by the exactly
-rounded residual ``S - N * m``.  ``fold(values)`` keeps an exact running
-sum in a few floats, and ``fsum`` is ``math.fsum`` with ``inf`` where it
-raises.
+exact parts: folded to a few floats, they are one integer over a power of
+two, and Python's ``int / int`` rounds that over N correctly, ties to
+even.  ``fold(values)`` keeps an exact running sum in a few floats, and
+``fsum`` is ``math.fsum`` with ``inf`` where it raises.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -109,24 +108,6 @@ def exact_parts(rows: Sequence[np.ndarray]) -> list[list[float]]:
     ]
 
 
-def exact_product(n: int, m: float) -> list[float]:
-    """Floats whose exact sum is ``n * m``, for an integer ``n >= 1`` and a
-    finite ``m``.
-
-    ``m``'s mantissa is cut into a 26-bit and a 27-bit part, and ``n`` into
-    26-bit digits; each digit times each part is exact in a float.
-    """
-    mant, exp = math.frexp(m)
-    high = math.floor(mant * 2**26) / 2**26
-    low = mant - high
-    terms = []
-    while n:
-        n, digit = divmod(n, 2**26)
-        terms += [math.ldexp(digit * high, exp), math.ldexp(digit * low, exp)]
-        exp += 26
-    return terms
-
-
 def _parts_sum(parts: list[float], row: np.ndarray) -> float:
     """The exactly rounded sum of ``row``, given its ``exact_parts``.
 
@@ -148,46 +129,30 @@ def row_sums(rows: Sequence[np.ndarray]) -> list[float]:
 def row_means(rows: Sequence[np.ndarray]) -> list[float]:
     """The correctly rounded mean of each row, ties to even.
 
-    ``m = S / N`` for the exactly rounded row sum S is corrected once,
-    ``m += fl(S - N * m) / N``, the residual being one exactly rounded sum
-    of the row's ``exact_parts`` and of ``-N * m`` (``exact_product``).  No
-    deviation ``row - m`` is rounded before it is summed.  Only where the
-    exact mean lies near the midpoint between m and a neighbouring float
-    is it taken as a ``Fraction`` and rounded from there.
+    The row's ``exact_parts``, folded to a few floats, are written as one
+    integer over their common power-of-two denominator D, and Python's
+    ``int / int`` divides it by ``D * N``, correctly rounded.  No deviation
+    ``row - m`` is rounded before it is summed, and a zero sum gives 0.0.
 
     A mean is ``inf`` or ``nan`` where the row sum leaves the float range,
-    and ``inf`` where a deviation ``row - m`` would.  Where ``N * m`` itself
-    rounds past the float range, ``m = S / N`` is not corrected.
+    and ``inf`` where a deviation ``row - m`` would.
     """
     n = len(rows[0])
     means = []
-    for parts, row in zip(exact_parts(rows), rows):
-        m = _parts_sum(parts, row) / n
+    for parts in exact_parts(rows):
+        folded = fold(parts)
+        m = folded[0]  # the exactly rounded sum: inf or nan if not finite
         if math.isfinite(m):
-            try:
-                m = _round_mean(parts, n, m)
-            except OverflowError:  # N * m rounds past the float range: keep S / N
-                pass
+            numerator, denominator = 0, 1
+            for a, b in map(float.as_integer_ratio, folded):
+                # powers of two: the larger denominator is a multiple of the other
+                if b > denominator:
+                    numerator, denominator = numerator * (b // denominator), b
+                numerator += a * (denominator // b)
+            m = numerator / (denominator * n)
             # the parts are the row itself, or the buckets of a row whose
             # entries, and so its deviations, are far inside the float range
             if not (math.isfinite(max(parts) - m) and math.isfinite(min(parts) - m)):
                 m = math.inf
         means.append(m)
     return means
-
-
-def _round_mean(parts: list[float], n: int, m0: float) -> float:
-    """The float nearest the exact ``sum(parts) / n``, from ``m0 = S / n``."""
-    residual = fsum(parts + exact_product(n, -m0))
-    m = m0 + residual / n
-    if not residual:  # m0 is the exact mean
-        return m
-    # the exact mean lies ``offset`` from m, to about 2**-48 of ``gap``:
-    # m0 - m is exact, the two being within a few ulps
-    offset = (m0 - m) + residual / n
-    gap = abs(math.nextafter(m, math.copysign(math.inf, offset)) - m)
-    if 2.0 * abs(offset) < gap * (1.0 - 2.0**-20) and gap >= 2.0**-1000:
-        return m
-    # Near or past a rounding midpoint, or so small that residual / n lost
-    # bits to underflow: the exact mean, rounded by Python, ties to even.
-    return float(sum(map(Fraction, parts), Fraction(0)) / n)

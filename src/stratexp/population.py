@@ -6,13 +6,12 @@ planned SRSWOR sample size ``n_h`` with 1 <= n_h < N_h; its size ``N_h``
 is the column length.  Stratum weights are ``W_h = N_h / N`` so that the
 stratified sample mean is design-unbiased for the grand mean.
 
-A stratum mean is the exact mean correctly rounded: ``m = S / N`` for the
-exactly rounded column sum S, corrected by the exactly rounded residual,
-``m += fl(S - N * m) / N``, with S and ``N * m`` taken exactly, and near a
-rounding midpoint decided by the exact residual
-(:func:`stratexp.exactsum.row_means`).  The correction makes the mean of a
-constant column that constant exactly, so its deviations, and every
-central moment that involves it, are exactly zero.
+A stratum mean is the exact mean correctly rounded, ties to even: the
+column's exact sum as one integer over a power of two, divided by N with
+Python's correctly rounded ``int / int``
+(:func:`stratexp.exactsum.row_means`).  So the mean of a constant column
+is that constant exactly, and its deviations, and every central moment
+that involves it, are exactly zero.
 :mod:`stratexp.moments` computes the central moments from these means.
 
 ``load_population_file`` reads the file's bytes once and decides on them

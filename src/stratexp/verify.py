@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -113,13 +113,23 @@ class ExactDesignDistribution:
 
     def _weighted_means(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per stratum, W_h * ybar_h and W_h * xbar_h over every combination,
-        lexicographically; the combinations are taken ``BLOCK`` at a time."""
+        lexicographically; the combinations are taken ``BLOCK`` at a time.
+
+        Arrays that cannot be allocated are a :class:`ComputationError`
+        naming the stratum and its combination count.
+        """
         pop = self.population
         out = []
         for w, s, combos, size in zip(
             pop.weights, pop.strata, self._combinations(), self.stratum_space_sizes
         ):
-            wy, wx = np.empty(size), np.empty(size)
+            try:
+                wy, wx = np.empty(size), np.empty(size)
+            except (ValueError, MemoryError) as exc:
+                raise ComputationError(
+                    f"stratum {s.id!r}: cannot allocate the means of its {size} "
+                    f"combinations: {exc}"
+                ) from None
             for start in range(0, size, BLOCK):
                 rows = min(BLOCK, size - start)
                 idx = np.fromiter(
@@ -144,9 +154,21 @@ class ExactDesignDistribution:
             xs = [wx.take(p).tolist() for wx, p in zip(wxs, picks)]
             yield list(map(math.fsum, zip(*ys))), list(map(math.fsum, zip(*xs)))
 
+    def _joint_index_sets(self, h: int = 0) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """The index sets of strata h onward for every joint sample, in
+        enumeration order; each stratum's combinations are walked lazily,
+        not held, so memory does not grow with their count."""
+        strata = self.population.strata
+        if h == len(strata):
+            yield ()
+            return
+        for combo in combinations(range(strata[h].capital_n), strata[h].small_n):
+            for rest in self._joint_index_sets(h + 1):
+                yield (combo, *rest)
+
     def __iter__(self) -> Iterator[Sample]:
         """Yield every joint sample once, in enumeration order."""
-        index_sets = product(*self._combinations())
+        index_sets = self._joint_index_sets()
         for ybars, xbars in self._mean_blocks():
             yield from zip(islice(index_sets, len(ybars)), ybars, xbars)
 

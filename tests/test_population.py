@@ -242,9 +242,9 @@ def exact_mean(values) -> Fraction:
 
 
 class TestMeans:
-    """A stratum mean is the exact mean correctly rounded: ``S / N`` plus
-    the exactly rounded residual ``(S - N * m) / N``, with S the exact
-    column sum, and the exact residual near a rounding midpoint."""
+    """A stratum mean is the exact mean correctly rounded: the exact column
+    sum as one integer over a power of two, divided by N with Python's
+    correctly rounded ``int / int``."""
 
     def test_near_cancelling_column(self):
         """The exact mean of these five values is 1e-99.  Rounding each

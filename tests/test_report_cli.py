@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import warnings
 
 import pytest
@@ -763,6 +764,23 @@ class TestCli:
             f"stratexp: computation failed: ComputationError: cannot allocate {replicates} "
             "Monte Carlo replicates"
         )
+
+    def test_unallocatable_combination_means_exit_two(self, capsys, tmp_path):
+        """C(100, 20) combination means are more than NumPy can index: exit
+        2, naming the stratum and the count, with no traceback."""
+        pop = tmp_path / "big.csv"
+        pop.write_text("stratum,x,y\n" + "".join(f"A,{u},{u * u % 17}\n" for u in range(1, 101)))
+        code = main([
+            "--population", str(pop), "--n", "A=20",
+            "--verify", "exact", "--max-enum", str(10**21),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(
+            "stratexp: computation failed: ComputationError: stratum 'A': cannot "
+            f"allocate the means of its {math.comb(100, 20)} combinations"
+        )
+        assert "Traceback" not in err
 
     def test_optimize_flag_upgrades_bare_requests(self, capsys):
         code = main([

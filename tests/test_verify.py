@@ -292,13 +292,19 @@ class TestExactBiasMse:
         assert ExactDesignDistribution(large).size == 10 * ExactDesignDistribution(small).size
         assert peak(large) < peak(small) + 32 * 1024
 
-    def test_memory_near_one_large_stratum(self):
-        """One stratum, N = 30 and n = 5: 142 506 samples.  A Python tuple
-        per combination took about 35 MB; two float arrays take 2.3 MB."""
+    @staticmethod
+    def one_large_stratum():
+        """One stratum, N = 30 and n = 5: 142 506 samples."""
         xs = [float(1 + 7 * u % 13) for u in range(30)]
         ys = [float(2 + u * u % 17) for u in range(30)]
         pop = make_population(("A", xs, ys, 5))
         assert ExactDesignDistribution(pop).size == 142506
+        return pop
+
+    def test_memory_near_one_large_stratum(self):
+        """A Python tuple per combination took about 35 MB; two float arrays
+        take 2.3 MB."""
+        pop = self.one_large_stratum()
         tracemalloc.start()
         try:
             exact_bias_mse(pop, [t1s()])
@@ -306,6 +312,34 @@ class TestExactBiasMse:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 1024 * 1024
+
+    def test_iteration_memory_near_one_large_stratum(self):
+        """Walking every sample: ``itertools.product`` held each combination
+        as a tuple, about 15 MB; the lazy walk holds the two float arrays
+        and one block."""
+        dist = ExactDesignDistribution(self.one_large_stratum())
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in dist)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 142506
+        assert peak < 4 * 1024 * 1024
+
+    def test_unallocatable_combination_means(self, synthetic, monkeypatch):
+        """A MemoryError from a stratum's arrays of combination means is a
+        ComputationError naming the stratum and its combination count.  The
+        refusal is simulated: a real one may instead page in."""
+        def refuse(size, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate {8 * size} bytes")
+
+        monkeypatch.setattr(verify.np, "empty", refuse)
+        with pytest.raises(
+            ComputationError,
+            match=r"^stratum 'A': cannot allocate the means of its 20 combinations: Unable",
+        ):
+            exact_bias_mse(synthetic, [t1s()])
 
     def test_squared_deviation_overflow_names_the_estimator(self, synthetic):
         """alpha = 12000: every estimate is finite, but d * d overflows, so
