@@ -184,6 +184,43 @@ class TestRowMeans:
         row = np.resize([8e307, -8e307], length)
         assert row_means(np.stack((row, -row))) == [8e307 / length, -8e307 / length]
 
+    @pytest.mark.parametrize("keep_sign", [False, True])
+    @pytest.mark.parametrize("length", [5, 301])
+    def test_zero_sums_give_positive_zero(self, length, keep_sign):
+        """Whether or not math.fsum keeps the sign of an all -0.0 input, a
+        zero sum gives 0.0."""
+        fsum = math.fsum
+
+        def signed_fsum(values):
+            values = list(values)
+            if values and all(math.copysign(1.0, v) < 0 and v == 0 for v in values):
+                return -0.0
+            return fsum(values)
+
+        mixed = np.full(length, -0.0)
+        mixed[::2] = 0.0
+        cancelling = np.resize([-1e300, 1e300], length)
+        cancelling[-1] = -0.0
+        block = np.stack((np.full(length, -0.0), mixed, cancelling, -cancelling))
+        with mock.patch.object(exactsum.math, "fsum", signed_fsum if keep_sign else fsum):
+            assert [v.hex() for v in row_means(block)] == ["0x0.0p+0"] * 4
+
+    @pytest.mark.parametrize("length", [5, 301])
+    def test_sums_past_the_float_range_give_the_fsum_value(self, length):
+        """inf, -inf and nan pass through; a sum that math.fsum cannot give
+        (past the range, or inf - inf) is inf, as in row_sums."""
+        block = np.ones((6, length))
+        block[0, 1] = math.inf
+        block[1, 2] = -math.inf
+        block[2, 3] = math.nan
+        block[3, :2] = (math.inf, -math.inf)
+        block[4, :2] = (1.7976931348623157e308, 1e308)
+        block[5, :2] = (-1.7976931348623157e308, -1e308)
+        got = row_means(block)
+        for row, mean in zip(block, got):
+            assert same_bits(mean, reference(row)), (mean, reference(row))
+        assert [v for v in got if not math.isnan(v)] == [math.inf, -math.inf] + [math.inf] * 3
+
     def test_means_once_one_ulp_off_are_correctly_rounded(self):
         """In this stream, trials 180 and 1140 (among others) were one ulp
         off: the exact mean lay just below a rounding midpoint, and rounding
