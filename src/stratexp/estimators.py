@@ -12,13 +12,19 @@ scale ybar_st by an exponential factor:
 
 so T3S(1) == T1S, T3S(-1) == T2S, T3S(0) == ybar_st, and T4S interpolates
 the first two literally (no algebraic simplification).
+
+The first three share one branch, ``ybar_st * exp(rate * z)``: each
+``EstimatorSpec`` carries its exponent rate, 1.0, -1.0 or alpha, computed
+once when it is made.  The bits are those of the three formulas, since
+``1.0 * z == z`` and ``-1.0 * z == -z`` hold exactly for every float.
+T4S has no single rate and keeps its literal mixture.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+from math import exp, inf, isfinite
 
 from .errors import ComputationError, DegenerateAuxiliaryError
 
@@ -47,7 +53,12 @@ def format_constant(value: float) -> str:
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """An estimator kind plus its tuning constant, for the kinds that take one."""
+    """An estimator kind plus its tuning constant, for the kinds that take one.
+
+    ``rate`` is the exponent rate of T1S-T3S (1.0, -1.0 or alpha) and None
+    for T4S.  It is set once here and is not a field, so ``==``, ``hash``
+    and ``repr`` see only the kind and the constant.
+    """
 
     kind: EstimatorKind
     parameter: float | None = None
@@ -57,6 +68,10 @@ class EstimatorSpec:
         if (self.parameter is None) != (name is None):
             wanted = f"a tuning constant {name}" if name else "no tuning constant"
             raise ValueError(f"{self.kind.value} takes {wanted}")
+        rates = {
+            EstimatorKind.T1S: 1.0, EstimatorKind.T2S: -1.0, EstimatorKind.T3S: self.parameter
+        }
+        object.__setattr__(self, "rate", rates.get(self.kind))
 
     def label(self) -> str:
         if self.parameter is None:
@@ -97,21 +112,17 @@ def estimate(
             "degenerate auxiliary configuration: Xbar + xbar_st = 0"
         )
     z = (xbar_pop - xbar_st) / denom
-    kind = spec.kind
+    rate = spec.rate
     try:
-        if kind is EstimatorKind.T1S:
-            t = ybar_st * math.exp(z)
-        elif kind is EstimatorKind.T2S:
-            t = ybar_st * math.exp(-z)
-        elif kind is EstimatorKind.T3S:
-            t = ybar_st * math.exp(spec.parameter * z)
+        if rate is not None:
+            t = ybar_st * exp(rate * z)
         else:
             # T4S: the literal mixture of the two exponential branches
             theta = spec.parameter
-            t = theta * ybar_st * math.exp(z) + (1.0 - theta) * ybar_st * math.exp(-z)
+            t = theta * ybar_st * exp(z) + (1.0 - theta) * ybar_st * exp(-z)
     except OverflowError:
-        t = math.inf
-    if not math.isfinite(t):
+        t = inf
+    if not isfinite(t):
         raise ComputationError(
             f"estimator {spec.label()} overflows the float range (z = {z!r})"
         )

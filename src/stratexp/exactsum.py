@@ -75,9 +75,9 @@ def exact_parts(rows: Sequence[np.ndarray]) -> list[list[float]]:
 
     ``rows`` is a 2-D float64 array or a sequence of equal-length float64
     columns.  A row that the kernel does not take is returned as its own
-    entries.
+    entries, and no rows give no parts.
     """
-    if not _takes_kernel(len(rows[0])):
+    if not len(rows) or not _takes_kernel(len(rows[0])):
         return [row.tolist() for row in rows]
     block = np.array(rows, dtype=np.float64)  # a fresh copy, split in place
     exps = np.frexp(block, out=(block, np.empty(block.shape, np.intc)))[1]

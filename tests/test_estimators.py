@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stratexp.errors import ComputationError, DegenerateAuxiliaryError
 from stratexp.estimators import (
@@ -76,6 +78,66 @@ class TestPointValues:
         with pytest.raises(ComputationError, match=r"estimator t[34]s\(.*\) overflows") as info:
             estimate(spec, 9.0, 2.0, 4.0)
         assert not isinstance(info.value, DegenerateAuxiliaryError)
+
+
+def formula(spec, ybar_st, xbar_st, xbar_pop):
+    """The module docstring's formulas written out, T4S left to right as the
+    literal mixture; None where the value is not a finite float."""
+    z = (xbar_pop - xbar_st) / (xbar_pop + xbar_st)
+    try:
+        if spec.kind is EstimatorKind.T1S:
+            t = ybar_st * math.exp(z)
+        elif spec.kind is EstimatorKind.T2S:
+            t = ybar_st * math.exp(-z)
+        elif spec.kind is EstimatorKind.T3S:
+            t = ybar_st * math.exp(spec.parameter * z)
+        else:
+            theta = spec.parameter
+            t = theta * ybar_st * math.exp(z) + (1.0 - theta) * ybar_st * math.exp(-z)
+    except OverflowError:
+        return None
+    return t if math.isfinite(t) else None
+
+
+MEANS = st.one_of(st.sampled_from([0.0, -0.0, 2.0, -2.0]), st.floats(-1e6, 1e6))
+CONSTANTS = st.one_of(st.sampled_from([1e6, -1e6, 1e300]), st.floats(-50.0, 50.0))
+SPECS = st.one_of(
+    st.sampled_from([t1s(), t2s()]),
+    st.builds(t3s, CONSTANTS),
+    st.builds(t4s, st.one_of(CONSTANTS, st.just(1e308))),
+)
+
+
+class TestFormulas:
+    @given(SPECS, MEANS, MEANS, MEANS)
+    @example(t2s(), 5.0, -2.0, -2.0)  # z = -0.0
+    @example(t2s(), 5.0, 2.0, 2.0)  # z = 0.0
+    @example(t3s(1e6), 9.0, 2.0, 4.0)  # exp overflows
+    @example(t3s(1e300), 9.0, 4.0 + 2**-50, 4.0)  # exp underflows to 0
+    @example(t4s(1e308), 9.0, 2.0, 4.0)  # the product overflows
+    @example(t1s(), 9.0, -4.0, 4.0)  # Xbar + xbar_st = 0
+    def test_estimate_has_the_bits_of_the_formulas(self, spec, ybar_st, xbar_st, xbar_pop):
+        if xbar_pop + xbar_st == 0.0:
+            with pytest.raises(DegenerateAuxiliaryError):
+                estimate(spec, ybar_st, xbar_st, xbar_pop)
+            return
+        want = formula(spec, ybar_st, xbar_st, xbar_pop)
+        if want is None:
+            with pytest.raises(ComputationError, match=r"overflows the float range") as info:
+                estimate(spec, ybar_st, xbar_st, xbar_pop)
+            assert not isinstance(info.value, DegenerateAuxiliaryError)
+        else:
+            assert estimate(spec, ybar_st, xbar_st, xbar_pop).hex() == want.hex()
+
+    def test_rate_is_not_a_field(self):
+        """Each spec's exponent rate; reading it changes neither equality,
+        hash nor repr, which see only the kind and the constant."""
+        spec = t3s(0.5)
+        assert [s.rate for s in (t1s(), t2s(), spec, t4s(0.5))] == [1.0, -1.0, 0.5, None]
+        same = EstimatorSpec(EstimatorKind.T3S, 0.5)
+        assert spec == same
+        assert hash(spec) == hash(same)
+        assert repr(spec) == "EstimatorSpec(kind=<EstimatorKind.T3S: 't3s'>, parameter=0.5)"
 
 
 class TestReductionIdentities:

@@ -151,6 +151,30 @@ class TestEnumeration:
         got = exact_expectation(synthetic, lambda y, x: next(given))
         assert got.hex() == (math.fsum(values) / 700).hex()
 
+    @pytest.mark.parametrize("keep_sign", [False, True])
+    @pytest.mark.parametrize("block", [255, 700])
+    def test_expectation_of_negative_zeros(self, synthetic, monkeypatch, block, keep_sign):
+        """Off and on the bucket kernel, which never gives a -0.0 part, a
+        sum of -0.0 alone follows math.fsum's sign rule; were it to keep the
+        sign of an all -0.0 input, the sum would keep it too."""
+        monkeypatch.setattr(verify, "BLOCK", block)
+        if keep_sign:
+            fsum = math.fsum
+
+            def signed_fsum(values):
+                values = list(values)
+                if values and all(math.copysign(1.0, v) < 0 and v == 0 for v in values):
+                    return -0.0
+                return fsum(values)
+
+            monkeypatch.setattr(math, "fsum", signed_fsum)
+        got = exact_expectation(synthetic, lambda y, x: -0.0)
+        assert got.hex() == (math.fsum([-0.0] * 700) / 700).hex()
+
+    def test_a_value_that_is_not_a_float_is_an_error(self, synthetic):
+        with pytest.raises(TypeError):
+            exact_expectation(synthetic, lambda y, x: None)
+
     @pytest.mark.parametrize(
         "statistic, error",
         [
@@ -257,10 +281,12 @@ class TestExactBiasMse:
             exact_bias_mse(pop, specs)
         assert str(info.value).startswith(f"estimator {named}: estimator ")
 
-    @pytest.mark.parametrize("block", [699, 700, 701, 64])
+    @pytest.mark.parametrize("block", [699, 700, 701, 64, 255, 256, 257])
     def test_sums_have_the_bits_of_fsum_over_the_enumeration(self, synthetic, monkeypatch, block):
         """The 700 samples of the bundled population fill one block but one
-        sample, exactly one block, one block and one sample, and 11 blocks."""
+        sample, exactly one block, one block and one sample, and 11 blocks;
+        then blocks of one sample below, at and above
+        ``exactsum.KERNEL_MIN_LENGTH``, each with a shorter last block."""
         monkeypatch.setattr(verify, "BLOCK", block)
         specs = [t1s(), t2s(), t3s(-7.5), t4s(2.5), t3s(100.0)]
         ybar, xbar = synthetic.grand_y_mean, synthetic.grand_x_mean
@@ -340,6 +366,9 @@ class TestExactBiasMse:
             match=r"^stratum 'A': cannot allocate the means of its 20 combinations: Unable",
         ):
             exact_bias_mse(synthetic, [t1s()])
+
+    def test_no_estimators(self, synthetic):
+        assert exact_bias_mse(synthetic, []) == []
 
     def test_squared_deviation_overflow_names_the_estimator(self, synthetic):
         """alpha = 12000: every estimate is finite, but d * d overflows, so
