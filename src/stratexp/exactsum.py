@@ -16,23 +16,25 @@ directly.  Long rows go through a vectorized bucket kernel:
 * ``math.fsum`` of a row's few bucket values is then its exact sum,
   correctly rounded.
 
-Rows where the kernel cannot be exact take ``math.fsum`` of the row itself,
-so ``inf`` and ``nan`` behave as they do there (``inf`` where ``math.fsum``
-raises): a row with a non-finite entry or an entry near the top of the
-float range, and a row whose exact sum is zero, whose sign is
-``math.fsum``'s own rule for signed zeros.
+``exact_parts(rows)`` gives those bucket values.  A row they cannot stand
+for comes back as its own entries, so ``math.fsum`` behaves as on the row
+(``inf`` where it raises): a row with an entry that is not finite or is
+near the top of the float range, and a row whose parts are all zero, since
+bucket parts are never -0.0 and a zero sum follows ``math.fsum``'s own
+rule for signed zeros.
 
-``row_means(rows)`` takes each row's correctly rounded mean from the same
-exact parts: folded to a few floats, they are one integer over a power of
-two, and Python's ``int / int`` rounds that over N correctly, ties to
-even.  ``fold(values)`` keeps an exact running sum in a few floats, and
+``block_sums(blocks)`` folds each block's parts into exact running sums.
+``row_means(rows)`` writes a row's parts, folded, as one integer over a
+power of two, which Python's ``int / int`` divides by N correctly rounded,
+ties to even.  ``fold`` keeps an exact running sum in a few floats, and
 ``fsum`` is ``math.fsum`` with ``inf`` where it raises.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from itertools import zip_longest
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,10 +47,6 @@ _KERNEL_MAX_LENGTH = 2**26
 # A bucket sums at most 2**26 terms of magnitude below 2**960, so its scaled
 # value and every partial sum of a row stay far inside the float range.
 _KERNEL_MAX_EXP = 960
-
-
-def _takes_kernel(length: int) -> bool:
-    return KERNEL_MIN_LENGTH <= length <= _KERNEL_MAX_LENGTH
 
 
 def fsum(values) -> float:
@@ -74,10 +72,10 @@ def exact_parts(rows: Sequence[np.ndarray]) -> list[list[float]]:
     """For each row, a list of floats whose exact sum is the row's exact sum.
 
     ``rows`` is a 2-D float64 array or a sequence of equal-length float64
-    columns.  A row that the kernel does not take is returned as its own
-    entries, and no rows give no parts.
+    columns.  A row that the kernel does not take, or whose parts are all
+    zero, is returned as its own entries, and no rows give no parts.
     """
-    if not len(rows) or not _takes_kernel(len(rows[0])):
+    if not len(rows) or not KERNEL_MIN_LENGTH <= len(rows[0]) <= _KERNEL_MAX_LENGTH:
         return [row.tolist() for row in rows]
     block = np.array(rows, dtype=np.float64)  # a fresh copy, split in place
     exps = np.frexp(block, out=(block, np.empty(block.shape, np.intc)))[1]
@@ -101,29 +99,28 @@ def exact_parts(rows: Sequence[np.ndarray]) -> list[list[float]]:
             ),
             axis=1,
         )
-        exact = (top <= _KERNEL_MAX_EXP) & np.isfinite(buckets).all(axis=1)
+        # all-zero parts would lose a zero sum's sign, which the row keeps
+        exact = (top <= _KERNEL_MAX_EXP) & np.isfinite(buckets).all(axis=1) & buckets.any(axis=1)
     return [
         parts if ok else row.tolist()
         for parts, ok, row in zip(buckets.tolist(), exact.tolist(), rows)
     ]
 
 
-def _parts_sum(parts: list[float], row: np.ndarray) -> float:
-    """The exactly rounded sum of ``row``, given its ``exact_parts``.
-
-    A zero sum is taken from the row itself: ``math.fsum`` gives the sign
-    of a zero sum by its own rule, which the parts do not carry.
-    """
-    total = fsum(parts)
-    return total if total else fsum(row.tolist())
-
-
 def row_sums(rows: Sequence[np.ndarray]) -> list[float]:
     """``fsum(row)`` for each of the equal-length float64 rows, with the
     same bits; see the module docstring."""
-    if not _takes_kernel(len(rows[0])):
-        return [fsum(row.tolist()) for row in rows]
-    return [_parts_sum(p, row) for p, row in zip(exact_parts(rows), rows)]
+    return [fsum(parts) for parts in exact_parts(rows)]
+
+
+def block_sums(blocks: Iterable[Sequence[np.ndarray]]) -> list[float]:
+    """For each row k, ``fsum`` of row k of every block concatenated, with
+    the same bits.  Each block goes through one ``exact_parts`` call and is
+    folded into exact running sums, so one block is held at a time."""
+    sums: list[list[float]] = []
+    for rows in blocks:
+        sums = [fold(s + p) for s, p in zip_longest(sums, exact_parts(rows), fillvalue=[])]
+    return [fsum(s) for s in sums]
 
 
 def row_means(rows: Sequence[np.ndarray]) -> list[float]:

@@ -327,8 +327,7 @@ PRINTED_SECOND_ORDER: dict[tuple[EstimatorKind, str], CoefficientTable] = {
 
 #: exponent-series coefficients of exp(-e1/(2+e1)): exact vs legacy values
 RATIO_SERIES_COEFFS_DERIVED: dict[int, Fraction] = {
-    3: Fraction(-13, 48),
-    4: Fraction(73, 384),
+    k: _multiplier(EstimatorKind.T1S)[k][0] for k in (3, 4)
 }
 RATIO_SERIES_COEFFS_PRINTED: dict[int, Fraction] = {
     3: Fraction(-7, 48),

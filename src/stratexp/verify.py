@@ -15,9 +15,9 @@ expectation is the exactly rounded sum over the space (the bits of
 approximation in this package is certified against.  Each stratum's
 combination means are built once, as arrays, by the same ``stratum_means``
 that Monte Carlo calls on one sample; the joint samples are then walked a
-block at a time, and every estimator is called once per sample.  A block's
-values, one row per sum, are reduced by one ``exactsum.exact_parts`` call
-and folded into exact running sums.  No Python object is kept per
+block at a time, and every estimator is called once per sample.  Each
+block's values, one row per sum, go to ``exactsum.block_sums``, which
+reduces them into exact running sums.  No Python object is kept per
 combination or per sample, so memory grows with the strata's combination
 counts, not with the joint space.
 
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ComputationError, DegenerateAuxiliaryError, EnumerationLimitError
 from .estimators import EstimatorSpec, estimate
-from .exactsum import exact_parts, fold, fsum
+from .exactsum import block_sums, fsum
 from .population import StratifiedPopulation, StratumPopulation
 
 DEFAULT_ENUM_LIMIT = 10**7
@@ -176,23 +176,6 @@ class ExactDesignDistribution:
             yield from zip(islice(index_sets, len(ybars)), ybars, xbars)
 
 
-def _fold_block(sums: list[list[float]], rows: Sequence[np.ndarray]) -> None:
-    """Fold row k of a block into the exact running sum ``sums[k]``, in place.
-
-    One ``exactsum.exact_parts`` call takes every row.  A row of fewer than
-    ``KERNEL_MIN_LENGTH`` entries, or with one that is not finite, comes
-    back as its own entries, which are exact too.  A row whose parts are
-    all zero is folded as its own entries: bucket parts are never -0.0,
-    and the row's zeros keep whatever sign rule ``math.fsum`` has for a
-    zero sum.  So ``fsum(sums[k])`` has the bits of ``math.fsum`` over
-    every row k so far.
-    """
-    for k, parts in enumerate(exact_parts(rows)):
-        if not any(parts):
-            parts = rows[k].tolist()
-        sums[k] = fold(sums[k] + parts)
-
-
 def exact_expectation(
     pop: StratifiedPopulation,
     statistic: Callable[[float, float], float],
@@ -201,20 +184,19 @@ def exact_expectation(
     """Exact design expectation of ``statistic(ybar_st, xbar_st)`` over every
     joint sample: the exactly rounded sum over the size of the space.
 
-    The values are held for ``BLOCK`` samples, then folded into an exact
-    running sum by ``_fold_block``.  An error the statistic raises
-    propagates as it is, and so does one converting a value to a float
-    (a ``TypeError``, say).  Aborts if the sum is not finite: a value is
-    infinite or nan, or the sum leaves the float range.
+    The values are held for ``BLOCK`` samples, then reduced by
+    ``exactsum.block_sums``.  An error the statistic raises propagates as
+    it is, and so does one converting a value to a float (a ``TypeError``,
+    say).  Aborts if the sum is not finite: a value is infinite or nan, or
+    the sum leaves the float range.
     """
     dist = ExactDesignDistribution(pop, limit)
-    sums: list[list[float]] = [[]]
-    for ybars, xbars in dist._mean_blocks():
-        # array("d") converts each value as math.fsum does; np.array would
-        # also take None (as nan) and numeric strings
-        values = array("d", map(statistic, ybars, xbars))
-        _fold_block(sums, [np.frombuffer(values)])
-    total = fsum(sums[0])
+    # array("d") converts each value as math.fsum does; np.array would also
+    # take None (as nan) and numeric strings
+    (total,) = block_sums(
+        [np.frombuffer(array("d", map(statistic, ybars, xbars)))]
+        for ybars, xbars in dist._mean_blocks()
+    )
     if not math.isfinite(total):
         raise ComputationError(
             "the statistic's exact expectation is not finite: a value is "
@@ -234,8 +216,8 @@ def exact_bias_mse(
     one estimator at a time over a block of ``BLOCK`` samples.  The
     deviations d = t - Ybar, taken directly to avoid cancellation in the
     bias, are stacked over their squares d * d into one array per block,
-    and ``_fold_block`` folds its rows into exact running sums: memory does
-    not grow with the space.
+    and ``exactsum.block_sums`` reduces its rows into exact running sums:
+    memory does not grow with the space.
     Aborts if an estimator fails anywhere on the sample space, naming the
     first failing sample in enumeration order and the first estimator in
     ``specs`` order that fails on it: exactness certifies, it does not skip.
@@ -243,38 +225,41 @@ def exact_bias_mse(
     squared deviation that overflows leaves its sum non-finite.
     """
     dist = ExactDesignDistribution(pop, limit)
-    size = dist.size
     ybar_pop = pop.grand_y_mean
     xbar_pop = pop.grand_x_mean
-    sums = [[] for _ in range(2 * len(specs))]  # exact parts: each d, then each d * d
-    start = 0
-    for ybars, xbars in dist._mean_blocks():
-        try:
-            block = [
-                list(map(estimate, repeat(spec), ybars, xbars, repeat(xbar_pop)))
-                for spec in specs
-            ]
-        except ComputationError:
-            # Scan the block again sample by sample to name the first failure.
-            for offset, (y, x) in enumerate(zip(ybars, xbars)):
-                for spec in specs:
-                    try:
-                        estimate(spec, y, x, xbar_pop)
-                    except ComputationError as exc:
-                        raise ComputationError(
-                            f"estimator {spec.label()} failed on sample with index "
-                            f"sets {dist._index_sets(start + offset)}: {exc}"
-                        ) from exc
-            raise
-        # float64 arithmetic has the bits of Python's, which makes an
-        # overflow inf without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = np.array(block) - ybar_pop
-            rows = np.concatenate((d, d * d))
-        _fold_block(sums, rows)
-        start += len(ybars)
+
+    def deviation_blocks() -> Iterator[np.ndarray]:
+        """Each block's rows: each d, then each d * d."""
+        start = 0
+        for ybars, xbars in dist._mean_blocks():
+            try:
+                block = [
+                    list(map(estimate, repeat(spec), ybars, xbars, repeat(xbar_pop)))
+                    for spec in specs
+                ]
+            except ComputationError:
+                # Scan the block again sample by sample to name the first failure.
+                for offset, (y, x) in enumerate(zip(ybars, xbars)):
+                    for spec in specs:
+                        try:
+                            estimate(spec, y, x, xbar_pop)
+                        except ComputationError as exc:
+                            raise ComputationError(
+                                f"estimator {spec.label()} failed on sample with index "
+                                f"sets {dist._index_sets(start + offset)}: {exc}"
+                            ) from exc
+                raise
+            # float64 arithmetic has the bits of Python's, which makes an
+            # overflow inf without a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = np.array(block) - ybar_pop
+                rows = np.concatenate((d, d * d))
+            yield rows
+            start += len(ybars)
+
+    sums = block_sums(deviation_blocks())
     k = len(specs)
-    results = [(fsum(d) / size, fsum(d2) / size) for d, d2 in zip(sums[:k], sums[k:])]
+    results = [(b / dist.size, m / dist.size) for b, m in zip(sums[:k], sums[k:])]
     for spec, (b, m) in zip(specs, results):
         if not (math.isfinite(b) and math.isfinite(m)):
             raise ComputationError(

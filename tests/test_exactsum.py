@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stratexp import exactsum
-from stratexp.exactsum import KERNEL_MIN_LENGTH, exact_parts, fold, row_means, row_sums
+from stratexp.exactsum import (
+    KERNEL_MIN_LENGTH,
+    block_sums,
+    exact_parts,
+    fold,
+    row_means,
+    row_sums,
+)
 
 
 def reference(row: np.ndarray) -> float:
@@ -21,6 +28,18 @@ def reference(row: np.ndarray) -> float:
         return math.fsum(row.tolist())
     except (OverflowError, ValueError):
         return math.inf
+
+
+_fsum = math.fsum
+
+
+def sign_keeping_fsum(values) -> float:
+    """``math.fsum``, but -0.0 for an all -0.0 input; patched in to show
+    that a zero sum follows the sign rule of ``math.fsum``, whatever it is."""
+    values = list(values)
+    if values and all(math.copysign(1.0, v) < 0 and v == 0 for v in values):
+        return -0.0
+    return _fsum(values)
 
 
 def same_bits(got: float, want: float) -> bool:
@@ -93,17 +112,9 @@ class TestKernelMatchesFsum:
     def test_zero_sums_follow_fsums_sign_rule(self):
         """Were math.fsum to keep the sign of an all -0.0 input, the kernel
         would follow it: a zero sum is read off the row, not the buckets."""
-        fsum = math.fsum
-
-        def signed_fsum(values):
-            values = list(values)
-            if values and all(math.copysign(1.0, v) < 0 and v == 0 for v in values):
-                return -0.0
-            return fsum(values)
-
         block = np.full((2, 300), -0.0)
         block[1, 0] = 0.0
-        with mock.patch.object(exactsum.math, "fsum", signed_fsum):
+        with mock.patch.object(exactsum.math, "fsum", sign_keeping_fsum):
             assert [v.hex() for v in row_sums(block)] == ["-0x0.0p+0", "0x0.0p+0"]
 
     @pytest.mark.parametrize("length", LENGTHS)
@@ -132,10 +143,59 @@ class TestExactParts:
             assert len(parts) < len(row)  # bucket values, not the row
             assert sum(map(Fraction, parts)) == sum(map(Fraction, row.tolist()))
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_zero_rows_come_back_as_their_entries(self, mixed):
+        """A kernel row of zeros has all-zero bucket parts, which carry no
+        -0.0; the row's own entries keep the sign for ``math.fsum``."""
+        row = np.full(KERNEL_MIN_LENGTH, -0.0)
+        if mixed:
+            row[1::3] = 0.0
+        (parts,) = exact_parts(row[None, :])
+        assert [v.hex() for v in parts] == [v.hex() for v in row.tolist()]
+
     def test_sequence_of_columns(self):
         rng = np.random.default_rng(4)
         cols = [rng.normal(size=500), rng.normal(size=500)]
         assert row_sums(cols) == row_sums(np.stack(cols)) == [math.fsum(c) for c in cols]
+
+
+@st.composite
+def block_lists(draw, elements):
+    """1-5 blocks of the same number of rows, each block of its own length
+    on either side of ``KERNEL_MIN_LENGTH``; the rows are drawn, or all
+    -0.0, or each block's row has a second half that negates its first, so
+    its nonzero entries cancel to zero."""
+    rows, count = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["drawn", "negative zeros", "cancelling"]))
+    out = []
+    for _ in range(count):
+        shape = (rows, draw(st.sampled_from(LENGTHS)))
+        if kind == "negative zeros":
+            out.append(np.full(shape, -0.0))
+            continue
+        block = draw(arrays(np.float64, shape, elements=elements))
+        if kind == "cancelling":
+            half = shape[1] // 2
+            block[:, shape[1] - half :] = -block[:, :half]
+            block[:, half : shape[1] - half] = -0.0  # the middle entry of an odd row
+        out.append(block)
+    return out
+
+
+class TestBlockSums:
+    @pytest.mark.parametrize("keep_sign", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(block_lists(wide_floats))
+    def test_bits_of_fsum_over_the_concatenated_rows(self, keep_sign, blocks):
+        """Also with ``math.fsum`` patched to keep the sign of an all -0.0
+        input, which ``reference`` then uses too."""
+        with mock.patch.object(exactsum.math, "fsum", sign_keeping_fsum if keep_sign else _fsum):
+            got = block_sums(iter(blocks))
+            want = [reference(row) for row in np.concatenate(blocks, axis=1)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_no_blocks_and_no_rows(self):
+        assert block_sums([]) == block_sums([np.empty((0, 300))]) == []
 
 
 def exact_sum(values) -> Fraction:
@@ -189,20 +249,12 @@ class TestRowMeans:
     def test_zero_sums_give_positive_zero(self, length, keep_sign):
         """Whether or not math.fsum keeps the sign of an all -0.0 input, a
         zero sum gives 0.0."""
-        fsum = math.fsum
-
-        def signed_fsum(values):
-            values = list(values)
-            if values and all(math.copysign(1.0, v) < 0 and v == 0 for v in values):
-                return -0.0
-            return fsum(values)
-
         mixed = np.full(length, -0.0)
         mixed[::2] = 0.0
         cancelling = np.resize([-1e300, 1e300], length)
         cancelling[-1] = -0.0
         block = np.stack((np.full(length, -0.0), mixed, cancelling, -cancelling))
-        with mock.patch.object(exactsum.math, "fsum", signed_fsum if keep_sign else fsum):
+        with mock.patch.object(exactsum.math, "fsum", sign_keeping_fsum if keep_sign else _fsum):
             assert [v.hex() for v in row_means(block)] == ["0x0.0p+0"] * 4
 
     @pytest.mark.parametrize("length", [5, 301])

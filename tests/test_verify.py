@@ -281,6 +281,25 @@ class TestExactBiasMse:
             exact_bias_mse(pop, specs)
         assert str(info.value).startswith(f"estimator {named}: estimator ")
 
+    def test_failure_past_the_first_block_names_its_index_sets(self, monkeypatch):
+        """Two strata in blocks of 4 samples: xbar_st first exceeds Xbar = 16/7
+        at position 5, the second sample of the second block, where
+        t3s(alpha = -1e6) overflows and t1s does not."""
+        monkeypatch.setattr(verify, "BLOCK", 4)
+        pop = make_population(
+            ("A", [1, 2, 3, 4], [1, 2, 3, 4], 2),
+            ("B", [1, 2, 3], [1, 2, 3], 1),
+        )
+        samples = list(ExactDesignDistribution(pop))
+        position = next(i for i, (_, _, x) in enumerate(samples) if x > pop.grand_x_mean)
+        assert position == 5 and samples[position][0] == ((0, 2), (2,))
+        with pytest.raises(ComputationError) as info:
+            exact_bias_mse(pop, [t1s(), t3s(-1e6)])
+        assert str(info.value).startswith(
+            "estimator t3s(alpha=-1e+06) failed on sample with index sets "
+            f"{samples[position][0]}: "
+        )
+
     @pytest.mark.parametrize("block", [699, 700, 701, 64, 255, 256, 257])
     def test_sums_have_the_bits_of_fsum_over_the_enumeration(self, synthetic, monkeypatch, block):
         """The 700 samples of the bundled population fill one block but one
