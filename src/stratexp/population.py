@@ -41,7 +41,7 @@ import stat
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -132,6 +132,25 @@ class StratumPopulation:
         return self._means[1]
 
 
+class DrawSteps(NamedTuple):
+    """The selection steps of a Monte Carlo draw, strata in order: step i of
+    stratum h is one entry of each read-only array.  Its size is O(sum of
+    n_h), whatever the N_h are.  ``divisors`` is uint64, as the generator's
+    words are; the positions are ``np.intp``, which indexes a column
+    without a cast."""
+
+    #: N_h - i: the step's target is i + word mod (N_h - i)
+    divisors: np.ndarray
+    #: i, the position the step fixes
+    offsets: np.ndarray
+    #: the step's stratum base: targets plus bases are distinct across strata
+    bases: np.ndarray
+    #: stratum h's base, the sum of N_k over the strata k before it
+    stratum_bases: np.ndarray
+    #: stratum h's steps are the entries bounds[h]:bounds[h + 1]
+    bounds: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class StratifiedPopulation:
     """A validated stratified population with derived weights and grand means."""
@@ -154,6 +173,24 @@ class StratifiedPopulation:
         """Stratum weights W_h = N_h / N; they sum to one."""
         n = self.total_n
         return tuple(s.capital_n / n for s in self.strata)
+
+    @cached_property
+    def draw_steps(self) -> DrawSteps:
+        """The Monte Carlo draw's step table; see :class:`DrawSteps`."""
+        sizes = [s.small_n for s in self.strata]
+        caps = [s.capital_n for s in self.strata]
+        offsets = np.concatenate([np.arange(n, dtype=np.intp) for n in sizes])
+        stratum_bases = np.cumsum([0, *caps[:-1]], dtype=np.intp)
+        steps = DrawSteps(
+            divisors=(np.repeat(caps, sizes) - offsets).astype(np.uint64),
+            offsets=offsets,
+            bases=np.repeat(stratum_bases, sizes),
+            stratum_bases=stratum_bases,
+            bounds=tuple(np.cumsum([0, *sizes]).tolist()),
+        )
+        for a in (steps.divisors, steps.offsets, steps.bases, steps.stratum_bases):
+            a.flags.writeable = False
+        return steps
 
     @cached_property
     def _grand_means(self) -> tuple[float, float]:

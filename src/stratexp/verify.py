@@ -24,18 +24,23 @@ counts, not with the joint space.
 The Monte Carlo oracle is stochastic but fully reproducible: replicate r
 draws from a Philox4x64 counter-based generator keyed by (seed, r), so a
 replicate's sample depends on nothing but the seed and its own index.  A
-replicate's draw is a sparse partial Fisher-Yates shuffle that stores only
-the positions its swaps displace, so it costs O(n_h) time and memory per
-stratum, independent of the stratum size N_h.  Replicates run in index
-order on the calling thread, and every reduction runs over them in that
-order with exactly-rounded summation.  There is no worker pool: the work
-is pure Python and threads would not run it any faster, so the command
-line's ``--workers`` changes neither results nor speed.
+replicate's draw is a partial Fisher-Yates shuffle that is never written
+out: the targets of all its steps, across all strata, are taken in one
+array pass, and only a stratum that repeats a target replays its walk,
+storing just the positions the swaps displace.  So a draw costs O(n_h)
+time and memory per stratum, independent of the stratum size N_h; the
+step table it reads is built once per population and is O(n_h) too.
+Replicates run in index order on the calling thread, and every reduction
+runs over them in that order with exactly-rounded summation.  There is no
+worker pool: a replicate is a few small NumPy calls and Python steps that
+hold the interpreter lock, and threads would not run it any faster, so
+the command line's ``--workers`` changes neither results nor speed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, repeat
@@ -289,39 +294,72 @@ class MonteCarloResult:
     skipped: int
 
 
+def _key_word(name: str, value: int) -> int:
+    """``value`` as one 64-bit word of the Philox key: an integer, not a
+    bool, in [0, 2**64)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        word = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= word < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {word}")
+    return word
+
+
+def _replay(targets: list[int]) -> list[int]:
+    """The units a stratum's sparse Fisher-Yates walk selects, given the
+    targets of its steps.  Position p holds ``moved.get(p, p)``: only the
+    positions a swap has displaced are stored."""
+    moved: dict[int, int] = {}
+    chosen = []
+    for i, j in enumerate(targets):
+        # Position i is final after this step and never read again.
+        chosen.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return chosen
+
+
 def draw_sample(pop: StratifiedPopulation, seed: int, rep: int) -> Sample:
     """Draw the stratified SRSWOR sample (index_sets, ybar_st, xbar_st) for
     replicate ``rep``.
 
-    The draw identity is frozen: Philox4x64 keyed (seed, rep), both below
-    2**64, supplies one 64-bit word per selection step of a partial
-    Fisher-Yates shuffle, in stratum order; step i of stratum h swaps
-    position i with i + raw mod (N_h - i) and the first n_h positions are
-    the sample.
+    The draw identity is frozen: Philox4x64 keyed (seed, rep), both
+    integers in [0, 2**64), supplies one 64-bit word per selection step of
+    a partial Fisher-Yates shuffle, in stratum order; step i of stratum h
+    swaps position i with j = i + raw mod (N_h - i) and the first n_h
+    positions are the sample.  A seed or rep that is not an integer is a
+    ``TypeError``, and one outside [0, 2**64) a ``ValueError``.
 
-    The shuffle is sparse: a stratum's index list is never built.  Position
-    p holds ``moved.get(p, p)``, and only the positions a swap has displaced
-    are stored, so a draw costs O(n_h) time and memory per stratum whatever
-    N_h is, and selects exactly the units the dense shuffle would.
+    The shuffle is never written out.  Every step's target j is taken at
+    once, as ``raw % divisors + offsets`` over the population's
+    step table (:attr:`StratifiedPopulation.draw_steps`).  Step i's unit
+    is its target unless an earlier step of its stratum swapped that
+    position, which only an earlier equal target does; so a stratum whose
+    targets are distinct selects exactly its targets.  Equal targets are
+    found by one sort of all the targets, each offset by its stratum's
+    base.  Only the strata that have one replay the walk, storing just the
+    positions its swaps displace.  A draw costs O(n_h) time and memory per
+    stratum whatever N_h is, and selects exactly the units the dense
+    shuffle would.
     """
-    total = sum(s.small_n for s in pop.strata)
+    seed, rep = _key_word("seed", seed), _key_word("rep", rep)
+    divisors, offsets, bases, stratum_bases, bounds = pop.draw_steps
     bg = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))
-    words = iter(bg.random_raw(total).tolist())
-    index_sets = []
-    for s in pop.strata:
-        n_cap = s.capital_n
-        moved: dict[int, int] = {}
-        chosen = []
-        for i in range(s.small_n):
-            j = i + next(words) % (n_cap - i)
-            # Position i is final after this step and never read again.
-            chosen.append(moved.get(j, j))
-            moved[j] = moved.get(i, i)
-        index_sets.append(tuple(chosen))
-    means = [stratum_means(s, sel) for s, sel in zip(pop.strata, index_sets)]
+    chosen = (bg.random_raw(divisors.size) % divisors).astype(np.intp) + offsets
+    keys = np.sort(chosen + bases)
+    repeats = keys[1:][keys[1:] == keys[:-1]]
+    # a repeated key lies in stratum h - 1 for h = searchsorted(..., "right")
+    for h in set(np.searchsorted(stratum_bases, repeats, "right").tolist()):
+        start, stop = bounds[h - 1], bounds[h]
+        chosen[start:stop] = _replay(chosen[start:stop].tolist())
+    spans = list(zip(bounds, bounds[1:]))
+    means = [stratum_means(s, chosen[start:stop]) for s, (start, stop) in zip(pop.strata, spans)]
     weights = pop.weights
+    flat = chosen.tolist()
     return (
-        tuple(index_sets),
+        tuple(tuple(flat[start:stop]) for start, stop in spans),
         math.fsum(w * yb for w, (yb, _) in zip(weights, means)),
         math.fsum(w * xb for w, (_, xb) in zip(weights, means)),
     )
@@ -345,8 +383,7 @@ def monte_carlo(
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    seed = _key_word("seed", seed)
     xbar_pop = pop.grand_x_mean
     ybar_pop = pop.grand_y_mean
 

@@ -3,7 +3,10 @@
 import itertools
 import math
 import operator
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from functools import reduce
 
@@ -16,6 +19,7 @@ from stratexp import verify
 from stratexp.errors import ComputationError, EnumerationLimitError
 from stratexp.estimators import estimate, t1s, t2s, t3s, t4s
 from stratexp.moments import v_table
+from stratexp.population import StratifiedPopulation
 from stratexp.verify import (
     ExactDesignDistribution,
     draw_sample,
@@ -517,6 +521,14 @@ def dense_draw(pop, seed, rep):
     return tuple(index_sets)
 
 
+def step_targets(pop, seed, rep):
+    """Each stratum's step targets i + word mod (N_h - i), in step order."""
+    words = iter(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)).random_raw(
+        sum(s.small_n for s in pop.strata)
+    ).tolist())
+    return [[i + next(words) % (s.capital_n - i) for i in range(s.small_n)] for s in pop.strata]
+
+
 def designs():
     """Lists of (N_h, n_h) with 1 <= n_h < N_h."""
     return st.lists(
@@ -543,6 +555,10 @@ class TestDrawRule:
     @example(design=[(4, 1)], seed=0, rep=0)
     @example(design=[(4, 3)], seed=2**64 - 1, rep=2**64 - 1)
     @example(design=[(4, 1), (4, 3), (5, 2), (60, 59)], seed=0, rep=2**63)
+    # nearly every draw of these repeats a target, so the walk is replayed
+    @example(design=[(4, 3), (5, 4), (6, 5)], seed=0, rep=0)
+    @example(design=[(4, 3), (5, 4), (6, 5)], seed=601, rep=7)
+    @example(design=[(2, 1), (3, 2), (60, 59), (4, 3)], seed=2**64 - 1, rep=1)
     def test_matches_the_dense_shuffle(self, design, seed, rep):
         pop = population_of(design)
         index_sets, ybar_st, xbar_st = draw_sample(pop, seed, rep)
@@ -570,3 +586,116 @@ class TestDrawRule:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    def test_memory_does_not_grow_with_the_population_size(self):
+        """A population's first draw builds its step table: four strata of
+        N_h = 250 000 still allocate O(sum of n_h), not the ~8 MB an
+        O(sum of N_h) table would."""
+        cap = 250_000
+        pop = make_population(*(
+            (f"S{h}", np.ones(cap), np.arange(cap, dtype=np.float64), 5) for h in range(4)
+        ))
+        draw_sample(population_of([(10, 5)] * 4), 3, 0)  # NumPy's own first-use allocations
+        tracemalloc.start()
+        try:
+            draw_sample(pop, 3, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "draw_steps" in vars(pop)
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("seed", [0, 601, 2**64 - 1])
+    def test_many_large_strata(self, seed):
+        """Eight strata of N_h = 1000 and n_h = 50."""
+        pop = population_of([(1000, 50)] * 8)
+        for rep in range(40):
+            assert draw_sample(pop, seed, rep)[0] == dense_draw(pop, seed, rep)
+
+    def test_only_some_strata_repeat_a_target(self):
+        """Strata that repeat a target (replayed) and strata that do not
+        (their targets taken as they are) in one draw."""
+        design = [(1000, 3), (5, 4), (100_000, 2), (6, 5), (50, 2)]
+        pop = population_of(design)
+        mixed = 0
+        for rep in range(200):
+            repeats = [len(set(t)) < len(t) for t in step_targets(pop, 5, rep)]
+            mixed += any(repeats) and not all(repeats)
+            assert draw_sample(pop, 5, rep)[0] == dense_draw(pop, 5, rep)
+        assert mixed >= 100
+
+    def test_step_table_is_built_once_and_read_only(self, monkeypatch):
+        pop = population_of([(7, 3), (1000, 50), (2, 1)])
+        builds = []
+        build = StratifiedPopulation.draw_steps.func
+        monkeypatch.setattr(
+            StratifiedPopulation.draw_steps, "func", lambda p: builds.append(p) or build(p)
+        )
+        first = [draw_sample(pop, 9, rep) for rep in range(5)]
+        assert builds == [pop]
+        steps = pop.draw_steps
+        assert [draw_sample(pop, 9, rep) for rep in range(5)] == first
+        assert pop.draw_steps is steps and builds == [pop]
+        assert steps.divisors.tolist() == [7, 6, 5, *range(1000, 950, -1), 2]
+        assert steps.offsets.tolist() == [0, 1, 2, *range(50), 0]
+        assert steps.bases.tolist() == [0] * 3 + [7] * 50 + [1007]
+        assert steps.stratum_bases.tolist() == [0, 7, 1007]
+        assert steps.bounds == (0, 3, 53, 54)
+        for a in (steps.divisors, steps.offsets, steps.bases, steps.stratum_bases):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+    def test_threads_sharing_a_population_draw_the_serial_samples(self):
+        """Each call keys its own generator, so four threads drawing from
+        one population (and building its step table at once) draw what one
+        thread would."""
+        design = [(1000, 20), (6, 5), (3000, 40), (40, 30)]
+        serial = [draw_sample(population_of(design), 17, rep) for rep in range(200)]
+        pop = population_of(design)
+        threads = 4
+        barrier = threading.Barrier(threads)
+
+        def draw_all(_):
+            barrier.wait(timeout=60)
+            return [draw_sample(pop, 17, rep) for rep in range(200)]
+
+        # switch threads as often as the interpreter allows, so that a draw
+        # sharing state across calls would interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                drawn = list(pool.map(draw_all, range(threads), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert drawn == [serial] * threads
+
+
+class TestDrawKey:
+    """seed and rep are the two 64-bit words of the Philox key."""
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1", None, np.float64(1.0)])
+    def test_a_non_integer_is_a_type_error(self, synthetic, bad):
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            draw_sample(synthetic, bad, 0)
+        with pytest.raises(TypeError, match="rep must be an integer"):
+            draw_sample(synthetic, 0, bad)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            monte_carlo(synthetic, [t1s()], replicates=2, seed=bad)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, -(2**64)])
+    def test_a_word_outside_64_bits_is_a_value_error(self, synthetic, bad):
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\), got "):
+            draw_sample(synthetic, bad, 0)
+        with pytest.raises(ValueError, match=r"^rep must be in \[0, 2\*\*64\), got "):
+            draw_sample(synthetic, 0, bad)
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\), got "):
+            monte_carlo(synthetic, [t1s()], replicates=2, seed=bad)
+
+    def test_integer_types_key_as_their_value(self, synthetic):
+        assert draw_sample(synthetic, np.uint64(2**64 - 1), np.int8(3)) == draw_sample(
+            synthetic, 2**64 - 1, 3
+        )
+        mc = monte_carlo(synthetic, [t1s()], replicates=20, seed=np.int32(4))
+        assert mc == monte_carlo(synthetic, [t1s()], replicates=20, seed=4)
+        assert type(mc.bias[0].seed) is int
