@@ -15,11 +15,15 @@ expectation is the exactly rounded sum over the space (the bits of
 approximation in this package is certified against.  Each stratum's
 combination means are built once, as arrays, by the same ``stratum_means``
 that Monte Carlo calls on one sample; the joint samples are then walked a
-block at a time, and every estimator is called once per sample.  Each
-block's values, one row per sum, go to ``exactsum.block_sums``, which
-reduces them into exact running sums.  No Python object is kept per
-combination or per sample, so memory grows with the strata's combination
-counts, not with the joint space.
+block at a time.  A block's stratified means, the ``math.fsum`` of the
+weighted stratum means, are added with its bits by ``fsum_columns``: an
+error-free TwoSum filter over the whole block that hands ``math.fsum``
+only a sum it cannot certify.  Every estimator is called once per sample,
+and its values are written into the block's rows in place.  Each block's
+rows, one per sum, go to ``exactsum.block_sums``, which reduces them into
+exact running sums.  No Python object is kept per combination or per
+sample, so memory grows with the strata's combination counts, not with
+the joint space.
 
 The Monte Carlo oracle is stochastic but fully reproducible: replicate r
 draws from a Philox4x64 counter-based generator keyed by (seed, r), so a
@@ -83,6 +87,51 @@ def stratum_means(
     return (ysum + 0.0) / n, (xsum + 0.0) / n
 
 
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum),
+    elementwise; exact for all finite a, b whose sum stays in range."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def fsum_columns(cols: np.ndarray) -> list[float]:
+    """``math.fsum(cols[:, i])`` for each column i of the (K, m) float64
+    array, K >= 1, with the same bits, as one list.
+
+    The error-free filter of Ogita, Rump and Oishi ("Accurate sum and dot
+    product", SIAM J. Sci. Comput., 2005): one TwoSum cascade adds the K
+    rows into s and leaves K - 1 exact errors, and a second adds those
+    errors into s2.  Where every error of the second cascade is zero,
+    s + s2 is the exact sum, and ``s + s2`` rounds it once, ties to even,
+    as ``math.fsum`` does.  Every other column is summed by ``math.fsum``
+    itself, looked up at call time:
+
+    * a nonzero second-level error;
+    * a zero sum, for ``math.fsum``'s sign rule;
+    * an entry that is not finite, or absolute values that add up to
+      2**1023 or more.  No running sum then leaves the float range in
+      either routine, so s and s2 are finite and ``math.fsum`` raises no
+      intermediate overflow that the filter would miss.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        redo = ~(np.abs(cols).sum(axis=0) < 2.0**1023)  # nan is not below it
+        s, errors = cols[0], []
+        for col in cols[1:]:
+            s, e = _two_sum(s, col)
+            errors.append(e)
+        s2 = errors[0] if errors else 0.0
+        for e in errors[1:]:
+            s2, f = _two_sum(s2, e)
+            redo |= f != 0
+        total = s + s2
+        redo |= total == 0
+    sums = total.tolist()
+    for i in np.flatnonzero(redo).tolist():
+        sums[i] = math.fsum(cols[:, i].tolist())
+    return sums
+
+
 @dataclass(frozen=True)
 class ExactDesignDistribution:
     """The full joint SRSWOR sample space of a stratified population."""
@@ -119,11 +168,12 @@ class ExactDesignDistribution:
             for combos, rank in zip(self._combinations(), ranks)
         )
 
-    def _weighted_means(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per stratum, W_h * ybar_h and W_h * xbar_h over every combination,
-        lexicographically; the combinations are taken ``BLOCK`` at a time.
+    def _weighted_means(self) -> list[np.ndarray]:
+        """Per stratum, a (2, C_h) array: W_h * ybar_h over W_h * xbar_h, for
+        every combination, lexicographically; the combinations are taken
+        ``BLOCK`` at a time.
 
-        Arrays that cannot be allocated are a :class:`ComputationError`
+        An array that cannot be allocated is a :class:`ComputationError`
         naming the stratum and its combination count.
         """
         pop = self.population
@@ -132,7 +182,7 @@ class ExactDesignDistribution:
             pop.weights, pop.strata, self._combinations(), self.stratum_space_sizes
         ):
             try:
-                wy, wx = np.empty(size), np.empty(size)
+                means = np.empty((2, size))
             except (ValueError, MemoryError) as exc:
                 raise ComputationError(
                     f"stratum {s.id!r}: cannot allocate the means of its {size} "
@@ -144,23 +194,28 @@ class ExactDesignDistribution:
                     chain.from_iterable(islice(combos, rows)), np.intp, rows * s.small_n
                 )
                 ybars, xbars = stratum_means(s, idx.reshape(rows, s.small_n))
-                np.multiply(w, ybars, out=wy[start : start + rows])
-                np.multiply(w, xbars, out=wx[start : start + rows])
-            out.append((wy, wx))
+                np.multiply(w, ybars, out=means[0, start : start + rows])
+                np.multiply(w, xbars, out=means[1, start : start + rows])
+            out.append(means)
         return out
 
     def _mean_blocks(self) -> Iterator[tuple[list[float], list[float]]]:
         """(ybar_st values, xbar_st values) of every joint sample, ``BLOCK``
         samples at a time, in enumeration order: ``itertools.product`` of the
         strata's combinations, the last stratum varying fastest.  Each is the
-        ``math.fsum`` of the weighted stratum means."""
-        wys, wxs = zip(*self._weighted_means())
+        ``math.fsum`` of the weighted stratum means, in stratum order, with
+        its bits; ``fsum_columns`` takes the whole block, both means, at
+        once."""
+        means = self._weighted_means()
         size, sizes = self.size, self.stratum_space_sizes
         for start in range(0, size, BLOCK):
-            picks = np.unravel_index(np.arange(start, min(start + BLOCK, size)), sizes)
-            ys = [wy.take(p).tolist() for wy, p in zip(wys, picks)]
-            xs = [wx.take(p).tolist() for wx, p in zip(wxs, picks)]
-            yield list(map(math.fsum, zip(*ys))), list(map(math.fsum, zip(*xs)))
+            rows = min(BLOCK, size - start)
+            picks = np.unravel_index(np.arange(start, start + rows), sizes)
+            cols = np.empty((len(means), 2, rows))
+            for m, p, col in zip(means, picks, cols):
+                m.take(p, axis=1, out=col)
+            sums = fsum_columns(cols.reshape(len(means), 2 * rows))
+            yield sums[:rows], sums[rows:]
 
     def _joint_index_sets(self, h: int = 0) -> Iterator[tuple[tuple[int, ...], ...]]:
         """The index sets of strata h onward for every joint sample, in
@@ -218,10 +273,11 @@ def exact_bias_mse(
     """Exact (bias, MSE) of each estimator under the design, in ``specs`` order.
 
     One pass over the sample space evaluates every estimator on each sample,
-    one estimator at a time over a block of ``BLOCK`` samples.  The
-    deviations d = t - Ybar, taken directly to avoid cancellation in the
-    bias, are stacked over their squares d * d into one array per block,
-    and ``exactsum.block_sums`` reduces its rows into exact running sums:
+    one estimator at a time over a block of ``BLOCK`` samples, each into its
+    row of one (2k, n) array per block.  The deviations d = t - Ybar, taken
+    directly to avoid cancellation in the bias, are formed in place in the
+    upper k rows and their squares d * d in the lower k, and
+    ``exactsum.block_sums`` reduces the rows into exact running sums:
     memory does not grow with the space.
     Aborts if an estimator fails anywhere on the sample space, naming the
     first failing sample in enumeration order and the first estimator in
@@ -232,16 +288,19 @@ def exact_bias_mse(
     dist = ExactDesignDistribution(pop, limit)
     ybar_pop = pop.grand_y_mean
     xbar_pop = pop.grand_x_mean
+    k = len(specs)
 
     def deviation_blocks() -> Iterator[np.ndarray]:
         """Each block's rows: each d, then each d * d."""
         start = 0
         for ybars, xbars in dist._mean_blocks():
+            n = len(ybars)
+            rows = np.empty((2 * k, n))
             try:
-                block = [
-                    list(map(estimate, repeat(spec), ybars, xbars, repeat(xbar_pop)))
-                    for spec in specs
-                ]
+                for row, spec in zip(rows, specs):
+                    row[:] = np.fromiter(
+                        map(estimate, repeat(spec), ybars, xbars, repeat(xbar_pop)), float, n
+                    )
             except ComputationError:
                 # Scan the block again sample by sample to name the first failure.
                 for offset, (y, x) in enumerate(zip(ybars, xbars)):
@@ -257,13 +316,13 @@ def exact_bias_mse(
             # float64 arithmetic has the bits of Python's, which makes an
             # overflow inf without a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                d = np.array(block) - ybar_pop
-                rows = np.concatenate((d, d * d))
+                d = rows[:k]
+                d -= ybar_pop
+                np.multiply(d, d, out=rows[k:])
             yield rows
-            start += len(ybars)
+            start += n
 
     sums = block_sums(deviation_blocks())
-    k = len(specs)
     results = [(b / dist.size, m / dist.size) for b, m in zip(sums[:k], sums[k:])]
     for spec, (b, m) in zip(specs, results):
         if not (math.isfinite(b) and math.isfinite(m)):

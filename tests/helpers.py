@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from stratexp.datasets import SYNTHETIC_SAMPLE_SIZES, synthetic_csv_path
@@ -15,6 +16,18 @@ def make_population(*strata: tuple[str, list[float], list[float], int]) -> Strat
             for label, xs, ys, n in strata
         )
     )
+
+
+_fsum = math.fsum
+
+
+def sign_keeping_fsum(values) -> float:
+    """``math.fsum``, but -0.0 for an all -0.0 input; patched in to show
+    that a zero sum follows the sign rule of ``math.fsum``, whatever it is."""
+    values = list(values)
+    if values and all(math.copysign(1.0, v) < 0 and v == 0 for v in values):
+        return -0.0
+    return _fsum(values)
 
 
 def series_weights(

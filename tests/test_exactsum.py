@@ -21,6 +21,8 @@ from stratexp.exactsum import (
     row_sums,
 )
 
+from helpers import sign_keeping_fsum
+
 
 def reference(row: np.ndarray) -> float:
     """``math.fsum`` of the row, ``inf`` where it raises."""
@@ -31,15 +33,6 @@ def reference(row: np.ndarray) -> float:
 
 
 _fsum = math.fsum
-
-
-def sign_keeping_fsum(values) -> float:
-    """``math.fsum``, but -0.0 for an all -0.0 input; patched in to show
-    that a zero sum follows the sign rule of ``math.fsum``, whatever it is."""
-    values = list(values)
-    if values and all(math.copysign(1.0, v) < 0 and v == 0 for v in values):
-        return -0.0
-    return _fsum(values)
 
 
 def same_bits(got: float, want: float) -> bool:

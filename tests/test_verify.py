@@ -25,11 +25,12 @@ from stratexp.verify import (
     draw_sample,
     exact_bias_mse,
     exact_expectation,
+    fsum_columns,
     monte_carlo,
     stratum_means,
 )
 
-from helpers import make_population, mc_report_without_workers
+from helpers import make_population, mc_report_without_workers, sign_keeping_fsum
 
 
 def reference_samples(pop):
@@ -57,6 +58,97 @@ def reference_samples(pop):
 
 
 VALUES = st.one_of(st.sampled_from([-0.0, 1e16, 1.0, -1e16]), st.floats(-100.0, 100.0))
+
+
+def filter_columns(rng, k, m):
+    """A (k, m) array of columns for ``fsum_columns``: a quarter each of
+    wide scales (up to 10**+-300), near cancellation (the last entry is
+    minus the rounded sum of the others), ties (small integers times powers
+    of two up to 2**60) and tiny entries (+-0.0 and subnormals), with one
+    entry of every column replaced by an entry of a random kind."""
+    scales = 10.0 ** rng.integers(-300, 301, (k, m))
+    wide = rng.standard_normal((k, m)) * scales
+    cancel = rng.standard_normal((k, m)) * scales[0]
+    cancel[-1] = -cancel[:-1].sum(axis=0) + rng.standard_normal(m) * scales[0] * 1e-15
+    ties = rng.integers(-8, 9, (k, m)) * np.ldexp(1.0, rng.integers(0, 61, (k, m)))
+    tiny = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -1e-310, 3e-320], (k, m))
+    kinds, at = np.stack([wide, cancel, ties, tiny]), np.arange(m)
+    cols = kinds[at % 4, :, at].T
+    swap = rng.integers(0, k, m)
+    cols[swap, at] = kinds[rng.integers(0, 4, m), swap, at]
+    return cols
+
+
+def sum_or_error(values):
+    """``math.fsum(values)``, or the type of the exception it raises."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestFsumColumns:
+    """``fsum_columns`` has the bits of ``math.fsum`` on every column."""
+
+    @pytest.mark.parametrize("keep_sign", [False, True])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_bits_of_fsum(self, monkeypatch, k, keep_sign):
+        if keep_sign:
+            monkeypatch.setattr(math, "fsum", sign_keeping_fsum)
+        rng = np.random.default_rng([k, keep_sign])
+        zeros = np.full((k, 2), -0.0)
+        zeros[0, 1] = 0.0
+        cols = np.concatenate((filter_columns(rng, k, 4096), zeros), axis=1)
+        got = fsum_columns(cols)
+        want = [math.fsum(col) for col in cols.T.tolist()]
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+        assert math.copysign(1.0, got[-2]) == (-1.0 if keep_sign else 1.0)
+        assert math.copysign(1.0, got[-1]) == 1.0
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [1e308, 1e308, -1e308],  # math.fsum overflows on the way
+            [1e308, -1e308, 1e308],
+            [2.0**1023, 2.0**1023],
+            [1.7976931348623157e308, 2.0**970, -2.0**970],
+            [-1.7976931348623157e308, -2.0**969],
+            [2.0**1022, 2.0**1022, 2.0**1021, -2.0**1023, -2.0**1022],
+            [math.inf, 1.0],
+            [-math.inf],
+            [math.inf, -math.inf],
+            [math.nan, 1.0, 2.0],
+            [1.0, math.nan],
+            [math.nan, math.inf, -math.inf],  # a ValueError, not nan
+        ],
+    )
+    def test_values_past_the_float_range(self, column):
+        """Non-finite entries and running sums that leave the float range:
+        the same value, or the same exception, as math.fsum."""
+        want = sum_or_error(column)
+        cols = np.array(column)[:, None]
+        if isinstance(want, type):
+            with pytest.raises(want):
+                fsum_columns(cols)
+        elif math.isnan(want):
+            assert math.isnan(*fsum_columns(cols))
+        else:
+            assert [got.hex() for got in fsum_columns(cols)] == [want.hex()]
+
+    def test_only_a_column_the_filter_cannot_certify_goes_to_fsum(self, monkeypatch):
+        """1 + 2**-60 + 2**-120: the first cascade leaves the errors 2**-60
+        and 2**-120, whose sum the second cannot hold in one float."""
+        fsum, calls = math.fsum, []
+
+        def counting_fsum(values):
+            calls.append(values)
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", counting_fsum)
+        cols = np.array([[1.0, 1.0, 1e16], [2.0**-60, 0.5, 1.0], [2.0**-120, 0.25, 1.0]])
+        got = fsum_columns(cols)
+        assert calls == [[1.0, 2.0**-60, 2.0**-120]]
+        assert [g.hex() for g in got] == [fsum(col).hex() for col in cols.T.tolist()]
 
 
 class TestEnumeration:
@@ -126,6 +218,32 @@ class TestEnumeration:
         block=st.sampled_from([1, 3, 1024]),
     )
     @example(strata=[([1e16, 1.0, -1e16, -0.0], [-0.0, -0.0, 1.0, 1e16], 2)], block=1024)
+    @example(
+        # eight strata, W_h = 1/8 exactly: the weighted means keep scales
+        # from 2**-123 to about 2**997, and many sums have a nonzero
+        # second-level error or are zero, so both routes of fsum_columns run
+        strata=[
+            ([1.0, 3.0], [1.0, -0.0], 1),
+            ([2.0, -0.0], [2.0**-60, 1e16], 1),
+            ([5e-324, 4.0], [2.0**-120, -1e16], 1),
+            ([-0.0, -0.0], [-0.0, 5e-324], 1),
+            ([1e300, 7.0], [3.0, -0.0], 1),
+            ([-1e300, 9.0], [2.0**53, 1.0], 1),
+            ([1e-300, 1.0], [2.0**53, -1.0], 1),
+            ([6.0, 2.0**-1074], [1e-300, -1e-300], 1),
+        ],
+        block=100,
+    )
+    @example(
+        strata=[
+            ([1e16, 1.0, -1e16], [1.0, 2.0, 3.0], 2),
+            ([-0.0, 5e-324, 3.0], [1e16, -1e16, 1.0], 1),
+            ([2.0**53, 1.0, 1.0], [-0.0, -0.0, -0.0], 2),
+            ([4.0, -4.0, 1e-300], [2.0**-60, 7.0, -7.0], 1),
+            ([1e300, -1e300, 2.0], [5.0, 2.0**52, -0.0], 2),
+        ],
+        block=3,
+    )
     def test_samples_have_the_bits_of_the_scalar_reference(self, strata, block):
         """The array means, combined block by block, give each sample the
         index sets and the bits of the sample-by-sample reference."""
@@ -163,15 +281,7 @@ class TestEnumeration:
         sign of an all -0.0 input, the sum would keep it too."""
         monkeypatch.setattr(verify, "BLOCK", block)
         if keep_sign:
-            fsum = math.fsum
-
-            def signed_fsum(values):
-                values = list(values)
-                if values and all(math.copysign(1.0, v) < 0 and v == 0 for v in values):
-                    return -0.0
-                return fsum(values)
-
-            monkeypatch.setattr(math, "fsum", signed_fsum)
+            monkeypatch.setattr(math, "fsum", sign_keeping_fsum)
         got = exact_expectation(synthetic, lambda y, x: -0.0)
         assert got.hex() == (math.fsum([-0.0] * 700) / 700).hex()
 
@@ -302,6 +412,33 @@ class TestExactBiasMse:
         assert str(info.value).startswith(
             "estimator t3s(alpha=-1e+06) failed on sample with index sets "
             f"{samples[position][0]}: "
+        )
+
+    def test_second_estimator_failing_in_a_later_block_is_named(self):
+        """12 740 samples in blocks of ``BLOCK`` = 1024: t3s(alpha = -1e6),
+        second in ``specs``, first overflows at position 2819, inside the
+        third block, after t1s has filled its row of that block."""
+        assert verify.BLOCK == 1024
+        xa = [1.0, 2.0, 3.0, 4.0, 20.0, 21.0, 22.0, 23.0]
+        xb = [5 + u / 100 for u in range(15)]
+        pop = make_population(("A", xa, xa, 2), ("B", xb, xb, 3))
+        xbar = pop.grand_x_mean
+
+        def fails(y, x):
+            try:
+                estimate(t3s(-1e6), y, x, xbar)
+            except ComputationError:
+                return True
+            return False
+
+        samples = list(ExactDesignDistribution(pop))
+        position = next(i for i, (_, y, x) in enumerate(samples) if fails(y, x))
+        assert position == 2819 and samples[position][0] == ((0, 7), (0, 12, 14))
+        with pytest.raises(ComputationError) as info:
+            exact_bias_mse(pop, [t1s(), t3s(-1e6)])
+        assert str(info.value).startswith(
+            "estimator t3s(alpha=-1e+06) failed on sample with index sets "
+            "((0, 7), (0, 12, 14)): estimator t3s(alpha=-1e+06) overflows"
         )
 
     @pytest.mark.parametrize("block", [699, 700, 701, 64, 255, 256, 257])
