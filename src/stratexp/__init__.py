@@ -11,7 +11,6 @@ from .errors import (
     ConfigError,
     DegenerateAuxiliaryError,
     EnumerationLimitError,
-    InsufficientStratumError,
     MomentNormalizationError,
     PopulationError,
     StratexpError,
@@ -28,9 +27,7 @@ from .estimators import (
 )
 from .expansion import bias, coefficient_table, mse, printed_second_order
 from .moments import (
-    DesignCoefficients,
     VTable,
-    design_coefficients,
     summarize_stratum,
     v_table,
 )
@@ -58,13 +55,11 @@ __all__ = [
     "ComputationError",
     "ConfigError",
     "DegenerateAuxiliaryError",
-    "DesignCoefficients",
     "EnumerationLimitError",
     "EstimatorKind",
     "EstimatorRequest",
     "EstimatorSpec",
     "ExactDesignDistribution",
-    "InsufficientStratumError",
     "McEstimate",
     "MomentNormalizationError",
     "MonteCarloResult",

@@ -3,7 +3,7 @@
 Two branches matter operationally: ``ValidationError`` covers bad inputs
 (population files, configs, designs) and maps to exit code 1 in the CLI;
 ``ComputationError`` covers failures inside an otherwise valid analysis
-(degenerate denominators, undersized strata, enumeration limits) and maps
+(degenerate denominators, non-finite moments, enumeration limits) and maps
 to exit code 2.
 """
 
@@ -31,10 +31,6 @@ class ComputationError(StratexpError):
 class DegenerateAuxiliaryError(ComputationError):
     """Auxiliary configuration makes an estimator or optimum undefined
     (zero exponent denominator, or zero auxiliary variance)."""
-
-
-class InsufficientStratumError(ComputationError):
-    """A stratum is too small for the requested moment order."""
 
 
 class MomentNormalizationError(ComputationError):

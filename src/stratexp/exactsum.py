@@ -28,6 +28,10 @@ rule for signed zeros.
 power of two, which Python's ``int / int`` divides by N correctly rounded,
 ties to even.  ``fold`` keeps an exact running sum in a few floats, and
 ``fsum`` is ``math.fsum`` with ``inf`` where it raises.
+
+``fsum_columns(cols)`` sums the other way: each column of a short (K, m)
+array, with the bits of ``math.fsum``, by an error-free TwoSum filter that
+hands ``math.fsum`` only a column it cannot certify.
 """
 
 from __future__ import annotations
@@ -153,3 +157,48 @@ def row_means(rows: Sequence[np.ndarray]) -> list[float]:
                 m = math.inf
         means.append(m)
     return means
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum),
+    elementwise; exact for all finite a, b whose sum stays in range."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def fsum_columns(cols: np.ndarray) -> list[float]:
+    """``math.fsum(cols[:, i])`` for each column i of the (K, m) float64
+    array, K >= 1, with the same bits, as one list.
+
+    The error-free filter of Ogita, Rump and Oishi ("Accurate sum and dot
+    product", SIAM J. Sci. Comput., 2005): one TwoSum cascade adds the K
+    rows into s and leaves K - 1 exact errors, and a second adds those
+    errors into s2.  Where every error of the second cascade is zero,
+    s + s2 is the exact sum, and ``s + s2`` rounds it once, ties to even,
+    as ``math.fsum`` does.  Every other column is summed by ``math.fsum``
+    itself, looked up at call time:
+
+    * a nonzero second-level error;
+    * a zero sum, for ``math.fsum``'s sign rule;
+    * an entry that is not finite, or absolute values that add up to
+      2**1023 or more.  No running sum then leaves the float range in
+      either routine, so s and s2 are finite and ``math.fsum`` raises no
+      intermediate overflow that the filter would miss.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        redo = ~(np.abs(cols).sum(axis=0) < 2.0**1023)  # nan is not below it
+        s, errors = cols[0], []
+        for col in cols[1:]:
+            s, e = _two_sum(s, col)
+            errors.append(e)
+        s2 = errors[0] if errors else 0.0
+        for e in errors[1:]:
+            s2, f = _two_sum(s2, e)
+            redo |= f != 0
+        total = s + s2
+        redo |= total == 0
+    sums = total.tolist()
+    for i in np.flatnonzero(redo).tolist():
+        sums[i] = math.fsum(cols[:, i].tolist())
+    return sums

@@ -2,33 +2,33 @@
 
 With e0 = (ybar_st - Ybar)/Ybar and e1 = (xbar_st - Xbar)/Xbar, the table
 entry V_ab is the exact design expectation E[e0^a e1^b] up to total order
-four.  Within a stratum the moments of the sample mean under sampling
-without replacement are
+four, for any design with 1 <= n_h < N_h.  Every entry comes from one rule,
+the inclusion-probability expansion over set partitions (the polykay idea
+of Tukey, "Some sampling simplified", JASA 1950).  Within a stratum of N
+units sampled n at a time,
 
-    E[(xbar_h - Xbar_h)^2] = gamma_h * S_xh^2
-    E[(xbar_h - Xbar_h)^3] = k1_h * C_03(h)
-    E[(xbar_h - Xbar_h)^4] = k2_h * C_04(h) + 3 * k3_h * C_02(h)^2
+    E[(ybar_h - Ybar_h)^a (xbar_h - Xbar_h)^b]
+        = sum over sigma of w(sigma) * prod over blocks S of C_S,
 
-and their mixed (y, x) counterparts follow by polarization: a fourth-order
-mixed moment is k2 times the matching mixed central moment plus k3 times
-the sum over pairings of products of second central moments.
+sigma running over the set partitions of the k = a + b factor positions
+with no singleton block, C_S the stratum's central moment of block S's y
+and x positions, and w(sigma) = n^-k N^|sigma| sum_j r_j(sigma) pi_j.
+Here pi_j = n^(j) / N^(j) (falling factorials, 0 for j > n) is the chance
+that j given units are all drawn, and r_j(sigma), the sum of the Moebius
+values mu(beta, sigma) over the refinements beta of sigma with j blocks,
+depends only on sigma's block sizes.  Each weight is one correctly rounded
+int / int; where their denominators do not vanish, they are
 
-The coefficients, exact for any 1 <= n_h < N_h (k1 needs N_h >= 3, k2 and
-k3 need N_h >= 4, so the table needs N_h >= 4), are
+    {2}:     gamma_h * N/(N-1) = (N-n) / [n (N-1)],  gamma_h = (1 - f_h)/n_h
+    {3}:     k1 = (N-n)(N-2n) / [n^2 (N-1)(N-2)]
+    {4}:     k2 = (N-n)[N(N+1) - 6n(N-n)] / [n^3 (N-1)(N-2)(N-3)]
+    {2, 2}:  k3 = N(N-n)(N-n-1)(n-1) / [n^3 (N-1)(N-2)(N-3)]
 
-    gamma_h = (1 - f_h) / n_h,            f_h = n_h / N_h
-    k1_h = (N-n)(N-2n) / [n^2 (N-1)(N-2)]
-    k2_h = (N-n)[N(N+1) - 6n(N-n)] / [n^3 (N-1)(N-2)(N-3)]
-    k3_h = N(N-n)(N-n-1)(n-1) / [n^3 (N-1)(N-2)(N-3)]
-
-(k2's numerator grouping was fixed by exhaustively enumerating all samples
-for (N, n) in {(5,2), (6,2), (6,3), (7,3)} and solving for the grouping
-that reproduces the exact fourth moment; the test suite repeats that
-adjudication.)
-
-Because strata are sampled independently, total-order-four entries also
-pick up cross-stratum products of second-moment contributions; those terms
-are included here so every entry is exact, not merely first-termwise.
+Strata are sampled independently, so the joint cumulants of the weighted
+stratum-mean deviations add over strata.  Each stratum's moments become
+cumulants (at order four, less the products over its pairings), are
+scaled by W_h^k / (Ybar^a Xbar^b) and summed exactly; each V_ab is then
+the sum over the same partitions of the products of the summed cumulants.
 
 The table reads ten central moments of each stratum, C_ab for the keys
 of ``VTABLE_KEYS``: the mean over the stratum of
@@ -47,11 +47,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import product
+from math import factorial, perm, prod
+from operator import itemgetter, mul
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import ComputationError, InsufficientStratumError, MomentNormalizationError
+from .errors import ComputationError, MomentNormalizationError
 from .exactsum import fsum as _fsum, row_sums
 from .population import StratifiedPopulation, StratumPopulation
 
@@ -82,51 +85,68 @@ def summarize_stratum(stratum: StratumPopulation) -> dict[tuple[int, int], float
     return {key: s / n for key, s in zip(VTABLE_KEYS, sums)}
 
 
-@dataclass(frozen=True)
-class DesignCoefficients:
-    """Per-stratum SRSWOR moment coefficients, in population stratum order."""
-
-    gamma: tuple[float, ...]
-    k1: tuple[float, ...]
-    k2: tuple[float, ...]
-    k3: tuple[float, ...]
-
-
-def _k1(n_cap: int, n: int) -> float:
-    return ((n_cap - n) * (n_cap - 2 * n)) / (n * n * (n_cap - 1) * (n_cap - 2))
+def _partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every set partition of ``items``, each a tuple of blocks."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        yield ((first,), *part)
+        for i, block in enumerate(part):
+            yield (*part[:i], (first, *block), *part[i + 1 :])
 
 
-def _k2(n_cap: int, n: int) -> float:
-    num = (n_cap - n) * (n_cap * (n_cap + 1) - 6 * n * (n_cap - n))
-    return num / (n**3 * (n_cap - 1) * (n_cap - 2) * (n_cap - 3))
+def _mobius_sums(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """(r_0, ..., r_k) for a partition sigma with blocks of ``sizes``: r_j
+    sums mu(beta, sigma) over the refinements beta with j blocks.  A block
+    of s positions is cut into m blocks in S(s, m) ways (a Stirling number
+    of the second kind), each contributing (-1)^(m-1) (m-1)!."""
+    r = [0] * (sum(sizes) + 1)
+    for cuts in product(*(list(_partitions(tuple(range(s)))) for s in sizes)):
+        blocks = [len(cut) for cut in cuts]
+        r[sum(blocks)] += prod((-1) ** (m - 1) * factorial(m - 1) for m in blocks)
+    return tuple(r)
 
 
-def _k3(n_cap: int, n: int) -> float:
-    num = n_cap * (n_cap - n) * (n_cap - n - 1) * (n - 1)
-    return num / (n**3 * (n_cap - 1) * (n_cap - 2) * (n_cap - 3))
+def _plan(a: int, b: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The partitions of E[e0^a e1^b]'s positions, a y then b x, with no
+    singleton block, each as (block sizes, the ``VTABLE_KEYS`` index of each
+    block's (a, b)), the single block first."""
+    plan = []
+    for part in _partitions(tuple(range(a + b))):
+        if min(map(len, part)) > 1:
+            keys = [(sum(i < a for i in block), sum(i >= a for i in block)) for block in part]
+            plan.append((tuple(sorted(map(len, part))), tuple(map(VTABLE_KEYS.index, keys))))
+    return tuple(sorted(plan, key=lambda term: len(term[1])))
 
 
-def design_coefficients(pop: StratifiedPopulation) -> DesignCoefficients:
-    """Compute gamma and k1-k3 for every stratum.
+_PLANS = tuple(_plan(a, b) for a, b in VTABLE_KEYS)
+# every block-size multiset of the plans: {2}, {3}, {4} and {2, 2}
+_SHAPES = sorted({sizes for plan in _PLANS for sizes, _ in plan})
+_MOBIUS = [_mobius_sums(sizes) for sizes in _SHAPES]
+_ORDERS = tuple(map(sum, VTABLE_KEYS))
+_DEGREE = max(_ORDERS)
+# for each entry, the _SHAPES index of its one-block partition, and its
+# other partitions as (_SHAPES index, a getter of their blocks' entries)
+_WHOLE = tuple(_SHAPES.index(plan[0][0]) for plan in _PLANS)
+_SPLITS = tuple(
+    tuple((_SHAPES.index(sizes), itemgetter(*keys)) for sizes, keys in plan[1:]) for plan in _PLANS
+)
 
-    Raises :class:`InsufficientStratumError` when a stratum has fewer than
-    four units, where k2 and k3 are undefined.
-    """
-    gammas, k1s, k2s, k3s = [], [], [], []
-    for s in pop.strata:
-        n_cap, n = s.capital_n, s.small_n
-        if n_cap < 4:
-            raise InsufficientStratumError(
-                f"stratum {s.id!r}: insufficient stratum size for k2/k3 "
-                f"(N={n_cap} < 4)"
-            )
-        gammas.append((1.0 - n / n_cap) / n)
-        k1s.append(_k1(n_cap, n))
-        k2s.append(_k2(n_cap, n))
-        k3s.append(_k3(n_cap, n))
-    return DesignCoefficients(
-        gamma=tuple(gammas), k1=tuple(k1s), k2=tuple(k2s), k3=tuple(k3s)
-    )
+
+def _stratum_weights(n_cap: int, n: int) -> list[tuple[int, int]]:
+    """w(sigma) = n^-k N^|sigma| sum_j r_j pi_j for each of ``_SHAPES``, as
+    an exact (numerator, denominator): each pi_j is written over the common
+    denominator N^(t), t = min(_DEGREE, n), as n^(j) (N-j)^(t-j), and
+    pi_j = 0 for j > n."""
+    top = min(_DEGREE, n)
+    den = perm(n_cap, top)
+    scaled_pi = [perm(n, j) * perm(n_cap - j, top - j) for j in range(top + 1)]
+    return [
+        (n_cap ** len(sizes) * sum(map(mul, r, scaled_pi)), n ** (len(r) - 1) * den)
+        for sizes, r in zip(_SHAPES, _MOBIUS)
+    ]
 
 
 @dataclass(frozen=True)
@@ -153,11 +173,8 @@ class VTable:
 
 
 def v_table(pop: StratifiedPopulation) -> VTable:
-    """Assemble the full exact moment table for a population.
-
-    Per-stratum terms are accumulated with exact (fsum) summation; the
-    order-four entries include the cross-stratum pairing products required
-    for E[e0^a e1^b] to be exact when there is more than one stratum.
+    """Assemble the full exact moment table for a population, by the rule
+    of the module docstring.
 
     Raises :class:`MomentNormalizationError` when a grand mean is zero or a
     normalizing power ybar^a * xbar^b is not a normal float, and
@@ -174,7 +191,7 @@ def v_table(pop: StratifiedPopulation) -> VTable:
         )
     # the normalizing power of each entry; an underflow to zero or to a
     # subnormal, or an overflow, would make the entry silently wrong
-    scales: dict[tuple[int, int], float] = {}
+    scales: list[float] = []
     for a, b in VTABLE_KEYS:
         try:
             scale = ybar**a * xbar**b
@@ -185,8 +202,7 @@ def v_table(pop: StratifiedPopulation) -> VTable:
                 f"V{a}{b}: normalizing power ybar^{a} * xbar^{b} = {scale!r} is not "
                 f"a normal float (ybar={ybar!r}, xbar={xbar!r}); rescale x or y"
             )
-        scales[(a, b)] = scale
-    coeffs = design_coefficients(pop)
+        scales.append(scale)
     moments = [summarize_stratum(s) for s in pop.strata]
     for s, c in zip(pop.strata, moments):
         for (a, b), value in c.items():
@@ -195,57 +211,33 @@ def v_table(pop: StratifiedPopulation) -> VTable:
                     f"stratum {s.id!r}: central moment C{a}{b} = {value!r} is not a "
                     "normal float; rescale x or y"
                 )
-    weights = pop.weights
 
-    # per-stratum second-moment contributions (the building blocks of the
-    # order-2 entries and of all cross-stratum products); S^2 = C * bessel
-    ty: list[float] = []   # -> V20
-    tx: list[float] = []   # -> V02
-    txy: list[float] = []  # -> V11
-    for w, g, s, c in zip(weights, coeffs.gamma, pop.strata, moments):
-        bessel = s.capital_n / (s.capital_n - 1)
-        ty.append(w * w * g * (c[(2, 0)] * bessel) / (ybar * ybar))
-        tx.append(w * w * g * (c[(0, 2)] * bessel) / (xbar * xbar))
-        txy.append(w * w * g * (c[(1, 1)] * bessel) / (xbar * ybar))
-
-    def order3(a: int, b: int) -> float:
-        scale = scales[(a, b)]
-        return _fsum(
-            w**3 * k1 * c[(a, b)] / scale
-            for w, k1, c in zip(weights, coeffs.k1, moments)
-        )
-
-    def within4(a: int, b: int) -> float:
-        """Within-stratum fourth moment of (e0^a e1^b), a + b = 4."""
-        scale = scales[(a, b)]
-        terms = []
-        for w, k2, k3, c in zip(weights, coeffs.k2, coeffs.k3, moments):
-            if (a, b) == (0, 4):
-                pair = 3.0 * c[(0, 2)] ** 2
-            elif (a, b) == (1, 3):
-                pair = 3.0 * c[(1, 1)] * c[(0, 2)]
-            else:  # (2, 2)
-                pair = c[(2, 0)] * c[(0, 2)] + 2.0 * c[(1, 1)] ** 2
-            terms.append(w**4 * (k2 * c[(a, b)] + k3 * pair) / scale)
-        return _fsum(terms)
-
-    def cross(u: list[float], v: list[float]) -> float:
-        """sum over h != g of u_h * v_g, via totals minus the diagonal."""
-        return _fsum(u) * _fsum(v) - _fsum(a * b for a, b in zip(u, v))
-
-    entries: dict[tuple[int, int], float] = {
-        (2, 0): _fsum(ty),
-        (0, 2): _fsum(tx),
-        (1, 1): _fsum(txy),
-        (3, 0): order3(3, 0),
-        (2, 1): order3(2, 1),
-        (1, 2): order3(1, 2),
-        (0, 3): order3(0, 3),
-        (0, 4): within4(0, 4) + 3.0 * cross(tx, tx),
-        (1, 3): within4(1, 3) + 3.0 * cross(txy, tx),
-        (2, 2): within4(2, 2) + cross(ty, tx) + 2.0 * cross(txy, txy),
+    # each stratum's cumulants of (ybar_h - Ybar_h, xbar_h - Xbar_h), scaled
+    # by W_h^k / (ybar^a xbar^b), in VTABLE_KEYS order
+    scaled: list[list[float]] = []
+    for s, w, c in zip(pop.strata, pop.weights, moments):
+        # one correctly rounded int / int each
+        weights = [num / den for num, den in _stratum_weights(s.capital_n, s.small_n)]
+        c = list(c.values())
+        kappa: list[float] = []
+        for i, (whole, splits) in enumerate(zip(_WHOLE, _SPLITS)):
+            value = weights[whole] * c[i]
+            if splits:  # the moment less the products of its blocks' cumulants
+                parts = [value]
+                for shape, blocks in splits:
+                    parts += (weights[shape] * prod(blocks(c)), -prod(blocks(kappa)))
+                value = _fsum(parts)
+            kappa.append(value)
+        scaled.append([w**k * v / scale for k, v, scale in zip(_ORDERS, kappa, scales)])
+    cumulants = [_fsum(column) for column in zip(*scaled)]
+    entries = {
+        key: _fsum([k, *(prod(blocks(cumulants)) for _, blocks in splits)])
+        for key, k, splits in zip(VTABLE_KEYS, cumulants, _SPLITS)
     }
-    for (a, b), value in entries.items():
+    # at order four from V04 down: an x spread wide enough to leave the
+    # range is named by its highest power of e1
+    for a, b in (*VTABLE_KEYS[:7], *VTABLE_KEYS[:6:-1]):
+        value = entries[(a, b)]
         if not math.isfinite(value):
             raise ComputationError(
                 f"V{a}{b} = {value!r} is outside the float range; rescale x or y"

@@ -16,9 +16,9 @@ approximation in this package is certified against.  Each stratum's
 combination means are built once, as arrays, by the same ``stratum_means``
 that Monte Carlo calls on one sample; the joint samples are then walked a
 block at a time.  A block's stratified means, the ``math.fsum`` of the
-weighted stratum means, are added with its bits by ``fsum_columns``: an
-error-free TwoSum filter over the whole block that hands ``math.fsum``
-only a sum it cannot certify.  Every estimator is called once per sample,
+weighted stratum means, are added with its bits by
+``exactsum.fsum_columns``: an error-free TwoSum filter over the whole
+block that hands ``math.fsum`` only a sum it cannot certify.  Every estimator is called once per sample,
 and its values are written into the block's rows in place.  Each block's
 rows, one per sum, go to ``exactsum.block_sums``, which reduces them into
 exact running sums.  No Python object is kept per combination or per
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import ComputationError, DegenerateAuxiliaryError, EnumerationLimitError
 from .estimators import EstimatorSpec, estimate
-from .exactsum import block_sums, fsum
+from .exactsum import block_sums, fsum, fsum_columns
 from .population import StratifiedPopulation, StratumPopulation
 
 DEFAULT_ENUM_LIMIT = 10**7
@@ -85,51 +85,6 @@ def stratum_means(
     ysum = np.add.accumulate(stratum.y.take(idx), axis=-1).T[-1]
     xsum = np.add.accumulate(stratum.x.take(idx), axis=-1).T[-1]
     return (ysum + 0.0) / n, (xsum + 0.0) / n
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum),
-    elementwise; exact for all finite a, b whose sum stays in range."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def fsum_columns(cols: np.ndarray) -> list[float]:
-    """``math.fsum(cols[:, i])`` for each column i of the (K, m) float64
-    array, K >= 1, with the same bits, as one list.
-
-    The error-free filter of Ogita, Rump and Oishi ("Accurate sum and dot
-    product", SIAM J. Sci. Comput., 2005): one TwoSum cascade adds the K
-    rows into s and leaves K - 1 exact errors, and a second adds those
-    errors into s2.  Where every error of the second cascade is zero,
-    s + s2 is the exact sum, and ``s + s2`` rounds it once, ties to even,
-    as ``math.fsum`` does.  Every other column is summed by ``math.fsum``
-    itself, looked up at call time:
-
-    * a nonzero second-level error;
-    * a zero sum, for ``math.fsum``'s sign rule;
-    * an entry that is not finite, or absolute values that add up to
-      2**1023 or more.  No running sum then leaves the float range in
-      either routine, so s and s2 are finite and ``math.fsum`` raises no
-      intermediate overflow that the filter would miss.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        redo = ~(np.abs(cols).sum(axis=0) < 2.0**1023)  # nan is not below it
-        s, errors = cols[0], []
-        for col in cols[1:]:
-            s, e = _two_sum(s, col)
-            errors.append(e)
-        s2 = errors[0] if errors else 0.0
-        for e in errors[1:]:
-            s2, f = _two_sum(s2, e)
-            redo |= f != 0
-        total = s + s2
-        redo |= total == 0
-    sums = total.tolist()
-    for i in np.flatnonzero(redo).tolist():
-        sums[i] = math.fsum(cols[:, i].tolist())
-    return sums
 
 
 @dataclass(frozen=True)
@@ -204,8 +159,8 @@ class ExactDesignDistribution:
         samples at a time, in enumeration order: ``itertools.product`` of the
         strata's combinations, the last stratum varying fastest.  Each is the
         ``math.fsum`` of the weighted stratum means, in stratum order, with
-        its bits; ``fsum_columns`` takes the whole block, both means, at
-        once."""
+        its bits; ``exactsum.fsum_columns`` takes the whole block, both
+        means, at once."""
         means = self._weighted_means()
         size, sizes = self.size, self.stratum_space_sizes
         for start in range(0, size, BLOCK):

@@ -1,8 +1,8 @@
-"""Design coefficients and the exact moment table, adjudicated by enumeration.
+"""The SRSWOR moment rule and the exact moment table, checked by enumeration.
 
 The enumeration helpers here work in exact rational arithmetic straight
 from the raw unit values, independently of the package's own oracle
-module, so they can arbitrate the k-coefficient formulas themselves.
+module, so they can arbitrate the rule's stratum weights themselves.
 """
 
 import math
@@ -10,17 +10,13 @@ from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stratexp.errors import (
-    ComputationError,
-    InsufficientStratumError,
-    MomentNormalizationError,
-)
-from stratexp.moments import (
-    VTABLE_KEYS,
-    design_coefficients,
-    v_table,
-)
+from stratexp import moments
+from stratexp.errors import ComputationError, MomentNormalizationError
+from stratexp.moments import VTABLE_KEYS, v_table
+from stratexp.verify import exact_expectation
 
 from helpers import make_population
 
@@ -72,58 +68,124 @@ def enum_joint_moment(strata, a, b):
     return total / count
 
 
+def enum_stratum_moment(ys, xs, n, a, b):
+    """Exact E[(ybar - Ybar)^a (xbar - Xbar)^b] of one stratum under SRSWOR."""
+    cap = len(xs)
+    my, mx = F(sum(ys), cap), F(sum(xs), cap)
+    draws = list(combinations(range(cap), n))
+    return sum(
+        (F(sum(ys[i] for i in idx), n) - my) ** a * (F(sum(xs[i] for i in idx), n) - mx) ** b
+        for idx in draws
+    ) / len(draws)
+
+
+# ---------------------------------------------------------------------------
+# the rule, in exact rationals, and the closed forms it replaces
+
+
+def rule_weights(cap, n):
+    """The rule's stratum weights as exact fractions, keyed by block sizes."""
+    return {
+        sizes: F(num, den)
+        for sizes, (num, den) in zip(moments._SHAPES, moments._stratum_weights(cap, n))
+    }
+
+
+def rule_stratum_moment(ys, xs, n, a, b):
+    """E[(ybar - Ybar)^a (xbar - Xbar)^b] by the rule: the sum over the
+    partitions of the (a, b) positions of the weight times the exact central
+    moments of the blocks."""
+    cap = len(xs)
+    my, mx = F(sum(ys), cap), F(sum(xs), cap)
+    c = [sum((F(y) - my) ** p * (F(x) - mx) ** q for y, x in zip(ys, xs)) / cap for p, q in VTABLE_KEYS]
+    weights = rule_weights(cap, n)
+    return sum(
+        weights[sizes] * math.prod(c[i] for i in keys)
+        for sizes, keys in moments._PLANS[VTABLE_KEYS.index((a, b))]
+    )
+
+
+def gamma_closed(cap, n):
+    return F(cap - n, n * cap)  # (1 - f) / n
+
+
+def k1_closed(cap, n):
+    return F((cap - n) * (cap - 2 * n), n * n * (cap - 1) * (cap - 2))
+
+
+def k2_closed(cap, n):
+    den = n**3 * (cap - 1) * (cap - 2) * (cap - 3)
+    return F((cap - n) * (cap * (cap + 1) - 6 * n * (cap - n)), den)
+
+
+def k3_closed(cap, n):
+    den = n**3 * (cap - 1) * (cap - 2) * (cap - 3)
+    return F(cap * (cap - n) * (cap - n - 1) * (n - 1), den)
+
+
 # ---------------------------------------------------------------------------
 
 
 class TestDesignCoefficients:
+    """The rule's weights for the block sizes {2}, {3}, {4} and {2, 2}."""
+
     def test_f_and_gamma(self):
-        """N=10, n=2: f = 0.2, gamma = (1-f)/n = 0.4."""
-        pop = make_population(("A", list(range(1, 11)), list(range(2, 22, 2)), 2))
-        dc = design_coefficients(pop)
-        assert dc.gamma[0] == pytest.approx(0.4, rel=1e-15)
+        """N=10, n=2: f = 0.2, gamma = (1-f)/n = 0.4, {2} weight gamma*N/(N-1)."""
+        assert rule_weights(10, 2)[(2,)] == F(2, 5) * F(10, 9)
 
     def test_k1_value(self):
-        """N=10, n=2: k1 = (8*6)/(4*9*8) = 1/6."""
-        pop = make_population(("A", list(range(1, 11)), list(range(2, 22, 2)), 2))
-        dc = design_coefficients(pop)
-        assert dc.k1[0] == pytest.approx(1.0 / 6.0, rel=1e-15)
+        """N=10, n=2: k1 = (8*6)/(4*9*8) = 1/6, rounded once."""
+        assert rule_weights(10, 2)[(3,)] == F(1, 6)
+        num, den = moments._stratum_weights(10, 2)[moments._SHAPES.index((3,))]
+        assert num / den == 1.0 / 6.0
 
     def test_k1_sign_follows_n_minus_2n(self):
-        """k1 < 0 exactly when n_h > N_h/2 (its sign carries (N-2n))."""
-        over_half = make_population(("A", list(range(1, 8)), list(range(1, 8)), 4))
-        assert design_coefficients(over_half).k1[0] < 0
-        at_half = make_population(("A", list(range(1, 7)), list(range(1, 7)), 3))
-        assert design_coefficients(at_half).k1[0] == 0.0
+        """k1 < 0 exactly when n_h > N_h/2 (its sign carries (N-2n)), and
+        k1 = 0 exactly at N = 2n >= 4 (at N = 2 the closed form is 0/0 and
+        the rule gives 1, the weight of one draw; C_03 is zero there)."""
+        assert rule_weights(7, 4)[(3,)] < 0
+        assert rule_weights(2, 1)[(3,)] == 1
+        for n in range(2, 16):
+            num, _ = moments._stratum_weights(2 * n, n)[moments._SHAPES.index((3,))]
+            assert num == 0, n
 
     def test_gamma_strictly_decreasing_in_n(self):
-        """Census limit: gamma shrinks strictly as n grows with N fixed."""
-        xs, ys = list(range(1, 9)), list(range(11, 19))
-        gammas = [
-            design_coefficients(make_population(("A", xs, ys, n))).gamma[0]
-            for n in range(1, 8)
-        ]
-        assert all(a > b for a, b in zip(gammas, gammas[1:]))
-        assert all(g > 0 for g in gammas)
+        """Census limit: the {2} weight shrinks strictly as n grows with N fixed."""
+        weights = [rule_weights(8, n)[(2,)] for n in range(1, 8)]
+        assert all(a > b for a, b in zip(weights, weights[1:]))
+        assert all(w > 0 for w in weights)
+
+    def test_weights_are_the_closed_forms(self):
+        """gamma*N/(N-1), k1, k2 and k3 as exact fractions, 4 <= N <= 30."""
+        for cap in range(4, 31):
+            for n in range(1, cap):
+                assert rule_weights(cap, n) == {
+                    (2,): gamma_closed(cap, n) * F(cap, cap - 1),
+                    (3,): k1_closed(cap, n),
+                    (4,): k2_closed(cap, n),
+                    (2, 2): k3_closed(cap, n),
+                }, (cap, n)
 
     @pytest.mark.parametrize("n_cap", [2, 3])
-    def test_fourth_order_needs_four_units(self, n_cap):
-        pop = make_population(("A", list(range(1, n_cap + 1)), list(range(4, n_cap + 4)), 1))
-        with pytest.raises(
-            InsufficientStratumError, match=rf"insufficient stratum size for k2/k3 \(N={n_cap} < 4\)"
-        ):
-            design_coefficients(pop)
-        with pytest.raises(InsufficientStratumError):
-            v_table(pop)
+    def test_two_and_three_unit_strata_match_enumeration(self, n_cap):
+        """Below four units the closed forms for k2/k3 divide by zero; the
+        rule's table is still every enumerated expectation."""
+        for n in range(1, n_cap):
+            strata = [(list(range(4, n_cap + 4)), [1, 5, 2][:n_cap], n)]
+            v = v_table(make_population(("A", strata[0][1], strata[0][0], n)))
+            for a, b in VTABLE_KEYS:
+                exact = float(enum_joint_moment(strata, a, b))
+                assert v[(a, b)] == pytest.approx(exact, rel=1e-12, abs=1e-15), (n, a, b)
 
 
 class TestKCoefficientAdjudication:
-    """Re-run the enumeration adjudication of the k formulas.
+    """Re-run the enumeration adjudication of the stratum moments.
 
-    For each (N, n) pair the exact third and fourth moments of the sample
-    mean must decompose as k1*mu3 and k2*mu4 + 3*k3*mu2^2 with the
-    implemented coefficients; the candidate grouping of k2's numerator
-    that reads the subtraction as top-level, (N-n)(N+1)N - 6n(N-n), must
-    fail on every pair.
+    For each (N, n) pair the rule's third and fourth moments of the sample
+    mean, and its mixed moments of every table key, must equal exact
+    enumeration; the candidate grouping of k2's numerator that reads the
+    subtraction as top-level, (N-n)(N+1)N - 6n(N-n), must fail on every
+    pair of four or more units.
     """
 
     DATASETS = {
@@ -132,23 +194,33 @@ class TestKCoefficientAdjudication:
         (6, 3): [2, 3, 5, 4, 6, 8],
         (7, 3): [1, 2, 4, 8, 16, 32, 64],
     }
+    SMALL = {
+        (2, 1): [3, 7],
+        (3, 1): [1, 2, 6],
+        (3, 2): [2, 5, 11],
+        (4, 3): [1, 3, 4, 9],
+    }
+    ALL = {**DATASETS, **SMALL}
 
-    @pytest.mark.parametrize("shape", sorted(DATASETS))
+    @pytest.mark.parametrize("shape", sorted(ALL))
     def test_third_moment_identity(self, shape):
         cap, n = shape
-        values = self.DATASETS[shape]
-        k1 = F((cap - n) * (cap - 2 * n), n * n * (cap - 1) * (cap - 2))
-        assert enum_mean_moment(values, n, 3) == k1 * central(values, 3)
+        values = self.ALL[shape]
+        assert enum_mean_moment(values, n, 3) == rule_stratum_moment(values, values, n, 0, 3)
 
-    @pytest.mark.parametrize("shape", sorted(DATASETS))
+    @pytest.mark.parametrize("shape", sorted(ALL))
     def test_fourth_moment_identity(self, shape):
         cap, n = shape
-        values = self.DATASETS[shape]
-        den = n**3 * (cap - 1) * (cap - 2) * (cap - 3)
-        k2 = F((cap - n) * (cap * (cap + 1) - 6 * n * (cap - n)), den)
-        k3 = F(cap * (cap - n) * (cap - n - 1) * (n - 1), den)
-        expected = k2 * central(values, 4) + 3 * k3 * central(values, 2) ** 2
-        assert enum_mean_moment(values, n, 4) == expected
+        values = self.ALL[shape]
+        assert enum_mean_moment(values, n, 4) == rule_stratum_moment(values, values, n, 0, 4)
+
+    @pytest.mark.parametrize("shape", sorted(ALL))
+    def test_mixed_moment_identities(self, shape):
+        cap, n = shape
+        xs = self.ALL[shape]
+        ys = [(3 * x * x) % 11 - x for x in reversed(xs)]
+        for a, b in VTABLE_KEYS:
+            assert enum_stratum_moment(ys, xs, n, a, b) == rule_stratum_moment(ys, xs, n, a, b), (a, b)
 
     @pytest.mark.parametrize("shape", sorted(DATASETS))
     def test_flat_grouping_fails(self, shape):
@@ -159,6 +231,36 @@ class TestKCoefficientAdjudication:
         k3 = F(cap * (cap - n) * (cap - n - 1) * (n - 1), den)
         wrong = k2_flat * central(values, 4) + 3 * k3 * central(values, 2) ** 2
         assert enum_mean_moment(values, n, 4) != wrong
+
+
+@st.composite
+def small_populations(draw):
+    """1-3 strata of integer data, N_h from 2 to 7, 1 <= n_h < N_h."""
+    strata = []
+    for h in range(draw(st.integers(1, 3))):
+        cap = draw(st.integers(2, 7))
+        xs = draw(st.lists(st.integers(1, 60), min_size=cap, max_size=cap))
+        ys = draw(st.lists(st.integers(1, 60), min_size=cap, max_size=cap))
+        strata.append((f"S{h}", xs, ys, draw(st.integers(1, cap - 1))))
+    return make_population(*strata)
+
+
+class TestVTableProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(pop=small_populations())
+    def test_every_entry_is_the_enumerated_expectation(self, pop):
+        """Within 1e-12 of V20^(a/2) V02^(b/2), both enumerated."""
+        ybar, xbar = pop.grand_y_mean, pop.grand_x_mean
+        v = v_table(pop)
+        exact = {
+            (a, b): exact_expectation(
+                pop, lambda y, x, a=a, b=b: ((y - ybar) / ybar) ** a * ((x - xbar) / xbar) ** b
+            )
+            for a, b in VTABLE_KEYS
+        }
+        for a, b in VTABLE_KEYS:
+            norm = exact[(2, 0)] ** (a / 2) * exact[(0, 2)] ** (b / 2)
+            assert abs(v[(a, b)] - exact[(a, b)]) <= 1e-12 * norm, (a, b)
 
 
 class TestVTableExactness:
@@ -216,10 +318,14 @@ class TestVTableExactness:
         with pytest.raises(MomentNormalizationError):
             v_table(pop)
 
-    def test_small_stratum_rejected(self):
-        pop = make_population(("A", [1, 2, 3], [2, 4, 6], 2))
-        with pytest.raises(InsufficientStratumError):
-            v_table(pop)
+    def test_small_strata_match_enumeration(self):
+        """Strata of two and three units, alone and beside a larger one."""
+        strata_data = [([2, 4, 6], [1, 2, 3], 2), ([5, 1], [3, 7], 1), ([9, 4, 8, 2], [2, 6, 3, 5], 3)]
+        pop = make_population(*((h, xs, ys, n) for h, (ys, xs, n) in zip("ABC", strata_data)))
+        v = v_table(pop)
+        for a, b in VTABLE_KEYS:
+            exact = float(enum_joint_moment(strata_data, a, b))
+            assert v[(a, b)] == pytest.approx(exact, rel=1e-12, abs=1e-15), (a, b)
 
 
 class TestVTableInvariances:

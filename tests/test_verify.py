@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from stratexp import verify
 from stratexp.errors import ComputationError, EnumerationLimitError
 from stratexp.estimators import estimate, t1s, t2s, t3s, t4s
+from stratexp.exactsum import fsum_columns
 from stratexp.moments import v_table
 from stratexp.population import StratifiedPopulation
 from stratexp.verify import (
@@ -25,7 +26,6 @@ from stratexp.verify import (
     draw_sample,
     exact_bias_mse,
     exact_expectation,
-    fsum_columns,
     monte_carlo,
     stratum_means,
 )
