@@ -11,9 +11,11 @@ bracket is one of these candidates: the two bracket ends and each real root
 of the derivative inside the bracket, polished by Newton steps.  Ties break
 toward the smaller absolute parameter, then the smaller parameter.
 ``iterations`` counts the Newton steps taken at the chosen point: 0 at a
-bracket end and at first order, usually 1 inside the bracket.  When V02 = 0
-exactly (a constant auxiliary column) the MSE does not depend on the
-constant, and both orders raise DegenerateAuxiliaryError.
+bracket end and at first order, usually 1 inside the bracket.  It is a
+diagnostic, not part of the numeric contract: the polish stops on a step
+below 1e-15 relative, so a one-ulp change in V can move it between 1 and
+2.  When V02 = 0 exactly (a constant auxiliary column) the MSE does not
+depend on the constant, and both orders raise DegenerateAuxiliaryError.
 """
 
 from __future__ import annotations

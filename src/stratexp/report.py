@@ -81,6 +81,8 @@ class EstimatorRequest:
         """Parse 't1s', 't3s:0.5', 't4s:optimize', ...
 
         With ``optimize``, a bare tunable kind means ':optimize': 't3s' is 't3s:optimize'.
+        Spaces around the parameter are ignored, and an empty parameter
+        ('t1s:', 't3s: ') is a :class:`ConfigError` for every kind.
         """
         name, sep, param = text.strip().lower().partition(":")
         try:
@@ -90,9 +92,12 @@ class EstimatorRequest:
                 f"unknown estimator {name!r}; expected one of "
                 f"{[k.value for k in EstimatorKind]}"
             ) from None
-        if not param:
-            bare_tunable = not sep and kind.parameter_name is not None
+        if not sep:
+            bare_tunable = kind.parameter_name is not None
             return EstimatorRequest(kind=kind, optimize=optimize and bare_tunable)
+        param = param.strip()
+        if not param:
+            raise ConfigError(f"estimator {text!r}: empty parameter after ':'")
         if param == "optimize":
             return EstimatorRequest(kind=kind, optimize=True)
         try:

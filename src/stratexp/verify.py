@@ -1,11 +1,12 @@
 """Independent oracles: exhaustive SRSWOR enumeration and seeded Monte Carlo.
 
 Both oracles take every estimator of a report at once and visit each
-sample a single time, evaluating all the estimators on it.  A sample is
-the plain tuple ``(index_sets, ybar_st, xbar_st)``: ``index_sets[h]`` holds
-the n_h distinct unit indices drawn from stratum h, and ``ybar_st`` and
-``xbar_st`` are the stratified sample means, the only two numbers an
-estimator reads.
+sample a single time, evaluating all the estimators on it by one shared
+step, ``_deviation_rows``, which also names the sample when one fails.  A
+sample is the plain tuple ``(index_sets, ybar_st, xbar_st)``:
+``index_sets[h]`` holds the n_h distinct unit indices drawn from stratum
+h, and ``ybar_st`` and ``xbar_st`` are the stratified sample means, the
+only two numbers an estimator reads.
 
 The enumeration oracle realizes the design expectation exactly: strata are
 sampled independently, so the joint sample space is the Cartesian product
@@ -18,12 +19,11 @@ that Monte Carlo calls on one sample; the joint samples are then walked a
 block at a time.  A block's stratified means, the ``math.fsum`` of the
 weighted stratum means, are added with its bits by
 ``exactsum.fsum_columns``: an error-free TwoSum filter over the whole
-block that hands ``math.fsum`` only a sum it cannot certify.  Every estimator is called once per sample,
-and its values are written into the block's rows in place.  Each block's
-rows, one per sum, go to ``exactsum.block_sums``, which reduces them into
-exact running sums.  No Python object is kept per combination or per
-sample, so memory grows with the strata's combination counts, not with
-the joint space.
+block that hands ``math.fsum`` only a sum it cannot certify.  Each
+block's rows from the estimator step go to ``exactsum.block_sums``,
+which reduces them into exact running sums.  No Python object is kept
+per combination or per sample, so memory grows with the strata's
+combination counts, not with the joint space.
 
 The Monte Carlo oracle is stochastic but fully reproducible: replicate r
 draws from a Philox4x64 counter-based generator keyed by (seed, r), so a
@@ -34,11 +34,11 @@ array pass, and only a stratum that repeats a target replays its walk,
 storing just the positions the swaps displace.  So a draw costs O(n_h)
 time and memory per stratum, independent of the stratum size N_h; the
 step table it reads is built once per population and is O(n_h) too.
-Replicates run in index order on the calling thread, and every reduction
-runs over them in that order with exactly-rounded summation.  There is no
-worker pool: a replicate is a few small NumPy calls and Python steps that
-hold the interpreter lock, and threads would not run it any faster, so
-the command line's ``--workers`` changes neither results nor speed.
+Replicates run in index order on the calling thread, and their bias and
+MSE rows are reduced by ``exactsum.row_sums``, the bits of ``math.fsum``.
+There is no worker pool: a replicate's NumPy calls and Python steps hold
+the interpreter lock, so threads would not run it faster, and the command
+line's ``--workers`` changes neither results nor speed.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations, count, islice, repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ComputationError, DegenerateAuxiliaryError, EnumerationLimitError
+from .errors import ComputationError, EnumerationLimitError
 from .estimators import EstimatorSpec, estimate
-from .exactsum import block_sums, fsum, fsum_columns
+from .exactsum import block_sums, fsum_columns, row_sums
 from .population import StratifiedPopulation, StratumPopulation
 
 DEFAULT_ENUM_LIMIT = 10**7
@@ -220,6 +220,47 @@ def exact_expectation(
     return total / dist.size
 
 
+def _deviation_rows(
+    pop: StratifiedPopulation,
+    specs: Sequence[EstimatorSpec],
+    ybars: list[float],
+    xbars: list[float],
+    index_sets: Callable[[int], tuple[tuple[int, ...], ...]],
+    rows: np.ndarray,
+) -> np.ndarray:
+    """Fill and return ``rows``, (2k, n), for the k ``specs`` on the n
+    samples with stratified means ``ybars``, ``xbars``: each estimator is
+    called once per sample into its row, then d = t - Ybar (taken directly
+    to avoid cancellation in the bias) is formed in place in the upper k
+    rows and d * d in the lower k.  A failure names the first failing
+    sample, by ``index_sets(i)``, and the first spec that fails on it."""
+    xbar_pop = pop.grand_x_mean
+    k, n = len(specs), len(ybars)
+    try:
+        for row, spec in zip(rows, specs):
+            row[:] = np.fromiter(
+                map(estimate, repeat(spec), ybars, xbars, repeat(xbar_pop)), float, n
+            )
+    except ComputationError:
+        for i, (y, x) in enumerate(zip(ybars, xbars)):
+            for spec in specs:
+                try:
+                    estimate(spec, y, x, xbar_pop)
+                except ComputationError as exc:
+                    raise ComputationError(
+                        f"estimator {spec.label()} failed on sample with index "
+                        f"sets {index_sets(i)}: {exc}"
+                    ) from exc
+        raise
+    # float64 arithmetic has the bits of Python's, which makes an overflow
+    # inf without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = rows[:k]
+        d -= pop.grand_y_mean
+        np.multiply(d, d, out=rows[k:])
+    return rows
+
+
 def exact_bias_mse(
     pop: StratifiedPopulation,
     specs: Sequence[EstimatorSpec],
@@ -227,13 +268,10 @@ def exact_bias_mse(
 ) -> list[tuple[float, float]]:
     """Exact (bias, MSE) of each estimator under the design, in ``specs`` order.
 
-    One pass over the sample space evaluates every estimator on each sample,
-    one estimator at a time over a block of ``BLOCK`` samples, each into its
-    row of one (2k, n) array per block.  The deviations d = t - Ybar, taken
-    directly to avoid cancellation in the bias, are formed in place in the
-    upper k rows and their squares d * d in the lower k, and
-    ``exactsum.block_sums`` reduces the rows into exact running sums:
-    memory does not grow with the space.
+    One pass over the sample space evaluates every estimator on each
+    sample, ``BLOCK`` samples at a time, into one (2k, n) array of the
+    deviations d and their squares d * d; ``exactsum.block_sums`` reduces
+    the rows into exact running sums: memory does not grow with the space.
     Aborts if an estimator fails anywhere on the sample space, naming the
     first failing sample in enumeration order and the first estimator in
     ``specs`` order that fails on it: exactness certifies, it does not skip.
@@ -241,41 +279,14 @@ def exact_bias_mse(
     squared deviation that overflows leaves its sum non-finite.
     """
     dist = ExactDesignDistribution(pop, limit)
-    ybar_pop = pop.grand_y_mean
-    xbar_pop = pop.grand_x_mean
     k = len(specs)
 
     def deviation_blocks() -> Iterator[np.ndarray]:
-        """Each block's rows: each d, then each d * d."""
-        start = 0
-        for ybars, xbars in dist._mean_blocks():
-            n = len(ybars)
-            rows = np.empty((2 * k, n))
-            try:
-                for row, spec in zip(rows, specs):
-                    row[:] = np.fromiter(
-                        map(estimate, repeat(spec), ybars, xbars, repeat(xbar_pop)), float, n
-                    )
-            except ComputationError:
-                # Scan the block again sample by sample to name the first failure.
-                for offset, (y, x) in enumerate(zip(ybars, xbars)):
-                    for spec in specs:
-                        try:
-                            estimate(spec, y, x, xbar_pop)
-                        except ComputationError as exc:
-                            raise ComputationError(
-                                f"estimator {spec.label()} failed on sample with index "
-                                f"sets {dist._index_sets(start + offset)}: {exc}"
-                            ) from exc
-                raise
-            # float64 arithmetic has the bits of Python's, which makes an
-            # overflow inf without a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = rows[:k]
-                d -= ybar_pop
-                np.multiply(d, d, out=rows[k:])
-            yield rows
-            start += n
+        for start, (ybars, xbars) in zip(count(0, BLOCK), dist._mean_blocks()):
+            rows = np.empty((2 * k, len(ybars)))
+            yield _deviation_rows(
+                pop, specs, ybars, xbars, lambda i: dist._index_sets(start + i), rows
+            )
 
     sums = block_sums(deviation_blocks())
     results = [(b / dist.size, m / dist.size) for b, m in zip(sums[:k], sums[k:])]
@@ -387,58 +398,46 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Seeded Monte Carlo bias and MSE of each estimator, with standard errors.
 
-    Every estimator is evaluated on the same replicates.  A replicate on
-    which the estimators are undefined (Xbar + xbar_st = 0, whatever the
-    estimator) is skipped for all of them and counted once; the estimates
-    use the remaining replicates.  Any other failure, such as an estimator
-    overflowing the float range or a bias or MSE summary that leaves it,
-    aborts the run, naming the estimator.  Output is bit-identical
-    for a given (population, specs, replicates, seed).
+    Draw, mask, evaluate, reduce.  Only each replicate's (ybar_st, xbar_st)
+    is kept.  Replicates where Xbar + xbar_st == 0.0, as ``estimate`` tests
+    it, are found by one array comparison, skipped with no estimator call
+    and counted.  The rest go through the enumeration's estimator step, so
+    a failure names the first failing replicate's sample, drawn again.  A
+    mean or variance outside the float range aborts the run, naming the
+    estimator.  Output is bit-identical for (population, specs, replicates, seed).
     """
     if replicates < 2:
         raise ValueError(f"need at least 2 replicates, got {replicates}")
     seed = _key_word("seed", seed)
-    xbar_pop = pop.grand_x_mean
-    ybar_pop = pop.grand_y_mean
-
+    k = len(specs)
     try:
-        deviations = np.empty((len(specs), replicates), dtype=np.float64)
-        usable = np.ones(replicates, dtype=bool)
+        sample_means = np.empty((2, replicates))
+        rows = np.empty((2 * k, replicates))
     except (ValueError, MemoryError) as exc:
         raise ComputationError(
             f"cannot allocate {replicates} Monte Carlo replicates: {exc}"
         ) from None
     for r in range(replicates):
-        _, ybar_st, xbar_st = draw_sample(pop, seed, r)
-        try:
-            for k, spec in enumerate(specs):
-                deviations[k, r] = estimate(spec, ybar_st, xbar_st, xbar_pop) - ybar_pop
-        except DegenerateAuxiliaryError:
-            usable[r] = False
-
-    n = int(usable.sum())
+        sample_means[:, r] = draw_sample(pop, seed, r)[1:]
+    kept = np.flatnonzero(pop.grand_x_mean + sample_means[1] != 0.0)
+    n = kept.size
+    ybars, xbars = sample_means[:, kept].tolist()
+    rows = _deviation_rows(
+        pop, specs, ybars, xbars, lambda i: draw_sample(pop, seed, kept[i])[0], rows[:, :n]
+    )
     if n < 2:
         raise ComputationError(f"only {n} usable replicates out of {replicates}")
-
-    def summarize(spec: EstimatorSpec, values: list[float]) -> McEstimate:
-        mean = fsum(values) / n
-        var = fsum([(x - mean) * (x - mean) for x in values]) / (n - 1)
+    means = [s / n for s in row_sums(rows)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows -= np.array(means)[:, None]
+        rows *= rows
+    estimates = []
+    for spec, mean, total in zip([*specs, *specs], means, row_sums(rows)):
+        var = total / (n - 1)
         if not (math.isfinite(mean) and math.isfinite(var)):
             raise ComputationError(
                 f"estimator {spec.label()} overflows the float range "
                 "in its Monte Carlo bias, MSE or their standard errors"
             )
-        return McEstimate(
-            mean=mean,
-            variance=var,
-            replicates=n,
-            seed=seed,
-            standard_error=math.sqrt(var / n),
-        )
-
-    valid = [row.tolist() for row in deviations[:, usable]]
-    return MonteCarloResult(
-        bias=tuple(summarize(s, d) for s, d in zip(specs, valid)),
-        mse=tuple(summarize(s, [x * x for x in d]) for s, d in zip(specs, valid)),
-        skipped=replicates - n,
-    )
+        estimates.append(McEstimate(mean, var, n, seed, math.sqrt(var / n)))
+    return MonteCarloResult(tuple(estimates[:k]), tuple(estimates[k:]), replicates - n)

@@ -53,6 +53,8 @@ class TestEstimatorRequest:
         assert EstimatorRequest.parse("t1s").kind is EstimatorKind.T1S
         assert EstimatorRequest.parse("T3S:0.5").parameter == 0.5
         assert EstimatorRequest.parse("t4s:optimize").optimize
+        assert EstimatorRequest.parse("t3s: optimize").optimize
+        assert EstimatorRequest.parse("t3s: 0.5").parameter == 0.5
         assert EstimatorRequest.parse("t3s:-1.5").label() == "t3s:-1.5"
 
     def test_label_keeps_every_digit_of_the_constant(self):
@@ -78,6 +80,9 @@ class TestEstimatorRequest:
             EstimatorRequest.parse("t3s")  # parameter required
         with pytest.raises(ConfigError):
             EstimatorRequest.parse("t1s:0.5")  # no parameter allowed
+        for text in ("t1s:", "t2s: ", "t3s:", "t4s: ", "t3s:  \t"):
+            with pytest.raises(ConfigError, match="empty parameter"):
+                EstimatorRequest.parse(text)
 
 
 class TestRunConfig:
@@ -346,6 +351,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "computation failed: ComputationError" in err
         assert "t3s(alpha=1e+06) overflows" in err
+        assert "failed on sample with index sets" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stratexp import verify
-from stratexp.errors import ComputationError, EnumerationLimitError
+from stratexp.errors import ComputationError, DegenerateAuxiliaryError, EnumerationLimitError
 from stratexp.estimators import estimate, t1s, t2s, t3s, t4s
 from stratexp.exactsum import fsum_columns
 from stratexp.moments import v_table
@@ -55,6 +55,35 @@ def reference_samples(pop):
             math.fsum(w * yb for w, (_, yb, _) in zip(pop.weights, picks)),
             math.fsum(w * xb for w, (_, _, xb) in zip(pop.weights, picks)),
         )
+
+
+def reference_monte_carlo(pop, specs, replicates, seed):
+    """The Monte Carlo oracle as a per-replicate loop: ``draw_sample``, then
+    ``estimate`` for each spec, skipping a replicate on
+    ``DegenerateAuxiliaryError``; each mean a ``math.fsum`` of a list over
+    n, each variance a two-pass ``math.fsum`` over n - 1.  Returns the bias
+    and MSE summaries, as ``McEstimate``s, and the skipped count."""
+    xbar, ybar = pop.grand_x_mean, pop.grand_y_mean
+    deviations = []
+    for r in range(replicates):
+        _, y, x = draw_sample(pop, seed, r)
+        try:
+            deviations.append([estimate(spec, y, x, xbar) - ybar for spec in specs])
+        except DegenerateAuxiliaryError:
+            pass
+    n = len(deviations)
+
+    def summary(values):
+        mean = math.fsum(values) / n
+        var = math.fsum([(v - mean) * (v - mean) for v in values]) / (n - 1)
+        return verify.McEstimate(mean, var, n, seed, math.sqrt(var / n))
+
+    columns = [list(column) for column in zip(*deviations)]
+    return (
+        tuple(summary(d) for d in columns),
+        tuple(summary([v * v for v in d]) for d in columns),
+        replicates - n,
+    )
 
 
 VALUES = st.one_of(st.sampled_from([-0.0, 1e16, 1.0, -1e16]), st.floats(-100.0, 100.0))
@@ -607,6 +636,92 @@ class TestMonteCarlo:
         """alpha = 8000: the variance of the squared deviations leaves the float range."""
         with pytest.raises(ComputationError, match=r"t3s\(alpha=8000\) overflows"):
             monte_carlo(synthetic, [t1s(), t3s(8000.0)], replicates=50, seed=0)
+
+    @pytest.mark.parametrize(
+        "population, replicates",
+        [("synthetic", 300), ("synthetic", 40), ("degenerate", 600), ("three strata", 260)],
+    )
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [t1s()],
+            [t2s(), t4s(0.3)],
+            [t3s(-2.5), t4s(1.7), t1s()],
+            [t4s(0.6), t3s(0.5), t4s(0.6), t2s()],
+        ],
+        ids=["one", "two", "three", "repeated"],
+    )
+    def test_bits_of_the_per_replicate_loop(self, synthetic, population, replicates, specs):
+        """Every field, and the skipped count, as the per-replicate loop
+        written out gives them; 260 and more usable replicates take the
+        row sums through the bucket kernel, 40 through ``math.fsum``."""
+        pop = {
+            "synthetic": synthetic,
+            "degenerate": make_population(("A", [-3, 1, 2, 4], [1, 2, 3, 4], 2)),
+            "three strata": make_population(
+                ("A", [1.5, 2.0, 7.25, 3.0, 9.5], [2.0, 3.5, 8.0, 4.25, 11.0], 2),
+                ("B", [4.0, 6.5, 5.0, 8.0], [1.0, 7.5, 4.0, 9.25], 3),
+                ("C", [0.5, 1.25, 2.75, 3.5, 6.0, 9.0], [0.75, 2.0, 3.0, 5.5, 5.0, 12.0], 3),
+            ),
+        }[population]
+        mc = monte_carlo(pop, specs, replicates=replicates, seed=31)
+        bias, mse, skipped = reference_monte_carlo(pop, specs, replicates, seed=31)
+        assert mc.skipped == skipped
+        assert (skipped > 0) == (population == "degenerate")
+        for got, want in zip(mc.bias + mc.mse, bias + mse, strict=True):
+            assert got.replicates == want.replicates and got.seed == want.seed == 31
+            for field in ("mean", "variance", "standard_error"):
+                assert getattr(got, field).hex() == getattr(want, field).hex(), field
+
+    def test_one_draw_per_replicate_and_no_estimate_on_a_skipped_one(self, monkeypatch):
+        """Every replicate is drawn once; each estimator is called once on
+        each usable replicate and never on a skipped one."""
+        pop = make_population(("A", [-3, 1, 2, 4], [1, 2, 3, 4], 2))
+        calls = {"draw_sample": 0, "estimate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(verify, "draw_sample", counted("draw_sample", verify.draw_sample))
+        monkeypatch.setattr(verify, "estimate", counted("estimate", verify.estimate))
+        mc = monte_carlo(pop, [t1s(), t4s(0.5)], replicates=200, seed=4)
+        assert mc.skipped > 0
+        assert calls == {"draw_sample": 200, "estimate": 2 * (200 - mc.skipped)}
+
+    def test_failure_names_the_first_replicate_then_the_first_estimator(self):
+        """x = {-3, 1, 2, 4}, Xbar = 1: at seed 22, replicates 0 and 1 hit
+        the pole and are skipped; replicate 2 has xbar_st = 1.5, where
+        alpha = -2e6 and -1e6 overflow; alpha = 1e6, first in ``specs``,
+        first overflows at replicate 4.  Replicate 2 is named, by its
+        draw, with t3s(alpha=-2e+06)."""
+        pop = make_population(("A", [-3, 1, 2, 4], [1, 2, 3, 4], 2))
+        specs = [t3s(1e6), t3s(-2e6), t3s(-1e6)]
+        xbar = pop.grand_x_mean
+        failures = []
+        for r in range(10):
+            _, y, x = draw_sample(pop, 22, r)
+            if xbar + x == 0.0:
+                continue
+            for spec in specs:
+                try:
+                    estimate(spec, y, x, xbar)
+                except ComputationError as exc:
+                    failures.append((r, spec, str(exc)))
+        assert [(r, spec) for r, spec, _ in failures[:3]] == [
+            (2, t3s(-2e6)), (2, t3s(-1e6)), (3, t3s(-2e6))
+        ]
+        assert min(r for r, spec, _ in failures if spec == t3s(1e6)) == 4
+        r, spec, message = failures[0]
+        with pytest.raises(ComputationError) as info:
+            monte_carlo(pop, specs, replicates=10, seed=22)
+        assert str(info.value) == (
+            f"estimator t3s(alpha=-2e+06) failed on sample with index sets "
+            f"{draw_sample(pop, 22, 2)[0]}: {message}"
+        )
 
     def test_seed_must_fit_the_64_bit_key(self, synthetic):
         """2**64 would key Philox like seed 0; it is refused, 2**64 - 1 is not."""
