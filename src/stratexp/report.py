@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from typing import Mapping
 
 from .errors import ConfigError
@@ -171,9 +172,15 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class EstimatorRow:
-    """One estimator's report cells; None marks a column not requested."""
+    """One estimator's report cells; None marks a column not requested.
 
-    label: str
+    The declaration is the report's row schema.  ``report_as_dict`` writes
+    the fields in this order, ``label`` as "estimator": a field without a
+    default always, None as null, and one that defaults to None only when
+    it holds a value.  The CSV and table columns name their fields.
+    """
+
+    label: str = field(metadata={"key": "estimator"})
     kind: EstimatorKind
     parameter_order1: float | None
     parameter_order2: float | None
@@ -241,45 +248,29 @@ def run(config: RunConfig) -> ComparisonReport:
             all_outcomes[request.label()] = outcomes
 
         warnings: list[str] = []
-        bias1 = mse1 = bias2 = mse2 = None
-        if spec1 is not None:
-            bias1 = bias(spec1, v, 1)
-            mse1 = mse(spec1, v, 1)
-            if mse1 < 0:
-                warnings.append("negative_mse1")
-        if spec2 is not None:
-            bias2 = bias(spec2, v, 2)
-            mse2 = mse(spec2, v, 2)
-            if mse2 < 0:
-                warnings.append("negative_mse2")
+        cells: dict = {"label": request.label(), "kind": request.kind}
+        for order, spec in ((1, spec1), (2, spec2)):
+            b = m = None
+            if spec is not None:
+                b, m = bias(spec, v, order), mse(spec, v, order)
+                if m < 0:
+                    warnings.append(f"negative_mse{order}")
+            cells[f"parameter_order{order}"] = None if spec is None else spec.parameter
+            cells[f"bias{order}"], cells[f"mse{order}"] = b, m
 
-        printed_b2 = printed_m2 = delta_b2 = delta_m2 = None
         if (
             config.printed_mode
             and spec2 is not None
             and (request.kind, "bias") in PRINTED_SECOND_ORDER
         ):
-            printed_b2, printed_m2 = printed_second_order(spec2, v)
-            delta_b2 = bias2 - printed_b2
-            delta_m2 = mse2 - printed_m2
-
-        rows.append(
-            EstimatorRow(
-                label=request.label(),
-                kind=request.kind,
-                parameter_order1=None if spec1 is None else spec1.parameter,
-                parameter_order2=None if spec2 is None else spec2.parameter,
-                bias1=bias1,
-                mse1=mse1,
-                bias2=bias2,
-                mse2=mse2,
-                printed_bias2=printed_b2,
-                printed_mse2=printed_m2,
-                printed_bias2_delta=delta_b2,
-                printed_mse2_delta=delta_m2,
-                warnings=tuple(warnings),
+            printed_b, printed_m = printed_second_order(spec2, v)
+            cells.update(
+                printed_bias2=printed_b,
+                printed_mse2=printed_m,
+                printed_bias2_delta=cells["bias2"] - printed_b,
+                printed_mse2_delta=cells["mse2"] - printed_m,
             )
-        )
+        rows.append(EstimatorRow(**cells, warnings=tuple(warnings)))
         verify_specs.append(spec2 if spec2 is not None else spec1)
 
     if config.verify == "exact":
@@ -322,50 +313,33 @@ def run(config: RunConfig) -> ComparisonReport:
 # serialization
 
 
-def _outcome_dict(outcome: OptimizationOutcome) -> dict:
-    return {
-        "parameter": outcome.parameter,
-        "objective": outcome.objective,
-        "order": outcome.order,
-        "method": outcome.method,
-        "bracket": list(outcome.bracket),
-        "iterations": outcome.iterations,
-        "objective_negative": outcome.objective_negative,
-    }
+#: (attribute, JSON key, left out while None) for each field, in
+#: declaration order; see ``EstimatorRow``
+_ROW_SCHEMA, _OUTCOME_SCHEMA = (
+    tuple((f.name, f.metadata.get("key", f.name), f.default is None) for f in fields(cls))
+    for cls in (EstimatorRow, OptimizationOutcome)
+)
+
+
+def _json_fields(obj, schema: tuple[tuple[str, str, bool], ...]) -> dict:
+    """``obj``'s fields by ``schema``, as JSON values: an enum as its
+    value, a tuple as a list."""
+    out = {}
+    for name, key, optional in schema:
+        value = getattr(obj, name)
+        if value is None and optional:
+            continue
+        if isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[key] = value
+    return out
 
 
 def report_as_dict(report: ComparisonReport) -> dict:
     """The report as one plain, ordered dictionary (the JSON structure)."""
     cfg = report.config
-    row_dicts = []
-    for r in report.rows:
-        d = {
-            "estimator": r.label,
-            "kind": r.kind.value,
-            "parameter_order1": r.parameter_order1,
-            "parameter_order2": r.parameter_order2,
-            "bias1": r.bias1,
-            "mse1": r.mse1,
-            "bias2": r.bias2,
-            "mse2": r.mse2,
-        }
-        if r.printed_bias2 is not None:
-            d["printed_bias2"] = r.printed_bias2
-            d["printed_mse2"] = r.printed_mse2
-            d["printed_bias2_delta"] = r.printed_bias2_delta
-            d["printed_mse2_delta"] = r.printed_mse2_delta
-        if r.bias_exact is not None:
-            d["bias_exact"] = r.bias_exact
-            d["mse_exact"] = r.mse_exact
-        if r.mc_bias is not None:
-            d["mc_bias"] = r.mc_bias
-            d["mc_bias_se"] = r.mc_bias_se
-            d["mc_mse"] = r.mc_mse
-            d["mc_mse_se"] = r.mc_mse_se
-            d["mc_skipped"] = r.mc_skipped
-        d["warnings"] = list(r.warnings)
-        row_dicts.append(d)
-
     return {
         "schema": "stratexp.report/1",
         "config": {
@@ -390,9 +364,9 @@ def report_as_dict(report: ComparisonReport) -> dict:
             ],
         },
         "moments": report.moments.as_json_dict(),
-        "estimators": row_dicts,
+        "estimators": [_json_fields(r, _ROW_SCHEMA) for r in report.rows],
         "optimizer": {
-            label: {order: _outcome_dict(out) for order, out in outs.items()}
+            label: {order: _json_fields(out, _OUTCOME_SCHEMA) for order, out in outs.items()}
             for label, outs in report.optimizer_outcomes.items()
         },
         "corrections": list(report.corrections),
@@ -414,95 +388,63 @@ def _emit_json(report: ComparisonReport) -> str:
     )
 
 
+#: CSV heading -> the fields of its cell on a row's bias line and mse line
 _CSV_COLUMNS = (
-    "estimator",
-    "metric",
-    "first_order",
-    "second_order",
-    "printed_second_order",
-    "exact",
-    "mc_estimate",
-    "mc_standard_error",
+    ("first_order", ("bias1", "mse1")),
+    ("second_order", ("bias2", "mse2")),
+    ("printed_second_order", ("printed_bias2", "printed_mse2")),
+    ("exact", ("bias_exact", "mse_exact")),
+    ("mc_estimate", ("mc_bias", "mc_mse")),
+    ("mc_standard_error", ("mc_bias_se", "mc_mse_se")),
+)
+
+#: table heading -> the field of its cell, then that of a standard error
+#: shown beside it
+_TABLE_COLUMNS = (
+    ("bias(1)", ("bias1",)),
+    ("bias(2)", ("bias2",)),
+    ("mse(1)", ("mse1",)),
+    ("mse(2)", ("mse2",)),
+    ("bias(2) printed", ("printed_bias2",)),
+    ("mse(2) printed", ("printed_mse2",)),
+    ("bias exact", ("bias_exact",)),
+    ("mse exact", ("mse_exact",)),
+    ("mc bias (se)", ("mc_bias", "mc_bias_se")),
+    ("mc mse (se)", ("mc_mse", "mc_mse_se")),
 )
 
 
 def _emit_csv(report: ComparisonReport) -> str:
-    def cell(x: float | None) -> str:
-        return "" if x is None else repr(x)
-
-    lines = [",".join(_CSV_COLUMNS)]
+    lines = [",".join(("estimator", "metric", *(h for h, _ in _CSV_COLUMNS)))]
     for r in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    r.label,
-                    "bias",
-                    cell(r.bias1),
-                    cell(r.bias2),
-                    cell(r.printed_bias2),
-                    cell(r.bias_exact),
-                    cell(r.mc_bias),
-                    cell(r.mc_bias_se),
-                )
-            )
-        )
-        lines.append(
-            ",".join(
-                (
-                    r.label,
-                    "mse",
-                    cell(r.mse1),
-                    cell(r.mse2),
-                    cell(r.printed_mse2),
-                    cell(r.mse_exact),
-                    cell(r.mc_mse),
-                    cell(r.mc_mse_se),
-                )
-            )
-        )
+        for i, metric in enumerate(("bias", "mse")):
+            values = (getattr(r, names[i]) for _, names in _CSV_COLUMNS)
+            cells = ("" if x is None else repr(x) for x in values)
+            lines.append(",".join((r.label, metric, *cells)))
     return "\n".join(lines) + "\n"
 
 
 def _emit_table(report: ComparisonReport) -> str:
-    def num(x: float | None, flag: bool = False) -> str:
-        if x is None:
+    optional_fields = {name for name, _, optional in _ROW_SCHEMA if optional}
+    columns = [
+        (heading, names)
+        for heading, names in _TABLE_COLUMNS
+        if names[0] not in optional_fields
+        or any(getattr(r, names[0]) is not None for r in report.rows)
+    ]
+
+    def cell(row: EstimatorRow, names: tuple[str, ...]) -> str:
+        value, *se = (getattr(row, n) for n in names)
+        if value is None:
             return "-"
-        text = format(x, ".6g")
-        return text + " !" if flag else text
+        text = format(value, ".6g")
+        if se:
+            text += f" ({se[0]:.2g})"
+        # run() warns of a negative MSE approximation by its field's name
+        return text + " !" if f"negative_{names[0]}" in row.warnings else text
 
-    headers = ["estimator", "bias(1)", "bias(2)", "mse(1)", "mse(2)"]
-    has_printed = any(r.printed_bias2 is not None for r in report.rows)
-    has_exact = any(r.bias_exact is not None for r in report.rows)
-    has_mc = any(r.mc_bias is not None for r in report.rows)
-    if has_printed:
-        headers += ["bias(2) printed", "mse(2) printed"]
-    if has_exact:
-        headers += ["bias exact", "mse exact"]
-    if has_mc:
-        headers += ["mc bias (se)", "mc mse (se)"]
-
-    body = []
-    for r in report.rows:
-        cells = [
-            r.label,
-            num(r.bias1),
-            num(r.bias2),
-            num(r.mse1, flag="negative_mse1" in r.warnings),
-            num(r.mse2, flag="negative_mse2" in r.warnings),
-        ]
-        if has_printed:
-            cells += [num(r.printed_bias2), num(r.printed_mse2)]
-        if has_exact:
-            cells += [num(r.bias_exact), num(r.mse_exact)]
-        if has_mc:
-            if r.mc_bias is None:
-                cells += ["-", "-"]
-            else:
-                cells += [
-                    f"{r.mc_bias:.6g} ({r.mc_bias_se:.2g})",
-                    f"{r.mc_mse:.6g} ({r.mc_mse_se:.2g})",
-                ]
-        body.append(cells)
+    headers = ["estimator", *(heading for heading, _ in columns)]
+    body = [[r.label, *(cell(r, names) for _, names in columns)] for r in report.rows]
 
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in body)) for i in range(len(headers))

@@ -100,6 +100,13 @@ class ExactDesignDistribution:
                 f"joint sample space has {self.size} samples, exceeding the "
                 f"limit of {self.limit}; use the Monte Carlo oracle instead"
             )
+        # A joint position is a NumPy index.  A stratum past that range on
+        # its own is refused, by name, where its means are allocated.
+        if max(self.stratum_space_sizes) <= np.iinfo(np.intp).max < self.size:
+            raise EnumerationLimitError(
+                f"joint sample space has {self.size} samples, more than NumPy "
+                "can index; use the Monte Carlo oracle instead"
+            )
 
     @property
     def stratum_space_sizes(self) -> tuple[int, ...]:

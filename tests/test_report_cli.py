@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -298,6 +299,118 @@ class TestEmission:
         report = run(base_config())
         with pytest.raises(ConfigError):
             emit(report, "yaml")
+
+
+ROW_KEYS = [
+    "estimator", "kind", "parameter_order1", "parameter_order2",
+    "bias1", "mse1", "bias2", "mse2",
+]
+PRINTED_KEYS = ["printed_bias2", "printed_mse2", "printed_bias2_delta", "printed_mse2_delta"]
+EXACT_KEYS = ["bias_exact", "mse_exact"]
+MC_KEYS = ["mc_bias", "mc_bias_se", "mc_mse", "mc_mse_se", "mc_skipped"]
+CSV_HEADER = (
+    "estimator,metric,first_order,second_order,printed_second_order,"
+    "exact,mc_estimate,mc_standard_error"
+)
+
+
+def _table_cells(line: str) -> list[str]:
+    """A table line's cells: columns are two or more spaces apart, and no
+    heading or cell holds two spaces in a row."""
+    return re.split(r" {2,}", line)
+
+
+class TestReportLayout:
+    """The keys, columns and headings of each format, over every combination
+    of order, oracle and printed mode on the synthetic population."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            (order, verify, printed)
+            for order in ("1", "2", "both")
+            for verify in ("none", "exact", "mc")
+            for printed in (False, True)
+        ],
+        ids=lambda p: f"order{p[0]}-{p[1]}-{'printed' if p[2] else 'plain'}",
+    )
+    def case(self, request):
+        order, verify, printed = request.param
+        replicates = 20 if verify == "mc" else None
+        report = run(base_config(
+            order=order, verify=verify, printed_mode=printed, replicates=replicates, seed=3,
+        ))
+        # the legacy closed forms exist for t1s and t2s at second order
+        has_printed = [printed and order != "1" and i < 2 for i in range(len(report.rows))]
+        return report, order, verify, has_printed
+
+    def test_json_row_and_optimizer_keys(self, case):
+        report, order, verify, has_printed = case
+        parsed = json.loads(emit(report, "json"))
+        for row, printed in zip(parsed["estimators"], has_printed):
+            want = ROW_KEYS + (PRINTED_KEYS if printed else [])
+            want += {"none": [], "exact": EXACT_KEYS, "mc": MC_KEYS}[verify]
+            assert list(row) == want + ["warnings"]
+            assert (row["bias1"] is None) == (order == "2")
+            assert (row["bias2"] is None) == (order == "1")
+        orders = {"1": ["order1"], "2": ["order2"], "both": ["order1", "order2"]}[order]
+        assert list(parsed["optimizer"]) == ["t3s:optimize", "t4s:optimize"]
+        for outcomes in parsed["optimizer"].values():
+            assert list(outcomes) == orders
+            for outcome in outcomes.values():
+                assert list(outcome) == [
+                    "parameter", "objective", "order", "method",
+                    "bracket", "iterations", "objective_negative",
+                ]
+                assert type(outcome["bracket"]) is list
+
+    def test_csv_cells(self, case):
+        report, order, verify, has_printed = case
+        lines = emit(report, "csv").splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 1 + 2 * len(report.rows)
+        for i, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert len(cells) == 8
+            assert cells[:2] == [report.rows[i // 2].label, ("bias", "mse")[i % 2]]
+            filled = [
+                order != "2",
+                order != "1",
+                has_printed[i // 2],
+                verify == "exact",
+                verify == "mc",
+                verify == "mc",
+            ]
+            assert [cell != "" for cell in cells[2:]] == filled
+
+    def test_table_header(self, case):
+        report, _, verify, has_printed = case
+        headings = ["estimator", "bias(1)", "bias(2)", "mse(1)", "mse(2)"]
+        if any(has_printed):
+            headings += ["bias(2) printed", "mse(2) printed"]
+        headings += {
+            "none": [],
+            "exact": ["bias exact", "mse exact"],
+            "mc": ["mc bias (se)", "mc mse (se)"],
+        }[verify]
+        lines = emit(report, "table").splitlines()
+        assert _table_cells(lines[0]) == headings
+        assert _table_cells(lines[1]) == ["-" * len(c) for c in _table_cells(lines[1])]
+
+    def test_table_dashes_where_only_t1s_t2s_are_printed(self):
+        report = run(base_config(printed_mode=True))
+        lines = emit(report, "table").splitlines()
+        assert _table_cells(lines[0])[5:] == ["bias(2) printed", "mse(2) printed"]
+        body = [_table_cells(line) for line in lines[2 : 2 + len(report.rows)]]
+        assert [cells[0] for cells in body] == ["t1s", "t2s", "t3s:optimize", "t4s:optimize"]
+        for row, cells in zip(report.rows, body):
+            assert len(cells) == 7
+            if row.label in ("t1s", "t2s"):
+                assert cells[5:] == [
+                    format(row.printed_bias2, ".6g"), format(row.printed_mse2, ".6g")
+                ]
+            else:
+                assert cells[5:] == ["-", "-"]
 
 
 class TestCli:
@@ -787,6 +900,26 @@ class TestCli:
             f"allocate the means of its {math.comb(100, 20)} combinations"
         )
         assert "Traceback" not in err
+
+    def test_space_past_numpy_index_range_exit_two(self, capsys, tmp_path):
+        """20 strata of 10 units, n_h = 5: 252**20 ~ 1.1e48 joint samples are
+        within --max-enum but past what NumPy can index: exit 2, no traceback."""
+        pop = tmp_path / "wide.csv"
+        pop.write_text("stratum,x,y\n" + "".join(
+            f"S{h},{u},{u * u % 17 + 1}\n" for h in range(20) for u in range(1, 11)
+        ))
+        code = main([
+            "--population", str(pop), *(f"--n=S{h}=5" for h in range(20)),
+            "--verify", "exact", "--max-enum", str(10**60),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"stratexp: computation failed: EnumerationLimitError: joint sample space "
+            f"has {252**20} samples, more than NumPy can index"
+        )
+        assert "Traceback" not in captured.err
 
     def test_optimize_flag_upgrades_bare_requests(self, capsys):
         code = main([

@@ -373,6 +373,16 @@ class TestEnumeration:
         with pytest.raises(EnumerationLimitError):
             exact_expectation(synthetic, lambda y, x: 1.0, limit=10)
 
+    def test_space_past_numpy_index_range_is_refused(self):
+        """20 strata of C(10, 5) = 252 combinations: 252**20 ~ 1.1e48 joint
+        samples, within a limit of 1e60 but past what NumPy can index."""
+        units = [float(u) for u in range(1, 11)]
+        pop = make_population(*((f"S{h}", units, units, 5) for h in range(20)))
+        with pytest.raises(EnumerationLimitError, match=f"^joint sample space has {252**20} "):
+            ExactDesignDistribution(pop, limit=10**60)
+        with pytest.raises(EnumerationLimitError, match="more than NumPy can index"):
+            exact_expectation(pop, lambda y, x: 1.0, limit=10**60)
+
 
 class TestExactBiasMse:
     def test_zero_exponent_unbiased(self, synthetic, synthetic_v):
