@@ -17,20 +17,18 @@ rational power series and truncating at total degree 2*order gives
 where expectations of monomials e0^a e1^b are read off the moment table.
 
 The weights of bias/Ybar and MSE/Ybar^2 on each monomial depend only on
-(kind, quantity, order).  One representation carries them: the series
-g_0 ... g_4 of the multiplier in e1 alone, each coefficient a polynomial in
-the tuning constant t, stored as an ascending tuple of exact Fractions.
-With u = sum_{k=1..4} (-1/2)^k e1^k, g is exp(t*u), exp(u) or exp(-u) by
-the truncated power series, and the mixture is g_t2s + t*(g_t1s - g_t2s).
-With h = g^2 truncated at degree 4, the weight of E[e0^a e1^b] is
+(kind, quantity, order).  One exact polynomial type carries them: a dict
+from (a, b, j) to the Fraction coefficient of e0^a e1^b t^j, with t the
+tuning constant, truncated at total degree ``DEGREE`` in e0 and e1.  With
+u = sum_{k>=1} (-1/2)^k e1^k, g is exp(t*u), exp(u) or exp(-u) by the
+truncated power series, and the mixture is g_t2s + t*(g_t1s - g_t2s).  Then
 
-    bias:  (0,k) = g_k for k >= 1,        (1,k) = g_k
-    mse:   (0,k) = h_k - 2 g_k + [k = 0],  (1,k) = 2 h_k - 2 g_k,  (2,k) = h_k
+    r = (1 + e0) g - 1,    bias/Ybar = E[r],    MSE/Ybar^2 = E[r^2],
 
-for a + k <= 4, since (1 + e0) g - 1 squared is
-(1 + 2 e0 + e0^2) h - 2 (1 + e0) g + 1.  ``coefficient_table`` reads each
-table off g and h once per process; order 1 is the degree-2 slice of
-order 2 (truncation by total degree commutes with products).  ``bias`` and
+and the weight of E[e0^a e1^b] at a given order is the coefficient of
+e0^a e1^b in r or r^2 for a + b <= 2*order; truncation by total degree
+commutes with products, so one product at ``DEGREE`` serves both orders.
+``coefficient_table`` reads each table off g once per process.  ``bias`` and
 ``mse`` evaluate a table at the exact rational value Fraction(parameter),
 round each weight to float once and take an exactly summed (``math.fsum``)
 dot product with the moment table, so each weight is the exact rational of
@@ -52,8 +50,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from itertools import zip_longest
+from types import MappingProxyType
 
 from .errors import ComputationError
 from .estimators import EstimatorKind, EstimatorSpec
@@ -62,86 +61,69 @@ from .moments import VTable
 
 Monomial = tuple[int, int]  # (power of e0, power of e1)
 
-#: a polynomial in the tuning constant: ascending exact coefficients with no
-#: trailing zeros, so the zero polynomial is ``()``
-Polynomial = tuple[Fraction, ...]
+#: a polynomial in e0, e1 and the tuning constant t: the exact coefficient of
+#: e0^a e1^b t^j at (a, b, j), with no zero coefficients
+Polynomial = Mapping[tuple[int, int, int], Fraction]
 
-#: highest power of e1 in g, and the total degree of an order-2 expansion
+#: the total degree in e0 and e1 at which every polynomial is truncated:
+#: that of an order-2 expansion
 DEGREE = 4
 
-#: a series in e1, truncated at e1^DEGREE: one polynomial per power
-Series = tuple[Polynomial, ...]
-
-_ONE: Polynomial = (Fraction(1),)
-_PARAMETER: Polynomial = (Fraction(0), Fraction(1))
-
-
-def _trim(coeffs: Polynomial) -> Polynomial:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return coeffs[:n]
+_ONE: Polynomial = {(0, 0, 0): Fraction(1)}
+_E0: Polynomial = {(1, 0, 0): Fraction(1)}
+_PARAMETER: Polynomial = {(0, 0, 1): Fraction(1)}
 
 
 def _add(p: Polynomial, q: Polynomial, scale: Fraction | int = 1) -> Polynomial:
     """p + scale * q."""
-    return _trim(tuple(a + scale * b for a, b in zip_longest(p, q, fillvalue=0)))
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + scale * c
+    return {m: c for m, c in out.items() if c}
 
 
 def _mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(tuple(out))
+    """p * q, truncated at total degree DEGREE in e0 and e1."""
+    out: dict[tuple[int, int, int], Fraction] = {}
+    for (a, b, j), c in p.items():
+        for (a2, b2, j2), c2 in q.items():
+            if a + a2 + b + b2 <= DEGREE:
+                m = (a + a2, b + b2, j + j2)
+                out[m] = out.get(m, 0) + c * c2
+    return {m: c for m, c in out.items() if c}
 
 
-def _series_mul(f: Series, g: Series) -> Series:
-    """Product of two series, truncated at e1^DEGREE."""
-    out: list[Polynomial] = [()] * (DEGREE + 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g[: DEGREE + 1 - i]):
-            out[i + j] = _add(out[i + j], _mul(a, b))
-    return tuple(out)
-
-
-def _exp(w: Series) -> Series:
-    """exp(w) for a series w with no constant term, truncated at e1^DEGREE."""
-    result = term = (_ONE,) + ((),) * DEGREE
+def _exp(w: Polynomial) -> Polynomial:
+    """exp(w) for a polynomial w with no constant term in e0 and e1."""
+    result = term = _ONE
     for n in range(1, DEGREE + 1):
-        term = _series_mul(term, w)  # w^n
-        scale = Fraction(1, math.factorial(n))
-        result = tuple(_add(r, t, scale) for r, t in zip(result, term))
+        term = _mul(term, w)  # w^n
+        result = _add(result, term, Fraction(1, math.factorial(n)))
     return result
 
 
 @functools.cache
-def _multiplier(kind: EstimatorKind) -> Series:
-    """g_0 ... g_DEGREE, the series of the multiplier g(e1)."""
+def _multiplier(kind: EstimatorKind) -> Polynomial:
+    """The multiplier g(e1), read-only: the cache hands it to every caller."""
     if kind is EstimatorKind.T4S:
         ratio = _multiplier(EstimatorKind.T1S)
         product = _multiplier(EstimatorKind.T2S)
-        return tuple(
-            _add(b, _mul(_PARAMETER, _add(a, b, -1))) for a, b in zip(ratio, product)
-        )
-    factor = {
-        EstimatorKind.T1S: _ONE,
-        EstimatorKind.T2S: (Fraction(-1),),
-        EstimatorKind.T3S: _PARAMETER,
-    }[kind]
-    # u = -e1/(2 + e1) = sum_k (-1/2)^k e1^k
-    u = tuple((Fraction(-1, 2) ** k,) for k in range(1, DEGREE + 1))
-    return _exp(((),) + tuple(_mul(factor, c) for c in u))
+        g = _add(product, _mul(_PARAMETER, _add(ratio, product, -1)))
+    else:
+        factor = {
+            EstimatorKind.T1S: _ONE,
+            EstimatorKind.T2S: {(0, 0, 0): Fraction(-1)},
+            EstimatorKind.T3S: _PARAMETER,
+        }[kind]
+        # u = -e1/(2 + e1) = sum_k (-1/2)^k e1^k
+        u = {(0, k, 0): Fraction(-1, 2) ** k for k in range(1, DEGREE + 1)}
+        g = _exp(_mul(factor, u))
+    return MappingProxyType(g)
 
 
 def _moment(v: VTable, a: int, b: int) -> float:
     """E[e0^a e1^b]; the first moments vanish (the stratified means are unbiased)."""
     return 0.0 if a + b == 1 else v.entries[(a, b)]
-
-
-def _check_order(order: int) -> None:
-    if order not in (1, 2):
-        raise ValueError(f"approximation order must be 1 or 2, got {order}")
 
 
 #: rows (monomial, numerators, denominator): the weight of E[e0^a e1^b] is
@@ -167,42 +149,28 @@ def coefficient_table(
     """Exact weights of bias/Ybar ("bias") or MSE/Ybar^2 ("mse").
 
     Each weight multiplies E[e0^a e1^b] and is a polynomial in the tuning
-    constant.  The table is read off the multiplier series g once per
+    constant.  The table is read off r = (1 + e0) g - 1 or r^2 once per
     (kind, quantity, order) and kept for the life of the process.
     """
-    _check_order(order)
+    if order not in (1, 2):
+        raise ValueError(f"approximation order must be 1 or 2, got {order}")
     if quantity not in ("bias", "mse"):
         raise ValueError(f"quantity must be 'bias' or 'mse', got {quantity!r}")
-    if order == 1:
-        # truncation by total degree commutes with products, so the
-        # degree-2 slice of the order-2 table is the order-1 table
-        return tuple(
-            row for row in coefficient_table(kind, quantity, 2) if sum(row[0]) <= 2
-        )
-    g = _multiplier(kind)
-    weights: dict[Monomial, Polynomial] = {}
-    if quantity == "bias":
-        # (1 + e0) g - 1, with g_0 = 1
-        for k in range(DEGREE + 1):
-            if k > 0:
-                weights[(0, k)] = g[k]
-            if k < DEGREE:
-                weights[(1, k)] = g[k]
-    else:
-        # ((1 + e0) g - 1)^2 = (1 + 2 e0 + e0^2) h - 2 (1 + e0) g + 1, h = g^2
-        h = _series_mul(g, g)
-        for k in range(DEGREE + 1):
-            weights[(0, k)] = _add(_add(h[k], g[k], -2), _ONE if k == 0 else ())
-            if k < DEGREE:
-                weights[(1, k)] = _add(_add(h[k], h[k]), g[k], -2)
-            if k < DEGREE - 1:
-                weights[(2, k)] = h[k]
+    r = _add(_mul(_add(_ONE, _E0), _multiplier(kind)), _ONE, -1)
+    if quantity == "mse":
+        r = _mul(r, r)
+    # {power of t: coefficient} per monomial, by ascending power of e1, then
+    # of e0: one fixed order of terms, since math.fsum can overflow midway
+    # through a sum in one order and not in another
+    weights: dict[Monomial, dict[int, Fraction]] = {}
+    for a, b, j in sorted(r, key=lambda m: (m[1], m[0])):
+        if a + b <= 2 * order:
+            weights.setdefault((a, b), {})[j] = r[a, b, j]
     rows = []
     for mono, p in weights.items():
-        if p:
-            den = math.lcm(*(f.denominator for f in p))
-            nums = tuple(f.numerator * (den // f.denominator) for f in p)
-            rows.append((mono, nums, den))
+        den = math.lcm(*(c.denominator for c in p.values()))
+        nums = tuple((p.get(j, 0) * den).numerator for j in range(max(p) + 1))
+        rows.append((mono, nums, den))
     return tuple(rows)
 
 
@@ -327,7 +295,7 @@ PRINTED_SECOND_ORDER: dict[tuple[EstimatorKind, str], CoefficientTable] = {
 
 #: exponent-series coefficients of exp(-e1/(2+e1)): exact vs legacy values
 RATIO_SERIES_COEFFS_DERIVED: dict[int, Fraction] = {
-    k: _multiplier(EstimatorKind.T1S)[k][0] for k in (3, 4)
+    k: _multiplier(EstimatorKind.T1S)[0, k, 0] for k in (3, 4)
 }
 RATIO_SERIES_COEFFS_PRINTED: dict[int, Fraction] = {
     3: Fraction(-7, 48),

@@ -163,14 +163,6 @@ class VTable:
     def as_json_dict(self) -> dict[str, float]:
         return {vkey_name(k): self.entries[k] for k in VTABLE_KEYS}
 
-    def replace_entries(self, **named: float) -> "VTable":
-        """Return a copy with entries overridden by name ('V21', ...)."""
-        by_name = {vkey_name(k): k for k in VTABLE_KEYS}
-        new = dict(self.entries)
-        for name, value in named.items():
-            new[by_name[name]] = value
-        return VTable(entries=new, ybar=self.ybar, xbar=self.xbar)
-
 
 def v_table(pop: StratifiedPopulation) -> VTable:
     """Assemble the full exact moment table for a population, by the rule

@@ -4,6 +4,7 @@ from fractions import Fraction
 from stratexp.datasets import SYNTHETIC_SAMPLE_SIZES, synthetic_csv_path
 from stratexp.estimators import EstimatorKind
 from stratexp.expansion import coefficient_table
+from stratexp.moments import VTABLE_KEYS, VTable, vkey_name
 from stratexp.population import StratifiedPopulation, StratumPopulation
 from stratexp.report import EstimatorRequest, RunConfig, report_as_dict, run
 
@@ -16,6 +17,15 @@ def make_population(*strata: tuple[str, list[float], list[float], int]) -> Strat
             for label, xs, ys, n in strata
         )
     )
+
+
+def replace_entries(v: VTable, **named: float) -> VTable:
+    """A copy of ``v`` with entries overridden by name ('V21', ...)."""
+    by_name = {vkey_name(k): k for k in VTABLE_KEYS}
+    entries = dict(v.entries)
+    for name, value in named.items():
+        entries[by_name[name]] = value
+    return VTable(entries=entries, ybar=v.ybar, xbar=v.xbar)
 
 
 _fsum = math.fsum

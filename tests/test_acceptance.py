@@ -34,7 +34,7 @@ from fractions import Fraction as F
 
 from stratexp.datasets import SYNTHETIC_SAMPLE_SIZES, synthetic_csv_path
 
-from helpers import mc_report_without_workers, series_weights
+from helpers import mc_report_without_workers, replace_entries, series_weights
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -240,8 +240,8 @@ def test_criterion_6_optimizer_certificates(synthetic_v):
             f"neighbors {neighbors_ok}"
         )
 
-    flat = synthetic_v.replace_entries(
-        V30=0.0, V21=0.0, V12=0.0, V03=0.0, V22=0.0, V13=0.0, V04=0.0
+    flat = replace_entries(
+        synthetic_v, V30=0.0, V21=0.0, V12=0.0, V03=0.0, V22=0.0, V13=0.0, V04=0.0
     )
     alpha_gap = abs(optimize_alpha(flat, 2).parameter - optimize_alpha(flat, 1).parameter)
     theta_gap = abs(optimize_theta(flat, 2).parameter - optimize_theta(flat, 1).parameter)

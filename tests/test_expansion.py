@@ -31,18 +31,15 @@ from stratexp.moments import VTABLE_KEYS, VTable
 from stratexp.report import EstimatorRequest, RunConfig, report_as_dict, run
 from stratexp.verify import exact_expectation
 
-from helpers import series_weights
+from helpers import replace_entries, series_weights
 
 T1S, T2S, T3S, T4S = EstimatorKind
 
 
 def toy_vtable(ybar: float = 1.0, xbar: float = 1.0, **named: float) -> VTable:
     """A moment table with the given entries and zeros elsewhere."""
-    entries = {key: 0.0 for key in VTABLE_KEYS}
-    by_name = {f"V{a}{b}": (a, b) for (a, b) in VTABLE_KEYS}
-    for name, value in named.items():
-        entries[by_name[name]] = value
-    return VTable(entries=entries, ybar=ybar, xbar=xbar)
+    zeros = VTable(entries=dict.fromkeys(VTABLE_KEYS, 0.0), ybar=ybar, xbar=xbar)
+    return replace_entries(zeros, **named)
 
 
 def at(coeffs: tuple[F, ...], t: F) -> F:
@@ -244,8 +241,8 @@ class TestSecondOrder:
             assert square(wide, 2) == square(narrow, 2) == series_at(kind, "mse", 1, t)
 
     def test_zero_higher_moments_collapse_to_first_order(self, synthetic_v):
-        v = synthetic_v.replace_entries(
-            V30=0.0, V21=0.0, V12=0.0, V03=0.0, V22=0.0, V13=0.0, V04=0.0
+        v = replace_entries(
+            synthetic_v, V30=0.0, V21=0.0, V12=0.0, V03=0.0, V22=0.0, V13=0.0, V04=0.0
         )
         for spec in (t1s(), t2s(), t3s(0.8), t4s(0.2)):
             assert bias(spec, v, 2) == pytest.approx(bias(spec, v, 1), rel=1e-14)
@@ -470,6 +467,44 @@ class TestCoefficientTables:
                     buckets[k].append(float(ck) * _moment_or_zero(v, a, b))
             expected = [v.ybar**2 * math.fsum(vals) for vals in buckets]
             assert mse_parameter_polynomial(kind, v) == expected
+
+    @pytest.mark.parametrize("quantity", ["bias", "mse"])
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+    def test_order_one_is_the_degree_two_slice(self, kind, quantity):
+        """The order-1 table is the order-2 rows with a + b <= 2, with the
+        same numerators and denominators, in the same order: truncation by
+        total degree commutes with the products that build r and r^2."""
+        second = expansion.coefficient_table(kind, quantity, 2)
+        first = expansion.coefficient_table(kind, quantity, 1)
+        assert first == tuple(row for row in second if sum(row[0]) <= 2)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+    def test_row_order_changes_no_bit(self, monkeypatch, synthetic_v, desk_v, kind):
+        """Every sum over a table's rows is exact, so bias, mse, the
+        parameter polynomial and the printed forms give the same bits with
+        every table's rows reversed."""
+
+        def bits() -> list[str]:
+            out = []
+            for v in (synthetic_v, desk_v):
+                out += mse_parameter_polynomial(kind, v)
+                for spec in _specs_of(kind):
+                    for order in (1, 2):
+                        out += [bias(spec, v, order), mse(spec, v, order)]
+                    if kind in (T1S, T2S):
+                        out += printed_second_order(spec, v)
+            return [x.hex() for x in out]
+
+        before = bits()
+        table = expansion.coefficient_table
+        monkeypatch.setattr(expansion, "coefficient_table", lambda *key: table(*key)[::-1])
+        monkeypatch.setattr(
+            expansion,
+            "PRINTED_SECOND_ORDER",
+            {key: rows[::-1] for key, rows in expansion.PRINTED_SECOND_ORDER.items()},
+        )
+        assert expansion.coefficient_table(kind, "mse", 2) != table(kind, "mse", 2)
+        assert bits() == before
 
     def test_each_table_is_derived_once(self):
         """Repeated reports reuse the tables: each kind's multiplier series

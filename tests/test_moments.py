@@ -18,7 +18,7 @@ from stratexp.errors import ComputationError, MomentNormalizationError
 from stratexp.moments import VTABLE_KEYS, v_table
 from stratexp.verify import exact_expectation
 
-from helpers import make_population
+from helpers import make_population, replace_entries
 
 # ---------------------------------------------------------------------------
 # exact-rational enumeration helpers (self-contained)
@@ -461,8 +461,9 @@ class TestVTableShape:
         ]
 
     def test_replace_entries(self, synthetic_v):
-        v2 = synthetic_v.replace_entries(V21=0.0, V04=1.0)
+        v2 = replace_entries(synthetic_v, V21=0.0, V04=1.0)
         assert v2[(2, 1)] == 0.0
         assert v2[(0, 4)] == 1.0
         assert v2[(2, 0)] == synthetic_v[(2, 0)]
         assert v2.ybar == synthetic_v.ybar
+        assert synthetic_v[(0, 4)] != 1.0  # a copy: the original keeps its entries

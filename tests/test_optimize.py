@@ -20,6 +20,7 @@ from stratexp.optimize import (
 )
 from stratexp.report import EstimatorRequest, RunConfig, run
 
+from helpers import replace_entries
 from test_expansion import toy_vtable
 
 
@@ -70,8 +71,8 @@ class TestNumericSearch:
     def test_zeroing_higher_moments_recovers_closed_forms(self, synthetic_v):
         """With no third/fourth-order contributions the quartic collapses to
         the first-order quadratic, so both orders must agree."""
-        v = synthetic_v.replace_entries(
-            V30=0.0, V21=0.0, V12=0.0, V03=0.0, V22=0.0, V13=0.0, V04=0.0
+        v = replace_entries(
+            synthetic_v, V30=0.0, V21=0.0, V12=0.0, V03=0.0, V22=0.0, V13=0.0, V04=0.0
         )
         a1, a2 = optimize_alpha(v, 1), optimize_alpha(v, 2)
         t1, t2 = optimize_theta(v, 1), optimize_theta(v, 2)
@@ -220,7 +221,7 @@ class TestSearchMechanics:
     def test_negative_objective_flagged_not_clamped(self, synthetic_v):
         """An (unphysical) table can push the second-order MSE negative at
         the optimum; the outcome reports it instead of clamping."""
-        v = synthetic_v.replace_entries(V04=-50.0)
+        v = replace_entries(synthetic_v, V04=-50.0)
         out = optimize_alpha(v, order=2)
         assert out.objective < 0
         assert out.objective_negative
@@ -236,7 +237,7 @@ class TestOverflow:
     ):
         """The order-2 objective has a coefficient outside the float range;
         root finding on it used to fail inside NumPy."""
-        v = synthetic_v.replace_entries(**entry)
+        v = replace_entries(synthetic_v, **entry)
         with pytest.raises(ComputationError, match=rf"^estimator {label} overflows"):
             optimize(v, 2)
 
