@@ -31,7 +31,7 @@ from .moments import (
     summarize_stratum,
     v_table,
 )
-from .optimize import OptimizationOutcome, optimize_alpha, optimize_theta
+from .optimize import OptimizationOutcome, optimize_spec
 from .population import (
     StratifiedPopulation,
     StratumPopulation,
@@ -81,8 +81,7 @@ __all__ = [
     "load_population_file",
     "monte_carlo",
     "mse",
-    "optimize_alpha",
-    "optimize_theta",
+    "optimize_spec",
     "printed_second_order",
     "run",
     "summarize_stratum",

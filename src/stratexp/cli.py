@@ -199,14 +199,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = build_config(_PARSER.parse_args(argv))
         report = run(config)
-    except ValidationError as exc:
-        print(f"stratexp: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except ComputationError as exc:
-        print(
-            f"stratexp: computation failed: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
+        print(f"stratexp: computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except StratexpError as exc:
         print(f"stratexp: error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -17,17 +17,17 @@ directly.  Long rows go through a vectorized bucket kernel:
   correctly rounded.
 
 ``exact_parts(rows)`` gives those bucket values.  A row they cannot stand
-for comes back as its own entries, so ``math.fsum`` behaves as on the row
-(``inf`` where it raises): a row with an entry that is not finite or is
-near the top of the float range, and a row whose parts are all zero, since
-bucket parts are never -0.0 and a zero sum follows ``math.fsum``'s own
-rule for signed zeros.
+for comes back as its own entries, so ``fsum`` behaves as on the row: a
+row with an entry that is not finite or is near the top of the float
+range, and a row whose parts are all zero, since bucket parts are never
+-0.0 and a zero sum follows ``math.fsum``'s own rule for signed zeros.
 
 ``block_sums(blocks)`` folds each block's parts into exact running sums.
 ``row_means(rows)`` writes a row's parts, folded, as one integer over a
 power of two, which Python's ``int / int`` divides by N correctly rounded,
 ties to even.  ``fold`` keeps an exact running sum in a few floats, and
-``fsum`` is ``math.fsum`` with ``inf`` where it raises.
+``fsum`` is ``math.fsum`` that does not raise: order-independent where
+``math.fsum`` overflows midway, and ``inf`` for ``inf - inf``.
 
 ``fsum_columns(cols)`` sums the other way: each column of a short (K, m)
 array, with the bits of ``math.fsum``, by an error-free TwoSum filter that
@@ -37,6 +37,8 @@ hands ``math.fsum`` only a column it cannot certify.
 from __future__ import annotations
 
 import math
+import sys
+from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
@@ -51,22 +53,48 @@ _KERNEL_MAX_LENGTH = 2**26
 # A bucket sums at most 2**26 terms of magnitude below 2**960, so its scaled
 # value and every partial sum of a row stay far inside the float range.
 _KERNEL_MAX_EXP = 960
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
-def fsum(values) -> float:
-    """``math.fsum(values)``, or ``inf`` where it raises (a sum past the
-    float range, or ``inf - inf``)."""
+def fsum(values: Sequence[float]) -> float:
+    """``math.fsum(values)``, or ``inf`` for ``inf - inf``.
+
+    Where ``math.fsum`` overflows midway, which depends on the order of the
+    values, the result is that of the non-finite values if there are any,
+    else the exact sum correctly rounded, or ``inf`` of its sign past the
+    float range.
+    """
     try:
         return math.fsum(values)
-    except (OverflowError, ValueError):
+    except ValueError:
         return math.inf
+    except OverflowError:
+        pass
+    special = [x for x in values if not math.isfinite(x)]
+    if special:
+        return fsum(special)
+    exact = sum(map(Fraction, values))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def fold(values: list[float]) -> list[float]:
     """A few floats whose exact sum is that of ``values``, each the exactly
     rounded rest, ending at a zero or non-finite one; so
-    ``parts = fold(parts + block)`` keeps an exact running sum."""
+    ``parts = fold(parts + block)`` keeps an exact running sum.  Finite
+    values whose sum S is past the float range give |k| copies of the
+    largest float M, of the sign of k = floor(S / M), and then the rest,
+    which is in [0, M)."""
     parts = [fsum(values)]
+    if math.isinf(parts[0]) and all(map(math.isfinite, values)):
+        whole, rest = divmod(sum(map(Fraction, values)), _FLOAT_MAX)
+        parts = [math.copysign(sys.float_info.max, whole)] * abs(whole)
+        while rest:
+            parts.append(float(rest))
+            rest -= Fraction(parts[-1])
+        return parts + [0.0]
     while parts[-1] and math.isfinite(parts[-1]):
         parts.append(fsum(values + [-p for p in parts]))
     return parts
@@ -135,14 +163,14 @@ def row_means(rows: Sequence[np.ndarray]) -> list[float]:
     ``int / int`` divides it by ``D * N``, correctly rounded.  No deviation
     ``row - m`` is rounded before it is summed, and a zero sum gives 0.0.
 
-    A mean is ``inf`` or ``nan`` where the row sum leaves the float range,
-    and ``inf`` where a deviation ``row - m`` would.
+    A mean is ``inf``, ``-inf`` or ``nan`` where the row sum leaves the
+    float range, and ``inf`` where a deviation ``row - m`` would.
     """
     n = len(rows[0])
     means = []
     for parts in exact_parts(rows):
         folded = fold(parts)
-        m = folded[0]  # the exactly rounded sum: inf or nan if not finite
+        m = fsum(folded)  # the exactly rounded sum, or an infinity or nan
         if math.isfinite(m):
             numerator, denominator = 0, 1
             for a, b in map(float.as_integer_ratio, folded):

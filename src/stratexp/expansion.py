@@ -160,8 +160,7 @@ def coefficient_table(
     if quantity == "mse":
         r = _mul(r, r)
     # {power of t: coefficient} per monomial, by ascending power of e1, then
-    # of e0: one fixed order of terms, since math.fsum can overflow midway
-    # through a sum in one order and not in another
+    # of e0
     weights: dict[Monomial, dict[int, Fraction]] = {}
     for a, b, j in sorted(r, key=lambda m: (m[1], m[0])):
         if a + b <= 2 * order:

@@ -29,8 +29,8 @@ from .estimators import EstimatorKind, EstimatorSpec
 from .expansion import mse, mse_parameter_polynomial
 from .moments import VTable
 
-ALPHA_BRACKET = (-4.0, 4.0)
-THETA_BRACKET = (-2.0, 3.0)
+#: the second-order search bracket of each tunable kind's constant
+BRACKETS = {EstimatorKind.T3S: (-4.0, 4.0), EstimatorKind.T4S: (-2.0, 3.0)}
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,10 @@ def _minimize(coeffs: list[float], bracket: tuple[float, float]) -> tuple[float,
     return min(candidates, key=lambda c: (_horner(coeffs, c[0]), abs(c[0]), c[0]))
 
 
-def _optimize(
-    kind: EstimatorKind, v: VTable, order: int, bracket: tuple[float, float]
-) -> OptimizationOutcome:
+def optimize_spec(kind: EstimatorKind, v: VTable, order: int) -> OptimizationOutcome:
+    """Minimize the order-``order`` MSE of ``kind`` over its tuning constant."""
+    if kind not in BRACKETS:
+        raise ValueError(f"{kind.value} has no tuning constant to optimize")
     v02 = v.entries[(0, 2)]
     v11 = v.entries[(1, 1)]
     if v02 == 0.0:
@@ -123,34 +124,14 @@ def _optimize(
 
     if order != 2:
         raise ValueError(f"order must be 1 or 2, got {order}")
-    coeffs = mse_parameter_polynomial(kind, v)
-    param, iterations = _minimize(coeffs, bracket)
+    param, iterations = _minimize(mse_parameter_polynomial(kind, v), BRACKETS[kind])
     objective = mse(EstimatorSpec(kind, param), v, 2)
     return OptimizationOutcome(
         parameter=param,
         objective=objective,
         order=2,
         method="numeric",
-        bracket=bracket,
+        bracket=BRACKETS[kind],
         iterations=iterations,
         objective_negative=objective < 0.0,
     )
-
-
-def optimize_alpha(v: VTable, order: int) -> OptimizationOutcome:
-    """Minimize the MSE of the tunable-exponent estimator over alpha."""
-    return _optimize(EstimatorKind.T3S, v, order, ALPHA_BRACKET)
-
-
-def optimize_theta(v: VTable, order: int) -> OptimizationOutcome:
-    """Minimize the MSE of the mixture estimator over theta."""
-    return _optimize(EstimatorKind.T4S, v, order, THETA_BRACKET)
-
-
-def optimize_spec(spec_kind: EstimatorKind, v: VTable, order: int) -> OptimizationOutcome:
-    if spec_kind is EstimatorKind.T3S:
-        return optimize_alpha(v, order)
-    if spec_kind is EstimatorKind.T4S:
-        return optimize_theta(v, order)
-    raise ValueError(f"{spec_kind.value} has no tuning constant to optimize")
-

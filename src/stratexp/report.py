@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Mapping
 
@@ -31,10 +31,12 @@ from .expansion import (
 )
 from .moments import VTable, v_table
 from .optimize import OptimizationOutcome, optimize_spec
-from .population import StratifiedPopulation, load_population_file
+from .population import load_population_file
 from .verify import DEFAULT_ENUM_LIMIT, exact_bias_mse, monte_carlo
 
-ORDER_CHOICES = ("1", "2", "both")
+#: each --order choice and the approximation orders it reports
+ORDERS = {"1": (1,), "2": (2,), "both": (1, 2)}
+ORDER_CHOICES = tuple(ORDERS)
 VERIFY_CHOICES = ("none", "exact", "mc")
 FORMAT_CHOICES = ("table", "csv", "json")
 
@@ -162,12 +164,8 @@ class RunConfig:
             raise ConfigError("workers must be at least 1")
 
     @property
-    def include_order1(self) -> bool:
-        return self.order in ("1", "both")
-
-    @property
-    def include_order2(self) -> bool:
-        return self.order in ("2", "both")
+    def orders(self) -> tuple[int, ...]:
+        return ORDERS[self.order]
 
 
 @dataclass(frozen=True)
@@ -216,84 +214,61 @@ class ComparisonReport:
     corrections: tuple[str, ...] = CORRECTIONS
 
 
-def _resolved_specs(
-    request: EstimatorRequest, v: VTable, config: RunConfig
-) -> tuple[EstimatorSpec | None, EstimatorSpec | None, dict[str, OptimizationOutcome]]:
-    """Concrete spec per requested order, optimizing where asked."""
-    outcomes: dict[str, OptimizationOutcome] = {}
-
-    def resolve(order: int) -> EstimatorSpec:
-        if not request.optimize:
-            return EstimatorSpec(request.kind, request.parameter)
-        outcome = outcomes[f"order{order}"] = optimize_spec(request.kind, v, order)
-        return EstimatorSpec(request.kind, outcome.parameter)
-
-    spec1 = resolve(1) if config.include_order1 else None
-    spec2 = resolve(2) if config.include_order2 else None
-    return spec1, spec2, outcomes
-
-
 def run(config: RunConfig) -> ComparisonReport:
     """Execute the full pipeline for one configuration."""
     pop = load_population_file(config.population, dict(config.sample_sizes))
     pop.require_positive_auxiliary()
     v = v_table(pop)
 
-    rows = []
+    rows = []  # each row's cells by EstimatorRow field name
     verify_specs = []  # the spec each row's oracle columns evaluate
     all_outcomes: dict[str, dict[str, OptimizationOutcome]] = {}
     for request in config.estimators:
-        spec1, spec2, outcomes = _resolved_specs(request, v, config)
-        if outcomes:
-            all_outcomes[request.label()] = outcomes
-
-        warnings: list[str] = []
-        cells: dict = {"label": request.label(), "kind": request.kind}
-        for order, spec in ((1, spec1), (2, spec2)):
-            b = m = None
-            if spec is not None:
+        cells: dict = {"label": request.label(), "kind": request.kind, "warnings": ()}
+        for order in (1, 2):
+            parameter = b = m = None
+            if order in config.orders:
+                parameter = request.parameter
+                if request.optimize:
+                    outcome = optimize_spec(request.kind, v, order)
+                    all_outcomes.setdefault(request.label(), {})[f"order{order}"] = outcome
+                    parameter = outcome.parameter
+                spec = EstimatorSpec(request.kind, parameter)
                 b, m = bias(spec, v, order), mse(spec, v, order)
                 if m < 0:
-                    warnings.append(f"negative_mse{order}")
-            cells[f"parameter_order{order}"] = None if spec is None else spec.parameter
+                    cells["warnings"] += (f"negative_mse{order}",)
+            cells[f"parameter_order{order}"] = parameter
             cells[f"bias{order}"], cells[f"mse{order}"] = b, m
+        verify_specs.append(spec)  # the highest requested order's
 
         if (
             config.printed_mode
-            and spec2 is not None
+            and 2 in config.orders  # so spec is the order-2 one
             and (request.kind, "bias") in PRINTED_SECOND_ORDER
         ):
-            printed_b, printed_m = printed_second_order(spec2, v)
+            printed_b, printed_m = printed_second_order(spec, v)
             cells.update(
                 printed_bias2=printed_b,
                 printed_mse2=printed_m,
                 printed_bias2_delta=cells["bias2"] - printed_b,
                 printed_mse2_delta=cells["mse2"] - printed_m,
             )
-        rows.append(EstimatorRow(**cells, warnings=tuple(warnings)))
-        verify_specs.append(spec2 if spec2 is not None else spec1)
+        rows.append(cells)
 
     if config.verify == "exact":
         exact = exact_bias_mse(pop, verify_specs, limit=config.max_enum)
-        rows = [
-            replace(row, bias_exact=b, mse_exact=m)
-            for row, (b, m) in zip(rows, exact)
-        ]
+        for cells, (b, m) in zip(rows, exact):
+            cells.update(bias_exact=b, mse_exact=m)
     elif config.verify == "mc":
-        mc = monte_carlo(
-            pop, verify_specs, replicates=config.replicates, seed=config.seed
-        )
-        rows = [
-            replace(
-                row,
+        mc = monte_carlo(pop, verify_specs, replicates=config.replicates, seed=config.seed)
+        for cells, b, m in zip(rows, mc.bias, mc.mse):
+            cells.update(
                 mc_bias=b.mean,
                 mc_bias_se=b.standard_error,
                 mc_mse=m.mean,
                 mc_mse_se=m.standard_error,
                 mc_skipped=mc.skipped,
             )
-            for row, b, m in zip(rows, mc.bias, mc.mse)
-        ]
 
     strata = tuple(
         (s.id, s.capital_n, s.small_n, w) for s, w in zip(pop.strata, pop.weights)
@@ -304,7 +279,7 @@ def run(config: RunConfig) -> ComparisonReport:
         ybar=pop.grand_y_mean,
         xbar=pop.grand_x_mean,
         moments=v,
-        rows=tuple(rows),
+        rows=tuple(EstimatorRow(**cells) for cells in rows),
         optimizer_outcomes=all_outcomes,
     )
 

@@ -21,12 +21,7 @@ from stratexp.expansion import (
     mse_parameter_polynomial,
 )
 from stratexp.moments import VTABLE_KEYS, summarize_stratum
-from stratexp.optimize import (
-    ALPHA_BRACKET,
-    THETA_BRACKET,
-    optimize_alpha,
-    optimize_theta,
-)
+from stratexp.optimize import BRACKETS, optimize_spec
 from stratexp.report import EstimatorRequest, RunConfig, report_as_dict, run
 from stratexp.verify import draw_sample, exact_bias_mse, exact_expectation, monte_carlo
 
@@ -197,7 +192,7 @@ def test_criterion_5_qualitative_ordering(synthetic, synthetic_v):
         first_order_ok = first_order_ok and (m3 <= m1 + 1e-15 * abs(m1)) and (m1 < m2)
 
     # second-order (exact) ordering on the committed population
-    a2 = optimize_alpha(synthetic_v, 2).parameter
+    a2 = optimize_spec(EstimatorKind.T3S, synthetic_v, 2).parameter
     _, mse_e_t3 = exact_bias_mse(synthetic, [t3s(a2)])[0]
     _, mse_e_t1 = exact_bias_mse(synthetic, [t1s()])[0]
     _, mse_e_t2 = exact_bias_mse(synthetic, [t2s()])[0]
@@ -220,13 +215,11 @@ def test_criterion_6_optimizer_certificates(synthetic_v):
     checks = []
     details = []
 
-    for kind, bracket, optimizer, make in (
-        (EstimatorKind.T3S, ALPHA_BRACKET, optimize_alpha, t3s),
-        (EstimatorKind.T4S, THETA_BRACKET, optimize_theta, t4s),
-    ):
-        out = optimizer(synthetic_v, 2)
+    for kind, make in ((EstimatorKind.T3S, t3s), (EstimatorKind.T4S, t4s)):
+        out = optimize_spec(kind, synthetic_v, 2)
         coeffs = np.asarray(mse_parameter_polynomial(kind, synthetic_v))
-        xs = np.arange(bracket[0], bracket[1] + 1e-9, 1e-6)
+        lo, hi = BRACKETS[kind]
+        xs = np.arange(lo, hi + 1e-9, 1e-6)
         scan = float(xs[int(np.argmin(np.polynomial.polynomial.polyval(xs, coeffs)))])
         scan_ok = abs(out.parameter - scan) <= 1e-5
         center = mse(make(out.parameter), synthetic_v, 2)
@@ -243,8 +236,10 @@ def test_criterion_6_optimizer_certificates(synthetic_v):
     flat = replace_entries(
         synthetic_v, V30=0.0, V21=0.0, V12=0.0, V03=0.0, V22=0.0, V13=0.0, V04=0.0
     )
-    alpha_gap = abs(optimize_alpha(flat, 2).parameter - optimize_alpha(flat, 1).parameter)
-    theta_gap = abs(optimize_theta(flat, 2).parameter - optimize_theta(flat, 1).parameter)
+    alpha_gap, theta_gap = (
+        abs(optimize_spec(kind, flat, 2).parameter - optimize_spec(kind, flat, 1).parameter)
+        for kind in BRACKETS
+    )
     closed_ok = alpha_gap <= 1e-8 and theta_gap <= 1e-8
     checks.append(closed_ok)
     details.append(f"flat-table gaps alpha {alpha_gap:.2e}, theta {theta_gap:.2e}")

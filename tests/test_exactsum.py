@@ -3,6 +3,7 @@
 import math
 import sys
 from fractions import Fraction
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from stratexp.exactsum import (
     block_sums,
     exact_parts,
     fold,
+    fsum,
     row_means,
     row_sums,
 )
@@ -24,12 +26,33 @@ from stratexp.exactsum import (
 from helpers import sign_keeping_fsum
 
 
+def exact_sum(values) -> Fraction:
+    return sum(map(Fraction, values), Fraction(0))
+
+
+_TOP = sys.float_info.max
+# the least exact sum that rounds to inf: the largest float plus half an ulp
+_ROUNDS_TO_INF = Fraction(2**1024 - 2**970)
+
+
 def reference(row: np.ndarray) -> float:
-    """``math.fsum`` of the row, ``inf`` where it raises."""
+    """``math.fsum`` of the row; ``inf`` for ``inf - inf``.  Where it
+    overflows midway, the value of the non-finite entries if there are any,
+    else the exact sum correctly rounded, or ``inf`` of its sign."""
+    values = row.tolist()
     try:
-        return math.fsum(row.tolist())
-    except (OverflowError, ValueError):
+        return math.fsum(values)
+    except ValueError:
         return math.inf
+    except OverflowError:
+        pass
+    special = [x for x in values if not math.isfinite(x)]
+    if special:
+        return reference(np.array(special))
+    total = exact_sum(values)
+    if abs(total) >= _ROUNDS_TO_INF:
+        return math.inf if total > 0 else -math.inf
+    return total.numerator / total.denominator
 
 
 _fsum = math.fsum
@@ -191,10 +214,6 @@ class TestBlockSums:
         assert block_sums([]) == block_sums([np.empty((0, 300))]) == []
 
 
-def exact_sum(values) -> Fraction:
-    return sum(map(Fraction, values), Fraction(0))
-
-
 class TestFold:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-1e300, 1e300), max_size=60))
@@ -215,11 +234,78 @@ class TestFold:
 
     @pytest.mark.parametrize("values", [[math.inf, 1.0], [1e308, 1e308], [math.inf, -math.inf]])
     def test_a_sum_past_the_float_range_ends_the_parts(self, values):
-        assert fold(values) == [math.inf]
+        """An infinite entry ends the parts at inf.  Finite values whose sum
+        is past the range keep it exactly: the largest float, then the rest,
+        which is in range."""
+        want = [_TOP, 1e308 - (_TOP - 1e308), 0.0] if values == [1e308, 1e308] else [math.inf]
+        assert fold(values) == want
+
+    def test_a_running_fold_leaves_the_range_and_comes_back(self):
+        """Fifty blocks of twenty largest floats, then fifty of their
+        negations and the least subnormal: the running sum is past the
+        range between the ends, and every fold keeps it exactly."""
+        parts, total = [], Fraction(0)
+        for block in [[_TOP] * 20] * 50 + [[-_TOP] * 20 + [5e-324]] * 50:
+            parts = fold(parts + block)
+            total += exact_sum(block)
+            assert exact_sum(parts) == total
+        assert fsum(parts) == 50 * 5e-324
 
     def test_nan_ends_the_parts(self):
         parts = fold([1.0, math.nan])
         assert len(parts) == 1 and math.isnan(parts[0])
+
+
+class TestFsum:
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([1e308, 1e308, -1e308], 1e308),
+            ([_TOP, _TOP, -_TOP, 2.0**970 - 2.0**918], _TOP),  # just below a rounding midpoint
+            ([_TOP, _TOP, -_TOP, 2.0**970], math.inf),  # at it: rounds up, past the range
+            ([-_TOP, -_TOP, 1e308, 1e308], -2 * (_TOP - 1e308)),
+        ],
+    )
+    def test_no_order_of_the_values_moves_a_bit(self, values, want):
+        """math.fsum overflows midway through some orders of these values
+        and not through others; fsum gives the exactly rounded sum in all."""
+        overflowing = 0
+        for order in map(list, permutations(values)):
+            assert fsum(order).hex() == want.hex(), order
+            try:
+                math.fsum(order)
+            except OverflowError:
+                overflowing += 1
+        assert overflowing
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_sum_past_the_range_keeps_its_sign(self, sign):
+        assert fsum([sign * 1e308, sign * 1e308]) == sign * math.inf
+        assert fsum([sign * _TOP, 1e300, sign * _TOP, -1e300]) == sign * math.inf
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([math.inf, 1e308, 1e308], math.inf),
+            ([-math.inf, 1e308, 1e308], -math.inf),
+            ([math.inf, -math.inf, 1e308, 1e308], math.inf),
+        ],
+    )
+    def test_an_infinite_entry_decides(self, values, want):
+        assert fsum(values) == want
+
+    def test_nan_passes_through(self):
+        assert math.isnan(fsum([math.nan, 1e308, 1e308]))
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_row_and_block_sums_inherit_it(self, length):
+        """Rows whose running sum leaves the range and comes back, also
+        where it leaves it inside one block and comes back in the next."""
+        row = np.zeros(length)
+        row[:3] = (1e308, 1e308, -1e308)
+        block = np.stack((row, row[::-1], -row))
+        assert row_sums(block) == [1e308, 1e308, -1e308]
+        assert block_sums([block[:, :2], block[:, 2:]]) == [1e308, 1e308, -1e308]
 
 
 class TestRowMeans:
@@ -252,8 +338,8 @@ class TestRowMeans:
 
     @pytest.mark.parametrize("length", [5, 301])
     def test_sums_past_the_float_range_give_the_fsum_value(self, length):
-        """inf, -inf and nan pass through; a sum that math.fsum cannot give
-        (past the range, or inf - inf) is inf, as in row_sums."""
+        """inf, -inf and nan pass through; a sum past the range is inf of
+        its sign, and inf - inf is inf, as in row_sums."""
         block = np.ones((6, length))
         block[0, 1] = math.inf
         block[1, 2] = -math.inf
@@ -264,7 +350,8 @@ class TestRowMeans:
         got = row_means(block)
         for row, mean in zip(block, got):
             assert same_bits(mean, reference(row)), (mean, reference(row))
-        assert [v for v in got if not math.isnan(v)] == [math.inf, -math.inf] + [math.inf] * 3
+        inf = math.inf
+        assert [v for v in got if not math.isnan(v)] == [inf, -inf, inf, inf, -inf]
 
     def test_means_once_one_ulp_off_are_correctly_rounded(self):
         """In this stream, trials 180 and 1140 (among others) were one ulp

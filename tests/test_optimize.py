@@ -10,52 +10,54 @@ from hypothesis import strategies as st
 from stratexp.errors import ComputationError, DegenerateAuxiliaryError
 from stratexp.estimators import EstimatorKind, t3s, t4s
 from stratexp.expansion import mse, mse_parameter_polynomial
-from stratexp.optimize import (
-    ALPHA_BRACKET,
-    THETA_BRACKET,
-    _horner,
-    _minimize,
-    optimize_alpha,
-    optimize_theta,
-)
+from stratexp.optimize import BRACKETS, _horner, _minimize, optimize_spec
 from stratexp.report import EstimatorRequest, RunConfig, run
 
 from helpers import replace_entries
 from test_expansion import toy_vtable
 
+T3S, T4S = EstimatorKind.T3S, EstimatorKind.T4S
+
+
+def optimizes(value):
+    """The case id of a tunable kind names the constant it optimizes."""
+    if isinstance(value, EstimatorKind):
+        return f"optimize_{value.parameter_name}"
+    return None
+
 
 class TestClosedForms:
     def test_alpha_closed_form(self):
         v = toy_vtable(V20=0.02, V02=0.04, V11=0.01)
-        out = optimize_alpha(v, order=1)
+        out = optimize_spec(T3S, v, order=1)
         assert out.parameter == pytest.approx(0.5, rel=1e-15)
         assert out.method == "closed_form"
         assert out.iterations == 0
 
     def test_theta_closed_form(self):
         v = toy_vtable(V20=0.02, V02=0.04, V11=0.01)
-        out = optimize_theta(v, order=1)
+        out = optimize_spec(T4S, v, order=1)
         assert out.parameter == pytest.approx(0.75, rel=1e-15)
 
     def test_uncorrelated_mixture_is_balanced(self):
         v = toy_vtable(V20=0.02, V02=0.04, V11=0.0)
-        assert optimize_theta(v, order=1).parameter == pytest.approx(0.5)
+        assert optimize_spec(T4S, v, order=1).parameter == pytest.approx(0.5)
 
     def test_degenerate_auxiliary_variance(self):
         v = toy_vtable(V20=0.02, V02=0.0, V11=0.0)
         with pytest.raises(DegenerateAuxiliaryError, match="degenerate auxiliary variance"):
-            optimize_alpha(v, order=1)
+            optimize_spec(T3S, v, order=1)
 
-    @pytest.mark.parametrize("optimize", [optimize_alpha, optimize_theta])
-    def test_degenerate_auxiliary_variance_second_order(self, optimize):
+    @pytest.mark.parametrize("kind", BRACKETS, ids=optimizes)
+    def test_degenerate_auxiliary_variance_second_order(self, kind):
         """With V02 = 0 every e1 moment vanishes and the quartic is flat."""
         v = toy_vtable(V20=0.02, V30=0.001)
         assert mse_parameter_polynomial(EstimatorKind.T3S, v)[1:] == [0.0] * 4
         with pytest.raises(DegenerateAuxiliaryError, match="degenerate auxiliary variance"):
-            optimize(v, order=2)
+            optimize_spec(kind, v, order=2)
 
     def test_objective_matches_recomputed_mse(self, synthetic_v):
-        out = optimize_alpha(synthetic_v, order=1)
+        out = optimize_spec(T3S, synthetic_v, order=1)
         assert out.objective == pytest.approx(
             mse(t3s(out.parameter), synthetic_v, 1), rel=1e-12
         )
@@ -63,8 +65,8 @@ class TestClosedForms:
     def test_analytic_minimum_value(self, synthetic_v):
         v = synthetic_v
         target = v.ybar**2 * (v[(2, 0)] - v[(1, 1)] ** 2 / v[(0, 2)])
-        assert optimize_alpha(v, 1).objective == pytest.approx(target, rel=1e-12)
-        assert optimize_theta(v, 1).objective == pytest.approx(target, rel=1e-12)
+        assert optimize_spec(T3S, v, 1).objective == pytest.approx(target, rel=1e-12)
+        assert optimize_spec(T4S, v, 1).objective == pytest.approx(target, rel=1e-12)
 
 
 class TestNumericSearch:
@@ -74,34 +76,26 @@ class TestNumericSearch:
         v = replace_entries(
             synthetic_v, V30=0.0, V21=0.0, V12=0.0, V03=0.0, V22=0.0, V13=0.0, V04=0.0
         )
-        a1, a2 = optimize_alpha(v, 1), optimize_alpha(v, 2)
-        t1, t2 = optimize_theta(v, 1), optimize_theta(v, 2)
+        a1, a2 = optimize_spec(T3S, v, 1), optimize_spec(T3S, v, 2)
+        t1, t2 = optimize_spec(T4S, v, 1), optimize_spec(T4S, v, 2)
         assert a2.parameter == pytest.approx(a1.parameter, abs=1e-8)
         assert t2.parameter == pytest.approx(t1.parameter, abs=1e-8)
         assert a2.method == "numeric"
 
-    @pytest.mark.parametrize(
-        "optimizer,kind,bracket",
-        [
-            (optimize_alpha, EstimatorKind.T3S, ALPHA_BRACKET),
-            (optimize_theta, EstimatorKind.T4S, THETA_BRACKET),
-        ],
-    )
-    def test_against_dense_scan(self, synthetic_v, optimizer, kind, bracket):
+    @pytest.mark.parametrize("kind", BRACKETS, ids=optimizes)
+    def test_against_dense_scan(self, synthetic_v, kind):
         """Brute-force scan with step 1e-6 agrees to 1e-5."""
-        out = optimizer(synthetic_v, order=2)
+        out = optimize_spec(kind, synthetic_v, order=2)
         coeffs = np.asarray(mse_parameter_polynomial(kind, synthetic_v))
-        xs = np.arange(bracket[0], bracket[1] + 1e-9, 1e-6)
+        lo, hi = BRACKETS[kind]
+        xs = np.arange(lo, hi + 1e-9, 1e-6)
         vals = np.polynomial.polynomial.polyval(xs, coeffs)
         scan_best = float(xs[int(np.argmin(vals))])
         assert out.parameter == pytest.approx(scan_best, abs=1e-5)
 
-    @pytest.mark.parametrize("optimizer,make", [
-        (optimize_alpha, t3s),
-        (optimize_theta, t4s),
-    ])
-    def test_local_optimality_certificate(self, synthetic_v, optimizer, make):
-        out = optimizer(synthetic_v, order=2)
+    @pytest.mark.parametrize("kind,make", [(T3S, t3s), (T4S, t4s)], ids=optimizes)
+    def test_local_optimality_certificate(self, synthetic_v, kind, make):
+        out = optimize_spec(kind, synthetic_v, order=2)
         assert out.iterations >= 1  # an interior optimum is Newton-polished
         center = mse(make(out.parameter), synthetic_v, 2)
         left = mse(make(out.parameter - 1e-6), synthetic_v, 2)
@@ -110,14 +104,14 @@ class TestNumericSearch:
         assert center <= right
 
     def test_parameter_within_bracket(self, synthetic_v):
-        out_a = optimize_alpha(synthetic_v, 2)
-        assert ALPHA_BRACKET[0] <= out_a.parameter <= ALPHA_BRACKET[1]
-        assert out_a.bracket == ALPHA_BRACKET
-        out_t = optimize_theta(synthetic_v, 2)
-        assert THETA_BRACKET[0] <= out_t.parameter <= THETA_BRACKET[1]
+        out_a = optimize_spec(T3S, synthetic_v, 2)
+        assert BRACKETS[T3S][0] <= out_a.parameter <= BRACKETS[T3S][1]
+        assert out_a.bracket == BRACKETS[T3S]
+        out_t = optimize_spec(T4S, synthetic_v, 2)
+        assert BRACKETS[T4S][0] <= out_t.parameter <= BRACKETS[T4S][1]
 
     def test_objective_recomputed_at_order_two(self, synthetic_v):
-        out = optimize_alpha(synthetic_v, 2)
+        out = optimize_spec(T3S, synthetic_v, 2)
         assert out.objective == pytest.approx(
             mse(t3s(out.parameter), synthetic_v, 2), rel=1e-12
         )
@@ -138,17 +132,17 @@ class TestNumericSearch:
         )
         v0 = v_table(synthetic)
         v1 = v_table(scaled)
-        for optimizer in (optimize_alpha, optimize_theta):
+        for kind in BRACKETS:
             for order in (1, 2):
-                p0 = optimizer(v0, order).parameter
-                p1 = optimizer(v1, order).parameter
+                p0 = optimize_spec(kind, v0, order).parameter
+                p1 = optimize_spec(kind, v1, order).parameter
                 assert p1 == pytest.approx(p0, abs=1e-9)
 
     def test_second_order_optimum_beats_first_order_point(self, synthetic_v):
         """At order 2 the numeric optimum cannot lose to the first-order
         closed form evaluated on the order-2 objective."""
-        a1 = optimize_alpha(synthetic_v, 1).parameter
-        out = optimize_alpha(synthetic_v, 2)
+        a1 = optimize_spec(T3S, synthetic_v, 1).parameter
+        out = optimize_spec(T3S, synthetic_v, 2)
         assert out.objective <= mse(t3s(a1), synthetic_v, 2) + 1e-15
 
 
@@ -213,7 +207,7 @@ class TestSearchMechanics:
                 EstimatorRequest.parse("t4s:optimize"),
             ),
         ))
-        for row, end in zip(report.rows, (ALPHA_BRACKET[1], THETA_BRACKET[1])):
+        for row, end in zip(report.rows, (BRACKETS[T3S][1], BRACKETS[T4S][1])):
             assert row.parameter_order1 > end
             assert row.parameter_order2 == end
             assert report.optimizer_outcomes[row.label]["order2"].iterations == 0
@@ -222,7 +216,7 @@ class TestSearchMechanics:
         """An (unphysical) table can push the second-order MSE negative at
         the optimum; the outcome reports it instead of clamping."""
         v = replace_entries(synthetic_v, V04=-50.0)
-        out = optimize_alpha(v, order=2)
+        out = optimize_spec(T3S, v, order=2)
         assert out.objective < 0
         assert out.objective_negative
 
@@ -231,18 +225,23 @@ class TestOverflow:
     @pytest.mark.parametrize(
         "entry", [{"V04": 1e308}, {"V22": 1.7e308}, {"V13": -1.7e308}, {"V02": 1e308}]
     )
-    @pytest.mark.parametrize("optimize, label", [(optimize_alpha, "t3s"), (optimize_theta, "t4s")])
+    @pytest.mark.parametrize("kind, label", [(T3S, "t3s"), (T4S, "t4s")], ids=optimizes)
     def test_polynomial_outside_the_float_range_is_a_typed_error(
-        self, synthetic_v, entry, optimize, label
+        self, synthetic_v, entry, kind, label
     ):
         """The order-2 objective has a coefficient outside the float range;
         root finding on it used to fail inside NumPy."""
         v = replace_entries(synthetic_v, **entry)
         with pytest.raises(ComputationError, match=rf"^estimator {label} overflows"):
-            optimize(v, 2)
+            optimize_spec(kind, v, 2)
 
 
 class TestOrderValidation:
     def test_bad_order(self, synthetic_v):
         with pytest.raises(ValueError):
-            optimize_alpha(synthetic_v, 3)
+            optimize_spec(T3S, synthetic_v, 3)
+
+    @pytest.mark.parametrize("kind", [EstimatorKind.T1S, EstimatorKind.T2S])
+    def test_kind_without_a_constant(self, synthetic_v, kind):
+        with pytest.raises(ValueError, match="has no tuning constant to optimize"):
+            optimize_spec(kind, synthetic_v, 1)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from stratexp import exactsum
 from stratexp.errors import ComputationError, DegenerateAuxiliaryError, PopulationError
+from stratexp.estimators import EstimatorKind
 from stratexp.moments import VTABLE_KEYS, summarize_stratum, v_table
-from stratexp.optimize import optimize_alpha
+from stratexp.optimize import optimize_spec
 from stratexp.population import (
     StratifiedPopulation,
     StratumPopulation,
@@ -303,7 +304,7 @@ class TestConstantColumns:
         assert v[(1, 1)] == 0.0
         assert v[(1, 2)] == 0.0
         with pytest.raises(DegenerateAuxiliaryError, match="V02 = 0"):
-            optimize_alpha(v, 1)
+            optimize_spec(EstimatorKind.T3S, v, 1)
 
     def test_constant_x_scale_equivariance(self):
         """The scale-equivariance property, unchanged, at a constant column."""

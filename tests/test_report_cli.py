@@ -11,7 +11,8 @@ import pytest
 from stratexp.cli import DEFAULT_ESTIMATORS, main
 from stratexp.datasets import SYNTHETIC_SAMPLE_SIZES, synthetic_csv_path
 from stratexp.errors import ConfigError
-from stratexp.estimators import EstimatorKind
+from stratexp.estimators import EstimatorKind, EstimatorSpec
+from stratexp.population import load_population_file
 from stratexp.report import (
     EstimatorRequest,
     EstimatorRow,
@@ -20,6 +21,7 @@ from stratexp.report import (
     report_as_dict,
     run,
 )
+from stratexp.verify import exact_bias_mse, monte_carlo
 
 
 def base_config(**overrides) -> RunConfig:
@@ -142,6 +144,42 @@ class TestPipeline:
         assert row.mc_bias is not None
         assert row.mc_bias_se > 0
         assert row.mc_skipped == 0
+
+    @pytest.mark.parametrize("order", ["1", "2", "both"])
+    def test_exact_columns_take_the_highest_orders_constant(self, order):
+        """Each :optimize row's exact columns are those of its constant at
+        the highest requested order, bit for bit; at order "both" the
+        order-1 constant would give other values."""
+        report = run(base_config(verify="exact", order=order))
+        pop = load_population_file(synthetic_csv_path(), dict(SYNTHETIC_SAMPLE_SIZES))
+        top = "parameter_order1" if order == "1" else "parameter_order2"
+        for row in report.rows[2:]:
+            assert row.label.endswith(":optimize")
+            ((b, m),) = exact_bias_mse(pop, [EstimatorSpec(row.kind, getattr(row, top))])
+            assert (row.bias_exact.hex(), row.mse_exact.hex()) == (b.hex(), m.hex())
+            if order == "both":
+                other = exact_bias_mse(pop, [EstimatorSpec(row.kind, row.parameter_order1)])
+                assert other != [(b, m)]
+
+    @pytest.mark.parametrize("order", ["1", "2", "both"])
+    def test_mc_columns_take_the_highest_orders_constant(self, order):
+        """The same for the Monte Carlo columns, against one ``monte_carlo``
+        call on every row's constant at that order."""
+        report = run(base_config(verify="mc", replicates=200, seed=11, order=order))
+        pop = load_population_file(synthetic_csv_path(), dict(SYNTHETIC_SAMPLE_SIZES))
+        top = "parameter_order1" if order == "1" else "parameter_order2"
+        specs = [EstimatorSpec(row.kind, getattr(row, top)) for row in report.rows]
+        mc = monte_carlo(pop, specs, replicates=200, seed=11)
+        for row, b, m in list(zip(report.rows, mc.bias, mc.mse))[2:]:
+            assert row.label.endswith(":optimize")
+            got = (row.mc_bias, row.mc_bias_se, row.mc_mse, row.mc_mse_se)
+            want = (b.mean, b.standard_error, m.mean, m.standard_error)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            assert row.mc_skipped == mc.skipped
+        if order == "both":
+            specs = [EstimatorSpec(row.kind, row.parameter_order1) for row in report.rows]
+            other = monte_carlo(pop, specs, replicates=200, seed=11)
+            assert [b.mean for b in other.bias[2:]] != [row.mc_bias for row in report.rows[2:]]
 
     def test_printed_columns_only_for_ratio_product(self):
         report = run(base_config(printed_mode=True))
