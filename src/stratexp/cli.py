@@ -5,8 +5,9 @@ estimator comparison pipeline, print the report.
 
 Every run option takes one path into :class:`RunConfig`.  A JSON config
 file (``--config``) gives a dict whose keys and JSON types are those of
-``_CONFIG_TYPES``.  Each flag's argparse ``dest`` is the config key it
-overrides, so the flags that are given are laid over that dict, and
+``_SETTINGS``, the one table of settings, which also builds every flag.
+Each flag's argparse ``dest`` is the config key it overrides, so the
+flags that are given are laid over that dict, and
 ``RunConfig(**settings)`` alone checks the allowed values, so ``--order 3``
 and ``{"order": "3"}`` fail with one message.  A flag argparse cannot parse
 is a ``ConfigError`` too, as a file value of the wrong JSON type is.  A
@@ -24,34 +25,10 @@ import json
 import sys
 
 from .errors import ComputationError, ConfigError, StratexpError, ValidationError
-from .report import (
-    FORMAT_CHOICES,
-    ORDER_CHOICES,
-    VERIFY_CHOICES,
-    EstimatorRequest,
-    RunConfig,
-    emit,
-    run,
-)
+from .report import CHOICES, EstimatorRequest, RunConfig, emit, run
 from .verify import DEFAULT_ENUM_LIMIT
 
 DEFAULT_ESTIMATORS = ("t1s", "t2s", "t3s:optimize", "t4s:optimize")
-
-#: every config key with its JSON type; bool is not accepted as an integer
-_CONFIG_TYPES = {
-    "population": str,
-    "sample_sizes": dict,
-    "estimators": list,
-    "order": str,
-    "verify": str,
-    "format": str,
-    "printed_mode": bool,
-    "optimize": bool,
-    "replicates": int,
-    "seed": int,
-    "max_enum": int,
-    "workers": int,
-}
 
 _JSON_TYPE_NAMES = {bool: "boolean", int: "integer", str: "string", dict: "object", list: "array"}
 
@@ -84,66 +61,64 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _choices(values: tuple[str, ...]) -> str:
-    return "{" + ",".join(values) + "}"
+#: each config key, in ``--help`` order: its JSON type (a bool is not an
+#: integer), its flag, and the flag's argparse keywords besides those that
+#: ``_build_parser`` derives from the type and from ``report.CHOICES``
+_SETTINGS = {
+    "population": (str, "--population", dict(help="population CSV (header stratum,x,y)")),
+    "sample_sizes": (dict, "--n", dict(
+        action="append", type=_parse_design_entry, metavar="STRATUM=SIZE",
+        help="per-stratum sample size; repeatable, replaces config sizes",
+    )),
+    "estimators": (list, "--estimator", dict(
+        action="append", metavar="SPEC",
+        help="estimator to report: t1s, t2s, t3s:<alpha|optimize>, t4s:<theta|optimize>; "
+        f"repeatable (default: {' '.join(DEFAULT_ESTIMATORS)})",
+    )),
+    "order": (str, "--order", dict(help="approximation order(s)")),
+    "optimize": (bool, "--optimize", dict(
+        help="treat parameterless t3s/t4s requests as :optimize",
+    )),
+    "verify": (str, "--verify", dict(help="verification oracle")),
+    "replicates": (int, "--replicates", dict(help="Monte Carlo replicates")),
+    "seed": (int, "--seed", dict(help="Monte Carlo seed (default 0)")),
+    "format": (str, "--format", dict(help="output format")),
+    "printed_mode": (bool, "--printed-mode", dict(
+        help="add legacy closed-form second-order columns for t1s/t2s",
+    )),
+    "max_enum": (int, "--max-enum", dict(
+        help=f"joint sample space limit for exact verification (default {DEFAULT_ENUM_LIMIT})",
+    )),
+    "workers": (int, "--workers", dict(
+        help="accepted and echoed in the report; changes neither results nor speed",
+    )),
+}
 
 
-_PARSER = _Parser(
-    prog="stratexp",
-    description=(
-        "Compare exponential ratio/product estimators of a stratified "
-        "population mean: exact design moments, first/second-order bias "
-        "and MSE, optimized tuning constants, and enumeration or Monte "
-        "Carlo verification."
-    ),
-)
-_PARSER.add_argument("--config", help="JSON config file; flags override it")
-_PARSER.add_argument("--population", help="population CSV (header stratum,x,y)")
-_PARSER.add_argument(
-    "--n",
-    dest="sample_sizes",
-    action="append",
-    type=_parse_design_entry,
-    metavar="STRATUM=SIZE",
-    help="per-stratum sample size; repeatable, replaces config sizes",
-)
-_PARSER.add_argument(
-    "--estimator",
-    dest="estimators",
-    action="append",
-    metavar="SPEC",
-    help=(
-        "estimator to report: t1s, t2s, t3s:<alpha|optimize>, "
-        "t4s:<theta|optimize>; repeatable (default: " + " ".join(DEFAULT_ESTIMATORS) + ")"
-    ),
-)
-_PARSER.add_argument("--order", metavar=_choices(ORDER_CHOICES), help="approximation order(s)")
-_PARSER.add_argument(
-    "--optimize",
-    action="store_true",
-    default=None,
-    help="treat parameterless t3s/t4s requests as :optimize",
-)
-_PARSER.add_argument("--verify", metavar=_choices(VERIFY_CHOICES), help="verification oracle")
-_PARSER.add_argument("--replicates", type=int, help="Monte Carlo replicates")
-_PARSER.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
-_PARSER.add_argument("--format", metavar=_choices(FORMAT_CHOICES), help="output format")
-_PARSER.add_argument(
-    "--printed-mode",
-    action="store_true",
-    default=None,
-    help="add legacy closed-form second-order columns for t1s/t2s",
-)
-_PARSER.add_argument(
-    "--max-enum",
-    type=int,
-    help=f"joint sample space limit for exact verification (default {DEFAULT_ENUM_LIMIT})",
-)
-_PARSER.add_argument(
-    "--workers",
-    type=int,
-    help="accepted and echoed in the report; changes neither results nor speed",
-)
+def _build_parser() -> _Parser:
+    """``--config``, then one flag per ``_SETTINGS`` entry, its dest the config key."""
+    parser = _Parser(
+        prog="stratexp",
+        description=(
+            "Compare exponential ratio/product estimators of a stratified "
+            "population mean: exact design moments, first/second-order bias "
+            "and MSE, optimized tuning constants, and enumeration or Monte "
+            "Carlo verification."
+        ),
+    )
+    parser.add_argument("--config", help="JSON config file; flags override it")
+    for key, (kind, flag, options) in _SETTINGS.items():
+        if kind is bool:
+            options = dict(action="store_true", default=None, **options)
+        elif kind is int:
+            options = dict(type=int, **options)
+        elif key in CHOICES:
+            options = dict(metavar="{" + ",".join(CHOICES[key]) + "}", **options)
+        parser.add_argument(flag, dest=key, **options)
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def _load_config_file(path: str) -> dict:
@@ -160,11 +135,11 @@ def _load_config_file(path: str) -> dict:
         raise ValidationError(f"config file {path!r} is not UTF-8 text: {exc.reason}") from None
     if not isinstance(data, dict):
         raise ValidationError(f"config file {path!r} must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_TYPES)
+    unknown = set(data) - set(_SETTINGS)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     for key, value in data.items():
-        kind = _CONFIG_TYPES[key]
+        kind = _SETTINGS[key][0]
         if type(value) is not kind:
             raise ConfigError(
                 f"config {key} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}"

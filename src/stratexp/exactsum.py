@@ -23,15 +23,16 @@ range, and a row whose parts are all zero, since bucket parts are never
 -0.0 and a zero sum follows ``math.fsum``'s own rule for signed zeros.
 
 ``block_sums(blocks)`` folds each block's parts into exact running sums.
-``row_means(rows)`` writes a row's parts, folded, as one integer over a
-power of two, which Python's ``int / int`` divides by N correctly rounded,
-ties to even.  ``fold`` keeps an exact running sum in a few floats, and
-``fsum`` is ``math.fsum`` that does not raise: order-independent where
-``math.fsum`` overflows midway, and ``inf`` for ``inf - inf``.
+``quotient(parts, n)`` writes finite parts as one integer over a power of
+two, which Python's ``int / int`` divides by n correctly rounded, ties to
+even; ``row_means(rows)`` is that of a row's parts, folded.  ``fold``
+keeps an exact running sum in a few floats, and ``fsum`` is ``math.fsum``
+that does not raise: order-independent where ``math.fsum`` overflows
+midway, and ``inf`` for ``inf - inf``.
 
 ``fsum_columns(cols)`` sums the other way: each column of a short (K, m)
-array, with the bits of ``math.fsum``, by an error-free TwoSum filter that
-hands ``math.fsum`` only a column it cannot certify.
+array, with the bits of ``fsum``, by an error-free TwoSum filter that
+hands ``fsum`` only a column it cannot certify.
 """
 
 from __future__ import annotations
@@ -155,13 +156,30 @@ def block_sums(blocks: Iterable[Sequence[np.ndarray]]) -> list[float]:
     return [fsum(s) for s in sums]
 
 
+def quotient(parts: Iterable[float], n: int) -> float:
+    """The exact sum of the finite ``parts`` divided by ``n`` >= 1,
+    correctly rounded, ties to even, or ``inf`` of its sign past the float
+    range.  The parts are written as one integer over their common
+    power-of-two denominator D, and Python's ``int / int`` divides it by
+    ``D * n``; a zero sum gives 0.0."""
+    numerator, denominator = 0, 1
+    for a, b in map(float.as_integer_ratio, parts):
+        # powers of two: the larger denominator is a multiple of the other
+        if b > denominator:
+            numerator, denominator = numerator * (b // denominator), b
+        numerator += a * (denominator // b)
+    try:
+        return numerator / (denominator * n)
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
+
+
 def row_means(rows: Sequence[np.ndarray]) -> list[float]:
     """The correctly rounded mean of each row, ties to even.
 
-    The row's ``exact_parts``, folded to a few floats, are written as one
-    integer over their common power-of-two denominator D, and Python's
-    ``int / int`` divides it by ``D * N``, correctly rounded.  No deviation
-    ``row - m`` is rounded before it is summed, and a zero sum gives 0.0.
+    The row's ``exact_parts``, folded to a few floats, go to ``quotient``
+    with N.  No deviation ``row - m`` is rounded before it is summed, and a
+    zero sum gives 0.0.
 
     A mean is ``inf``, ``-inf`` or ``nan`` where the row sum leaves the
     float range, and ``inf`` where a deviation ``row - m`` would.
@@ -172,13 +190,7 @@ def row_means(rows: Sequence[np.ndarray]) -> list[float]:
         folded = fold(parts)
         m = fsum(folded)  # the exactly rounded sum, or an infinity or nan
         if math.isfinite(m):
-            numerator, denominator = 0, 1
-            for a, b in map(float.as_integer_ratio, folded):
-                # powers of two: the larger denominator is a multiple of the other
-                if b > denominator:
-                    numerator, denominator = numerator * (b // denominator), b
-                numerator += a * (denominator // b)
-            m = numerator / (denominator * n)
+            m = quotient(folded, n)
             # the parts are the row itself, or the buckets of a row whose
             # entries, and so its deviations, are far inside the float range
             if not (math.isfinite(max(parts) - m) and math.isfinite(min(parts) - m)):
@@ -196,7 +208,7 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fsum_columns(cols: np.ndarray) -> list[float]:
-    """``math.fsum(cols[:, i])`` for each column i of the (K, m) float64
+    """``fsum(cols[:, i])`` for each column i of the (K, m) float64
     array, K >= 1, with the same bits, as one list.
 
     The error-free filter of Ogita, Rump and Oishi ("Accurate sum and dot
@@ -204,8 +216,8 @@ def fsum_columns(cols: np.ndarray) -> list[float]:
     rows into s and leaves K - 1 exact errors, and a second adds those
     errors into s2.  Where every error of the second cascade is zero,
     s + s2 is the exact sum, and ``s + s2`` rounds it once, ties to even,
-    as ``math.fsum`` does.  Every other column is summed by ``math.fsum``
-    itself, looked up at call time:
+    as ``math.fsum`` does.  Every other column is summed by ``fsum``, which
+    looks ``math.fsum`` up at call time:
 
     * a nonzero second-level error;
     * a zero sum, for ``math.fsum``'s sign rule;
@@ -228,5 +240,5 @@ def fsum_columns(cols: np.ndarray) -> list[float]:
         redo |= total == 0
     sums = total.tolist()
     for i in np.flatnonzero(redo).tolist():
-        sums[i] = math.fsum(cols[:, i].tolist())
+        sums[i] = fsum(cols[:, i].tolist())
     return sums

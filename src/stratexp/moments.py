@@ -35,11 +35,14 @@ of ``VTABLE_KEYS``: the mean over the stratum of
 (y - y_mean)^a (x - x_mean)^b, divisor N_h.  They are the whole interface
 between a population and the analysis; the S-quantities (divisor N_h - 1)
 are C_20, C_02 and C_11 times N_h / (N_h - 1).  Each moment is formed from
-the deviation columns with NumPy and reduced by
-:func:`stratexp.exactsum.row_sums`, an exactly rounded sum with the bits of
-``math.fsum``, all ten in one call per stratum; a sum that leaves the float
-range gives an infinity, which ``v_table`` reports, as it does an entry of
-the table that leaves it.
+the deviation columns with NumPy; one :func:`stratexp.exactsum.exact_parts`
+call per stratum reduces all ten, and the ``fsum`` of each one's parts, an
+exactly rounded sum with the bits of ``math.fsum``, is divided by N_h.
+Where that sum of finite products leaves the float range, the moment is
+the exact sum over N_h, correctly rounded
+(:func:`stratexp.exactsum.quotient`), so a moment in range is kept; a
+product that overflows gives an infinity, which ``v_table`` reports, as
+it does an entry of the table that leaves the range.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import ComputationError, MomentNormalizationError
-from .exactsum import fsum as _fsum, row_sums
+from .exactsum import exact_parts, fold, fsum as _fsum, quotient
 from .population import StratifiedPopulation, StratumPopulation
 
 # (a, b) = (power of e0, power of e1), every entry the table carries
@@ -78,11 +81,19 @@ def summarize_stratum(stratum: StratumPopulation) -> dict[tuple[int, int], float
         dy2, dx2 = dy * dy, dx * dx
         dy3, dx3 = dy2 * dy, dx2 * dx
         # (y - y_mean)^a (x - x_mean)^b for (a, b) in VTABLE_KEYS order
-        sums = row_sums(
+        rows = exact_parts(
             (dy2, dx2, dy * dx, dy3, dy2 * dx, dy * dx2, dx3, dy2 * dx2, dy * dx3, dx2 * dx2)
         )
     n = stratum.capital_n
-    return {key: s / n for key, s in zip(VTABLE_KEYS, sums)}
+    moments = {}
+    for key, parts in zip(VTABLE_KEYS, rows):
+        s = _fsum(parts)
+        if math.isinf(s) and all(map(math.isfinite, parts)):
+            # the sum of finite products leaves the float range, the mean may not
+            moments[key] = quotient(fold(parts), n)
+        else:
+            moments[key] = s / n
+    return moments
 
 
 def _partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -107,31 +107,21 @@ def optimize_spec(kind: EstimatorKind, v: VTable, order: int) -> OptimizationOut
         )
 
     if order == 1:
-        if kind is EstimatorKind.T3S:
-            param = 2.0 * v11 / v02
-        else:
-            param = v11 / v02 + 0.5
-        objective = mse(EstimatorSpec(kind, param), v, 1)
-        return OptimizationOutcome(
-            parameter=param,
-            objective=objective,
-            order=1,
-            method="closed_form",
-            bracket=(param, param),
-            iterations=0,
-            objective_negative=objective < 0.0,
-        )
-
-    if order != 2:
+        param = 2.0 * v11 / v02 if kind is EstimatorKind.T3S else v11 / v02 + 0.5
+        method, bracket, iterations = "closed_form", (param, param), 0
+    elif order == 2:
+        bracket = BRACKETS[kind]
+        param, iterations = _minimize(mse_parameter_polynomial(kind, v), bracket)
+        method = "numeric"
+    else:
         raise ValueError(f"order must be 1 or 2, got {order}")
-    param, iterations = _minimize(mse_parameter_polynomial(kind, v), BRACKETS[kind])
-    objective = mse(EstimatorSpec(kind, param), v, 2)
+    objective = mse(EstimatorSpec(kind, param), v, order)
     return OptimizationOutcome(
         parameter=param,
         objective=objective,
-        order=2,
-        method="numeric",
-        bracket=BRACKETS[kind],
+        order=order,
+        method=method,
+        bracket=bracket,
         iterations=iterations,
         objective_negative=objective < 0.0,
     )

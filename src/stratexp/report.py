@@ -36,9 +36,12 @@ from .verify import DEFAULT_ENUM_LIMIT, exact_bias_mse, monte_carlo
 
 #: each --order choice and the approximation orders it reports
 ORDERS = {"1": (1,), "2": (2,), "both": (1, 2)}
-ORDER_CHOICES = tuple(ORDERS)
-VERIFY_CHOICES = ("none", "exact", "mc")
-FORMAT_CHOICES = ("table", "csv", "json")
+#: the allowed values of each choice setting
+CHOICES = {
+    "order": tuple(ORDERS),
+    "verify": ("none", "exact", "mc"),
+    "format": ("table", "csv", "json"),
+}
 
 WEIGHT_DEFINITION = "W_h = N_h / N (stratum size over total population size)"
 
@@ -121,6 +124,11 @@ class EstimatorRequest:
         return self.kind.value
 
 
+def _check_choice(name: str, value: str) -> None:
+    if value not in CHOICES[name]:
+        raise ConfigError(f"{name} must be one of {CHOICES[name]}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one deterministic run depends on."""
@@ -138,14 +146,8 @@ class RunConfig:
     workers: int = 1  # echoed in the report; changes neither results nor speed
 
     def __post_init__(self) -> None:
-        if self.order not in ORDER_CHOICES:
-            raise ConfigError(f"order must be one of {ORDER_CHOICES}, got {self.order!r}")
-        if self.verify not in VERIFY_CHOICES:
-            raise ConfigError(
-                f"verify must be one of {VERIFY_CHOICES}, got {self.verify!r}"
-            )
-        if self.format not in FORMAT_CHOICES:
-            raise ConfigError(f"format must be one of {FORMAT_CHOICES}, got {self.format!r}")
+        for name in CHOICES:
+            _check_choice(name, getattr(self, name))
         if not self.estimators:
             raise ConfigError("no estimators requested")
         if self.verify == "mc":
@@ -315,20 +317,13 @@ def _json_fields(obj, schema: tuple[tuple[str, str, bool], ...]) -> dict:
 def report_as_dict(report: ComparisonReport) -> dict:
     """The report as one plain, ordered dictionary (the JSON structure)."""
     cfg = report.config
+    # every RunConfig field but format, in order: a JSON report is always json
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "format"}
+    echo["sample_sizes"] = dict(sorted(cfg.sample_sizes.items()))
+    echo["estimators"] = [e.label() for e in cfg.estimators]
     return {
         "schema": "stratexp.report/1",
-        "config": {
-            "population": cfg.population,
-            "sample_sizes": {k: cfg.sample_sizes[k] for k in sorted(cfg.sample_sizes)},
-            "estimators": [e.label() for e in cfg.estimators],
-            "order": cfg.order,
-            "verify": cfg.verify,
-            "replicates": cfg.replicates,
-            "seed": cfg.seed,
-            "printed_mode": cfg.printed_mode,
-            "max_enum": cfg.max_enum,
-            "workers": cfg.workers,
-        },
+        "config": echo,
         "population": {
             "weight_definition": WEIGHT_DEFINITION,
             "ybar": report.ybar,
@@ -454,13 +449,11 @@ def _emit_table(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+_EMITTERS = {"table": _emit_table, "csv": _emit_csv, "json": _emit_json}
+
+
 def emit(report: ComparisonReport, output_format: str | None = None) -> str:
     """Serialize a report as 'table', 'csv' or 'json' text."""
     fmt = output_format or report.config.format
-    if fmt == "json":
-        return _emit_json(report)
-    if fmt == "csv":
-        return _emit_csv(report)
-    if fmt == "table":
-        return _emit_table(report)
-    raise ConfigError(f"format must be one of {FORMAT_CHOICES}, got {fmt!r}")
+    _check_choice("format", fmt)
+    return _EMITTERS[fmt](report)

@@ -16,10 +16,10 @@ expectation is the exactly rounded sum over the space (the bits of
 approximation in this package is certified against.  Each stratum's
 combination means are built once, as arrays, by the same ``stratum_means``
 that Monte Carlo calls on one sample; the joint samples are then walked a
-block at a time.  A block's stratified means, the ``math.fsum`` of the
-weighted stratum means, are added with its bits by
+block at a time.  A block's stratified means, the ``exactsum.fsum`` of
+the weighted stratum means, are added with its bits by
 ``exactsum.fsum_columns``: an error-free TwoSum filter over the whole
-block that hands ``math.fsum`` only a sum it cannot certify.  Each
+block that hands ``exactsum.fsum`` only a sum it cannot certify.  Each
 block's rows from the estimator step go to ``exactsum.block_sums``,
 which reduces them into exact running sums.  No Python object is kept
 per combination or per sample, so memory grows with the strata's
@@ -165,8 +165,8 @@ class ExactDesignDistribution:
         """(ybar_st values, xbar_st values) of every joint sample, ``BLOCK``
         samples at a time, in enumeration order: ``itertools.product`` of the
         strata's combinations, the last stratum varying fastest.  Each is the
-        ``math.fsum`` of the weighted stratum means, in stratum order, with
-        its bits; ``exactsum.fsum_columns`` takes the whole block, both
+        ``exactsum.fsum`` of the weighted stratum means, in stratum order,
+        with its bits; ``exactsum.fsum_columns`` takes the whole block, both
         means, at once."""
         means = self._weighted_means()
         size, sizes = self.size, self.stratum_space_sizes

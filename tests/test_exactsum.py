@@ -19,6 +19,7 @@ from stratexp.exactsum import (
     exact_parts,
     fold,
     fsum,
+    quotient,
     row_means,
     row_sums,
 )
@@ -306,6 +307,21 @@ class TestFsum:
         block = np.stack((row, row[::-1], -row))
         assert row_sums(block) == [1e308, 1e308, -1e308]
         assert block_sums([block[:, :2], block[:, 2:]]) == [1e308, 1e308, -1e308]
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("n", [1, 3, 10, 7**20])
+    def test_is_the_exact_quotient_correctly_rounded(self, n):
+        """Folded parts of a sum past the float range, and of one in it."""
+        top = sys.float_info.max
+        for values in ([top] * 5 + [2.0**-1074], [1e308, 1e-300, -1e308, 3.0]):
+            parts = fold(values)
+            want = exact_sum(values) / n
+            try:
+                want = float(want)
+            except OverflowError:
+                want = math.inf if want > 0 else -math.inf
+            assert quotient(parts, n) == want
 
 
 class TestRowMeans:

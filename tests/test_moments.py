@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from stratexp import moments
 from stratexp.errors import ComputationError, MomentNormalizationError
+from stratexp.exactsum import fsum
 from stratexp.moments import VTABLE_KEYS, v_table
 from stratexp.verify import exact_expectation
 
@@ -431,6 +432,19 @@ class TestExtremeScales:
         assert str(excinfo.value) == (
             f"{entry} = inf is outside the float range; rescale x or y"
         )
+
+    def test_moment_in_range_whose_sum_is_not(self):
+        """Ten of 100 units at y = -5.53e102: the sum of (y - y_mean)^3 leaves
+        the float range, but C30 is the exact mean of those products,
+        correctly rounded."""
+        pop = make_population(("A", list(range(1, 101)), [-5.53e102] * 10 + [0.0] * 90, 10))
+        stratum = pop.strata[0]
+        dy = stratum.y - stratum.y_mean
+        cubes = (dy * dy * dy).tolist()
+        assert fsum(cubes) == -math.inf
+        want = float(sum(map(F, cubes)) / 100)
+        assert moments.summarize_stratum(stratum)[(3, 0)] == want
+        assert math.isfinite(v_table(pop)[(3, 0)])
 
     @pytest.mark.parametrize(
         "x_scale, y_scale", [(1e-70, 1.0), (1e70, 1.0), (1.0, 1e-70), (1.0, 1e70)]

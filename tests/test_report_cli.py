@@ -5,15 +5,18 @@ import json
 import math
 import re
 import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from stratexp.cli import DEFAULT_ESTIMATORS, main
+from stratexp.cli import _PARSER, _SETTINGS, DEFAULT_ESTIMATORS, main
 from stratexp.datasets import SYNTHETIC_SAMPLE_SIZES, synthetic_csv_path
 from stratexp.errors import ConfigError
 from stratexp.estimators import EstimatorKind, EstimatorSpec
 from stratexp.population import load_population_file
 from stratexp.report import (
+    CHOICES,
     EstimatorRequest,
     EstimatorRow,
     RunConfig,
@@ -545,6 +548,34 @@ class TestCli:
             "V30 = inf is outside the float range; rescale x or y\n"
         )
 
+    @staticmethod
+    def _lopsided_stratum(tmp_path, y: float) -> str:
+        """100 units: ten at ``y`` and ninety at 0."""
+        csv = tmp_path / "lopsided.csv"
+        csv.write_text("stratum,x,y\n" + "".join(
+            f"A,{i},{y if i <= 10 else 0.0!r}\n" for i in range(1, 101)
+        ))
+        return str(csv)
+
+    def test_moment_in_range_whose_sum_is_not_exit_zero(self, tmp_path, capsys):
+        """y = -5.53e102 on ten of 100 units: the sum of (y - y_mean)^3 leaves
+        the float range, but C30 does not, so the report runs."""
+        pop = self._lopsided_stratum(tmp_path, -5.53e102)
+        code = main(["--population", pop, "--n", "A=10", "--estimator", "t1s", "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert json.loads(captured.out)["estimators"][0]["mse2"] > 0
+
+    def test_moment_past_the_float_range_exit_two(self, tmp_path, capsys):
+        """y = -2e103 on ten of 100 units: (y - y_mean)^3, and so C30, is past
+        the float range."""
+        pop = self._lopsided_stratum(tmp_path, -2e103)
+        assert main(["--population", pop, "--n", "A=10", "--estimator", "t1s"]) == 2
+        assert capsys.readouterr().err == (
+            "stratexp: computation failed: ComputationError: stratum 'A': "
+            "central moment C30 = -inf is not a normal float; rescale x or y\n"
+        )
+
     def test_close_constants_keep_distinct_labels(self, capsys):
         code = main([
             "--population", synthetic_csv_path(),
@@ -975,3 +1006,34 @@ class TestCli:
             "--estimator", "t3s",
         ])
         assert code == 1
+
+
+class TestOneDeclarationPerSetting:
+    """``cli._SETTINGS`` declares every flag and config key, ``report.CHOICES``
+    every choice set, and ``RunConfig``'s fields the JSON config echo."""
+
+    def test_parser_dests_are_the_settings(self):
+        dests = {action.dest for action in _PARSER._actions}
+        assert dests - {"help"} == {"config", *_SETTINGS}
+
+    def test_settings_are_the_run_config_fields_and_optimize(self):
+        assert set(_SETTINGS) - {"optimize"} == {f.name for f in fields(RunConfig)}
+
+    def test_json_config_echoes_every_field_but_format_in_order(self):
+        echo = report_as_dict(run(base_config(format="json")))["config"]
+        assert list(echo) == [f.name for f in fields(RunConfig) if f.name != "format"]
+
+    def test_choice_flags_show_their_choices(self):
+        text = _PARSER.format_help()
+        for key, values in CHOICES.items():
+            assert f"{_SETTINGS[key][1]} {{{','.join(values)}}}" in text
+
+    def test_readme_options_table_names_every_setting(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        table = text.split("| flag | config key (JSON type) | meaning |\n")[1].split("\n\n")[0]
+        row = re.compile(r"\| `(--[\w-]+)[^`]*` \| `(\w+)`")
+        rows = [row.match(line) for line in table.splitlines()[1:]]
+        assert all(rows)
+        assert {row[1] for row in rows} == {flag for _, flag, _ in _SETTINGS.values()}
+        assert {row[2] for row in rows} == set(_SETTINGS)
