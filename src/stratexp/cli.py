@@ -76,9 +76,6 @@ _SETTINGS = {
         f"repeatable (default: {' '.join(DEFAULT_ESTIMATORS)})",
     )),
     "order": (str, "--order", dict(help="approximation order(s)")),
-    "optimize": (bool, "--optimize", dict(
-        help="treat parameterless t3s/t4s requests as :optimize",
-    )),
     "verify": (str, "--verify", dict(help="verification oracle")),
     "replicates": (int, "--replicates", dict(help="Monte Carlo replicates")),
     "seed": (int, "--seed", dict(help="Monte Carlo seed (default 0)")),
@@ -162,9 +159,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ValidationError(
             "per-stratum sample sizes are required (--n STRATUM=SIZE or config)"
         )
-    optimize = settings.pop("optimize", False)
     settings["estimators"] = tuple(  # only an absent key takes the defaults
-        EstimatorRequest.parse(str(text), optimize)
+        EstimatorRequest.parse(str(text))
         for text in settings.get("estimators", DEFAULT_ESTIMATORS)
     )
     return RunConfig(**settings)

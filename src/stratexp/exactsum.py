@@ -182,20 +182,14 @@ def row_means(rows: Sequence[np.ndarray]) -> list[float]:
     zero sum gives 0.0.
 
     A mean is ``inf``, ``-inf`` or ``nan`` where the row sum leaves the
-    float range, and ``inf`` where a deviation ``row - m`` would.
+    float range.
     """
     n = len(rows[0])
     means = []
     for parts in exact_parts(rows):
         folded = fold(parts)
         m = fsum(folded)  # the exactly rounded sum, or an infinity or nan
-        if math.isfinite(m):
-            m = quotient(folded, n)
-            # the parts are the row itself, or the buckets of a row whose
-            # entries, and so its deviations, are far inside the float range
-            if not (math.isfinite(max(parts) - m) and math.isfinite(min(parts) - m)):
-                m = math.inf
-        means.append(m)
+        means.append(quotient(folded, n) if math.isfinite(m) else m)
     return means
 
 

@@ -33,9 +33,9 @@ commutes with products, so one product at ``DEGREE`` serves both orders.
 round each weight to float once and take an exactly summed (``math.fsum``)
 dot product with the moment table, so each weight is the exact rational of
 the estimator's expansion, evaluated at the exact rational constant and
-rounded once.  ``mse_parameter_polynomial`` is the column sums of the
-order-2 MSE table, and the printed closed forms below are tables of the
-same shape that go through the same evaluator.
+rounded once, in one evaluator, ``_evaluate``.  ``mse_parameter_polynomial``
+runs each column of the order-2 MSE table (the weights of one power of the
+constant) through it, and so do the printed closed forms below.
 
 Coefficients stay exact rationals until the final dot product with the
 moment table.  For exp(u) the quadratic-and-below coefficients are the
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -174,19 +174,23 @@ def coefficient_table(
 
 
 def _evaluate(
-    table: CoefficientTable, spec: EstimatorSpec, v: VTable, scale: float
+    table: CoefficientTable,
+    parameter: float | None,
+    label: Callable[[], str],
+    v: VTable,
+    scale: float,
 ) -> float:
     """scale * sum of weight(parameter) * E[e0^a e1^b], exactly summed.
 
     Each weight is evaluated at the exact rational value of the parameter
     in integers and rounded to float once (int / int is correctly rounded),
-    so each term is the one the concrete expansion of ``spec`` gives.
+    so each term is the one the concrete expansion gives; ``parameter`` is
+    None for a table of one numerator per row.  A result outside the float
+    range is a :class:`ComputationError` naming the estimator by
+    ``label()``, which is called only then.
     """
     try:
-        if spec.parameter is None:
-            p = q = 1
-        else:
-            p, q = Fraction(spec.parameter).as_integer_ratio()
+        p, q = (1, 1) if parameter is None else Fraction(parameter).as_integer_ratio()
         terms = []
         for (a, b), nums, den in table:
             n, d = _horner(nums, den, p, q)
@@ -197,46 +201,45 @@ def _evaluate(
     result = scale * fsum(terms)
     if not math.isfinite(result):
         raise ComputationError(
-            f"estimator {spec.label()} overflows the float range "
-            "in its series expansion"
+            f"estimator {label()} overflows the float range in its series expansion"
         )
     return result
 
 
 def bias(spec: EstimatorSpec, v: VTable, order: int) -> float:
     """Series bias: expectation of the expansion truncated at degree 2*order."""
-    return _evaluate(coefficient_table(spec.kind, "bias", order), spec, v, v.ybar)
+    table = coefficient_table(spec.kind, "bias", order)
+    return _evaluate(table, spec.parameter, spec.label, v, v.ybar)
 
 
 def mse(spec: EstimatorSpec, v: VTable, order: int) -> float:
     """Series MSE: expectation of the squared expansion, same truncation."""
-    return _evaluate(coefficient_table(spec.kind, "mse", order), spec, v, v.ybar**2)
+    table = coefficient_table(spec.kind, "mse", order)
+    return _evaluate(table, spec.parameter, spec.label, v, v.ybar**2)
+
+
+@functools.cache
+def _parameter_columns(kind: EstimatorKind) -> tuple[CoefficientTable, ...]:
+    """Column k of the order-2 MSE table: each row's weight of parameter^k."""
+    table = coefficient_table(kind, "mse", 2)
+    return tuple(
+        tuple((mono, (nums[k],), den) for mono, nums, den in table if k < len(nums))
+        for k in range(max(len(nums) for _, nums, _ in table))
+    )
 
 
 def mse_parameter_polynomial(kind: EstimatorKind, v: VTable) -> list[float]:
     """Second-order MSE as a polynomial in the tuning constant.
 
-    Returns ascending coefficients (quartic for the tunable exponent,
-    quadratic for the mixture), already scaled by Ybar^2: the column sums
-    of the order-2 MSE table, each an exactly-summed dot product of
-    rational weights with table entries.  A coefficient outside the float
-    range is a :class:`ComputationError` naming the estimator.
+    Ascending coefficients (quartic for the tunable exponent, quadratic for
+    the mixture), scaled by Ybar^2: coefficient k is column k of the order-2
+    MSE table through ``_evaluate``, so one outside the float range is a
+    :class:`ComputationError` naming the estimator.
     """
-    buckets: list[list[float]] = []
-    for (a, b), nums, den in coefficient_table(kind, "mse", 2):
-        m = _moment(v, a, b)
-        for k, n in enumerate(nums):
-            while len(buckets) <= k:
-                buckets.append([])
-            buckets[k].append(n / den * m)
-    scale = v.ybar**2
-    coeffs = [scale * fsum(vals) for vals in buckets]
-    if not all(map(math.isfinite, coeffs)):
-        raise ComputationError(
-            f"estimator {kind.value} overflows the float range "
-            "in its series expansion"
-        )
-    return coeffs
+    return [
+        _evaluate(column, None, lambda: kind.value, v, v.ybar**2)
+        for column in _parameter_columns(kind)
+    ]
 
 
 def _printed(**weights: Fraction) -> CoefficientTable:
@@ -309,6 +312,6 @@ def printed_second_order(spec: EstimatorSpec, v: VTable) -> tuple[float, float]:
             f"printed-mode formulas exist only for t1s and t2s, not {spec.kind.value}"
         )
     return (
-        _evaluate(PRINTED_SECOND_ORDER[spec.kind, "bias"], spec, v, v.ybar),
-        _evaluate(PRINTED_SECOND_ORDER[spec.kind, "mse"], spec, v, v.ybar**2),
+        _evaluate(PRINTED_SECOND_ORDER[spec.kind, "bias"], None, spec.label, v, v.ybar),
+        _evaluate(PRINTED_SECOND_ORDER[spec.kind, "mse"], None, spec.label, v, v.ybar**2),
     )

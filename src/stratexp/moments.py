@@ -73,16 +73,21 @@ def vkey_name(key: tuple[int, int]) -> str:
     return f"V{key[0]}{key[1]}"
 
 
+# the highest power of the y and of the x deviations that a key needs
+_TOPS = tuple(map(max, zip(*VTABLE_KEYS)))
+
+
 def summarize_stratum(stratum: StratumPopulation) -> dict[tuple[int, int], float]:
     """The central moments C_ab of one stratum, keyed (a, b) in ``VTABLE_KEYS`` order."""
     with np.errstate(over="ignore"):  # v_table reports a moment that overflows
-        dy = stratum.y - stratum.y_mean
-        dx = stratum.x - stratum.x_mean
-        dy2, dx2 = dy * dy, dx * dx
-        dy3, dx3 = dy2 * dy, dx2 * dx
+        # each column's powers d^k = d^(k - k//2) * d^(k//2): d^3 = d^2 * d
+        dy, dx = {1: stratum.y - stratum.y_mean}, {1: stratum.x - stratum.x_mean}
+        for d, top in zip((dy, dx), _TOPS):
+            for k in range(2, top + 1):
+                d[k] = d[k - k // 2] * d[k // 2]
         # (y - y_mean)^a (x - x_mean)^b for (a, b) in VTABLE_KEYS order
         rows = exact_parts(
-            (dy2, dx2, dy * dx, dy3, dy2 * dx, dy * dx2, dx3, dy2 * dx2, dy * dx3, dx2 * dx2)
+            [dy[a] * dx[b] if a and b else (dy[a] if a else dx[b]) for a, b in VTABLE_KEYS]
         )
     n = stratum.capital_n
     moments = {}

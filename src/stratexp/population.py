@@ -109,15 +109,17 @@ class StratumPopulation:
         (:func:`stratexp.exactsum.row_means`): no deviation ``col - m`` is
         rounded before it is summed.
 
-        A mean outside the float range, or a deviation ``col - m`` that
-        overflows, is a :class:`ComputationError` naming the stratum and
-        the column; y is checked first.
+        A column whose sum, or whose deviation ``col - m`` from its mean,
+        leaves the float range is a :class:`ComputationError` naming the
+        stratum and the column; y is checked first.
         """
         means = row_means((self.y, self.x))
-        for name, m in zip("yx", means):
-            if not math.isfinite(m):
+        for name, col, m in zip("yx", (self.y, self.x), means):
+            # Python floats, so no NumPy warning; a non-finite mean fails here too
+            if not math.isfinite(max(float(col.max()) - m, m - float(col.min()))):
+                fault = "deviates from its mean" if math.isfinite(m) else "sums"
                 raise ComputationError(
-                    f"stratum {self.id!r}: column {name} sums beyond the float "
+                    f"stratum {self.id!r}: column {name} {fault} beyond the float "
                     "range; rescale x or y"
                 )
         y_mean, x_mean = means

@@ -83,12 +83,12 @@ class EstimatorRequest:
             raise ConfigError(f"{self.kind.value} takes no tuning parameter")
 
     @staticmethod
-    def parse(text: str, optimize: bool = False) -> "EstimatorRequest":
+    def parse(text: str) -> "EstimatorRequest":
         """Parse 't1s', 't3s:0.5', 't4s:optimize', ...
 
-        With ``optimize``, a bare tunable kind means ':optimize': 't3s' is 't3s:optimize'.
-        Spaces around the parameter are ignored, and an empty parameter
-        ('t1s:', 't3s: ') is a :class:`ConfigError` for every kind.
+        A bare tunable kind ('t3s') is a :class:`ConfigError` naming
+        ':optimize'.  Spaces around the parameter are ignored, and an empty
+        parameter ('t1s:', 't3s: ') is a :class:`ConfigError` for every kind.
         """
         name, sep, param = text.strip().lower().partition(":")
         try:
@@ -99,8 +99,7 @@ class EstimatorRequest:
                 f"{[k.value for k in EstimatorKind]}"
             ) from None
         if not sep:
-            bare_tunable = kind.parameter_name is not None
-            return EstimatorRequest(kind=kind, optimize=optimize and bare_tunable)
+            return EstimatorRequest(kind=kind)
         param = param.strip()
         if not param:
             raise ConfigError(f"estimator {text!r}: empty parameter after ':'")

@@ -7,6 +7,7 @@ rational identities, symbolic in the tuning constant.
 """
 
 import collections
+import functools
 import math
 import re
 from fractions import Fraction as F
@@ -498,6 +499,9 @@ class TestCoefficientTables:
         before = bits()
         table = expansion.coefficient_table
         monkeypatch.setattr(expansion, "coefficient_table", lambda *key: table(*key)[::-1])
+        # the polynomial's columns, cached per kind, read off the reversed tables
+        columns = functools.cache(expansion._parameter_columns.__wrapped__)
+        monkeypatch.setattr(expansion, "_parameter_columns", columns)
         monkeypatch.setattr(
             expansion,
             "PRINTED_SECOND_ORDER",

@@ -468,6 +468,20 @@ class TestVTableShape:
     def test_key_set(self, synthetic_v):
         assert set(synthetic_v.entries) == set(VTABLE_KEYS)
 
+    def test_each_moment_is_the_mean_of_its_own_product(self):
+        """C_ab is the mean of (y - y_mean)^a (x - x_mean)^b for each key.
+        The columns have mean 0 and small integer deviations, so every
+        product and sum is exact and the ten moments all differ: two
+        products swapped, or a power mislaid, changes a value."""
+        x, y = [3, -1, 0, 2, -4], [1, -2, 5, 0, -4]
+        stratum = make_population(("A", x, y, 2)).strata[0]
+        want = {
+            (a, b): float(F(sum(dy**a * dx**b for dx, dy in zip(x, y)), len(x)))
+            for a, b in VTABLE_KEYS
+        }
+        assert len(set(want.values())) == len(VTABLE_KEYS)
+        assert moments.summarize_stratum(stratum) == want
+
     def test_json_names(self, synthetic_v):
         d = synthetic_v.as_json_dict()
         assert list(d) == [

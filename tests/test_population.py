@@ -171,7 +171,9 @@ class TestValidation:
         s = StratumPopulation(
             "A", [1, 2, 3, 4, 5], [1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308], 2
         )
-        with pytest.raises(ComputationError, match="stratum 'A': column y sums beyond"):
+        with pytest.raises(
+            ComputationError, match="stratum 'A': column y deviates from its mean beyond"
+        ):
             s.y_mean
 
 

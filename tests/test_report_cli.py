@@ -793,7 +793,7 @@ class TestCli:
         assert "RuntimeWarning" not in err
         assert err == (
             "stratexp: computation failed: ComputationError: stratum 'A': "
-            "column y sums beyond the float range; rescale x or y\n"
+            "column y deviates from its mean beyond the float range; rescale x or y\n"
         )
 
     def test_bad_design_string(self, capsys):
@@ -861,7 +861,7 @@ class TestCli:
         "key, value",
         [
             ("printed_mode", "false"),
-            ("optimize", "false"),
+            ("printed_mode", 1),
             ("seed", 1.9),
             ("workers", 2.7),
             ("max_enum", True),
@@ -990,14 +990,31 @@ class TestCli:
         )
         assert "Traceback" not in captured.err
 
-    def test_optimize_flag_upgrades_bare_requests(self, capsys):
+    def test_optimize_flag_is_unknown(self, capsys):
+        """``:optimize`` is the one spelling; ``--optimize`` is no flag."""
         code = main([
             "--population", synthetic_csv_path(),
             "--n", "A=3", "--n", "B=3",
-            "--estimator", "t3s", "--optimize",
+            "--estimator", "t3s:optimize", "--optimize",
         ])
-        assert code == 0
-        assert "t3s:optimize" in capsys.readouterr().out
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "stratexp: error: ConfigError: unrecognized arguments: --optimize\n"
+        )
+
+    def test_optimize_config_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "population": synthetic_csv_path(),
+            "sample_sizes": {"A": 3, "B": 3},
+            "optimize": True,
+        }))
+        assert main(["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "stratexp: error: ValidationError: unknown config keys: ['optimize']\n"
+        )
 
     def test_bare_t3s_without_optimize_fails(self, capsys):
         code = main([
@@ -1006,6 +1023,9 @@ class TestCli:
             "--estimator", "t3s",
         ])
         assert code == 1
+        assert capsys.readouterr().err == (
+            "stratexp: error: ConfigError: t3s needs either a numeric alpha or ':optimize'\n"
+        )
 
 
 class TestOneDeclarationPerSetting:
@@ -1016,8 +1036,8 @@ class TestOneDeclarationPerSetting:
         dests = {action.dest for action in _PARSER._actions}
         assert dests - {"help"} == {"config", *_SETTINGS}
 
-    def test_settings_are_the_run_config_fields_and_optimize(self):
-        assert set(_SETTINGS) - {"optimize"} == {f.name for f in fields(RunConfig)}
+    def test_settings_are_the_run_config_fields(self):
+        assert set(_SETTINGS) == {f.name for f in fields(RunConfig)}
 
     def test_json_config_echoes_every_field_but_format_in_order(self):
         echo = report_as_dict(run(base_config(format="json")))["config"]
