@@ -34,15 +34,17 @@ The table reads ten central moments of each stratum, C_ab for the keys
 of ``VTABLE_KEYS``: the mean over the stratum of
 (y - y_mean)^a (x - x_mean)^b, divisor N_h.  They are the whole interface
 between a population and the analysis; the S-quantities (divisor N_h - 1)
-are C_20, C_02 and C_11 times N_h / (N_h - 1).  Each moment is formed from
-the deviation columns with NumPy; one :func:`stratexp.exactsum.exact_parts`
-call per stratum reduces all ten, and the ``fsum`` of each one's parts, an
-exactly rounded sum with the bits of ``math.fsum``, is divided by N_h.
-Where that sum of finite products leaves the float range, the moment is
-the exact sum over N_h, correctly rounded
-(:func:`stratexp.exactsum.quotient`), so a moment in range is kept; a
-product that overflows gives an infinity, which ``v_table`` reports, as
-it does an entry of the table that leaves the range.
+are C_20, C_02 and C_11 times N_h / (N_h - 1).  The ten products of the
+deviation columns are written into the rows of one (10, N_h) array, and
+one :func:`stratexp.exactsum.row_sums` call per stratum gives their sums,
+exactly rounded with the bits of ``math.fsum``: for a long stratum, the
+certified filter's sum, and ``exact_parts`` only for a row the filter
+refuses.  Each sum is divided by N_h.  Where a sum of finite products
+leaves the float range, that row's ``exact_parts`` give the exact sum over
+N_h, correctly rounded (:func:`stratexp.exactsum.quotient`), so a moment
+in range is kept; a product that overflows gives an infinity, which
+``v_table`` reports, as it does an entry of the table that leaves the
+range.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import ComputationError, MomentNormalizationError
-from .exactsum import exact_parts, fold, fsum as _fsum, quotient
+from .exactsum import exact_parts, fold, fsum as _fsum, quotient, row_sums
 from .population import StratifiedPopulation, StratumPopulation
 
 # (a, b) = (power of e0, power of e1), every entry the table carries
@@ -79,23 +81,27 @@ _TOPS = tuple(map(max, zip(*VTABLE_KEYS)))
 
 def summarize_stratum(stratum: StratumPopulation) -> dict[tuple[int, int], float]:
     """The central moments C_ab of one stratum, keyed (a, b) in ``VTABLE_KEYS`` order."""
-    with np.errstate(over="ignore"):  # v_table reports a moment that overflows
-        # each column's powers d^k = d^(k - k//2) * d^(k//2): d^3 = d^2 * d
-        dy, dx = {1: stratum.y - stratum.y_mean}, {1: stratum.x - stratum.x_mean}
-        for d, top in zip((dy, dx), _TOPS):
-            for k in range(2, top + 1):
-                d[k] = d[k - k // 2] * d[k // 2]
-        # (y - y_mean)^a (x - x_mean)^b for (a, b) in VTABLE_KEYS order
-        rows = exact_parts(
-            [dy[a] * dx[b] if a and b else (dy[a] if a else dx[b]) for a, b in VTABLE_KEYS]
-        )
     n = stratum.capital_n
+    # (y - y_mean)^a (x - x_mean)^b for (a, b) in VTABLE_KEYS order, each
+    # written once into its row of one array
+    rows = np.empty((len(VTABLE_KEYS), n))
+    row = dict(zip(VTABLE_KEYS, rows))
+    with np.errstate(over="ignore"):  # v_table reports a moment that overflows
+        # each column's powers d^k = d^(k - k//2) * d^(k//2): d^3 = d^2 * d,
+        # written into the row of key (k, 0) or (0, k), or a new array if
+        # the table has no such key
+        dy, dx = {1: stratum.y - stratum.y_mean}, {1: stratum.x - stratum.x_mean}
+        for d, top, (i, j) in zip((dy, dx), _TOPS, ((1, 0), (0, 1))):
+            for k in range(2, top + 1):
+                d[k] = np.multiply(d[k - k // 2], d[k // 2], out=row.get((i * k, j * k)))
+        for (a, b), out in row.items():
+            if a and b:
+                np.multiply(dy[a], dx[b], out=out)
     moments = {}
-    for key, parts in zip(VTABLE_KEYS, rows):
-        s = _fsum(parts)
-        if math.isinf(s) and all(map(math.isfinite, parts)):
+    for i, (key, s) in enumerate(zip(VTABLE_KEYS, row_sums(rows))):
+        if math.isinf(s) and np.isfinite(rows[i]).all():
             # the sum of finite products leaves the float range, the mean may not
-            moments[key] = quotient(fold(parts), n)
+            moments[key] = quotient(fold(exact_parts(rows[i : i + 1])[0]), n)
         else:
             moments[key] = s / n
     return moments

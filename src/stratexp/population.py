@@ -111,12 +111,18 @@ class StratumPopulation:
 
         A column whose sum, or whose deviation ``col - m`` from its mean,
         leaves the float range is a :class:`ComputationError` naming the
-        stratum and the column; y is checked first.
+        stratum and the column; y is checked first.  Every |col - m| is at
+        most mu + |m|, mu the column's largest magnitude, and rounding is
+        monotonic, so where fl(mu + |m|) is finite no deviation overflows;
+        only a column where it is not reads its maximum and minimum.
         """
-        means = row_means((self.y, self.x))
-        for name, col, m in zip("yx", (self.y, self.x), means):
+        means, mus = row_means((self.y, self.x))
+        for name, col, m, mu in zip("yx", (self.y, self.x), means, mus):
             # Python floats, so no NumPy warning; a non-finite mean fails here too
-            if not math.isfinite(max(float(col.max()) - m, m - float(col.min()))):
+            if not (
+                math.isfinite(mu + abs(m))
+                or math.isfinite(max(float(col.max()) - m, m - float(col.min())))
+            ):
                 fault = "deviates from its mean" if math.isfinite(m) else "sums"
                 raise ComputationError(
                     f"stratum {self.id!r}: column {name} {fault} beyond the float "
@@ -135,11 +141,12 @@ class StratumPopulation:
 
 
 class DrawSteps(NamedTuple):
-    """The selection steps of a Monte Carlo draw, strata in order: step i of
-    stratum h is one entry of each read-only array.  Its size is O(sum of
-    n_h), whatever the N_h are.  ``divisors`` is uint64, as the generator's
-    words are; the positions are ``np.intp``, which indexes a column
-    without a cast."""
+    """The selection steps of a Monte Carlo draw, strata in order, as
+    read-only arrays: ``divisors``, ``offsets`` and ``bases`` hold one entry
+    per step, ``stratum_bases``, ``sizes`` and ``weights`` one per stratum.
+    Its size is O(sum of n_h), whatever the N_h are.  ``divisors`` is
+    uint64, as the generator's words are; the positions are ``np.intp``,
+    which indexes a column without a cast."""
 
     #: N_h - i: the step's target is i + word mod (N_h - i)
     divisors: np.ndarray
@@ -151,6 +158,10 @@ class DrawSteps(NamedTuple):
     stratum_bases: np.ndarray
     #: stratum h's steps are the entries bounds[h]:bounds[h + 1]
     bounds: tuple[int, ...]
+    #: n_h per stratum, as float64, the divisors of the sample means
+    sizes: np.ndarray
+    #: W_h per stratum, as float64
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -189,9 +200,12 @@ class StratifiedPopulation:
             bases=np.repeat(stratum_bases, sizes),
             stratum_bases=stratum_bases,
             bounds=tuple(np.cumsum([0, *sizes]).tolist()),
+            sizes=np.array(sizes, dtype=np.float64),
+            weights=np.array(self.weights),
         )
-        for a in (steps.divisors, steps.offsets, steps.bases, steps.stratum_bases):
-            a.flags.writeable = False
+        for a in steps:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
         return steps
 
     @cached_property

@@ -14,12 +14,12 @@ of the per-stratum combinations, each joint sample equally likely.  Each
 expectation is the exactly rounded sum over the space (the bits of
 ``math.fsum``) divided by its size.  It is what every analytic moment and
 approximation in this package is certified against.  Each stratum's
-combination means are built once, as arrays, by the same ``stratum_means``
-that Monte Carlo calls on one sample; the joint samples are then walked a
-block at a time.  A block's stratified means, the ``exactsum.fsum`` of
-the weighted stratum means, are added with its bits by
-``exactsum.fsum_columns``: an error-free TwoSum filter over the whole
-block that hands ``exactsum.fsum`` only a sum it cannot certify.  Each
+combination means are built once, as arrays, by ``stratum_means``, whose
+rule a Monte Carlo draw applies to all its strata at once; the joint
+samples are then walked a block at a time.  A block's stratified means,
+the ``exactsum.fsum`` of the weighted stratum means, are added with its
+bits by ``exactsum.fsum_columns``: an error-free TwoSum filter over the
+whole block that hands ``exactsum.fsum`` only a sum it cannot certify.  Each
 block's rows from the estimator step go to ``exactsum.block_sums``,
 which reduces them into exact running sums.  No Python object is kept
 per combination or per sample, so memory grows with the strata's
@@ -27,13 +27,18 @@ combination counts, not with the joint space.
 
 The Monte Carlo oracle is stochastic but fully reproducible: replicate r
 draws from a Philox4x64 counter-based generator keyed by (seed, r), so a
-replicate's sample depends on nothing but the seed and its own index.  A
-replicate's draw is a partial Fisher-Yates shuffle that is never written
-out: the targets of all its steps, across all strata, are taken in one
-array pass, and only a stratum that repeats a target replays its walk,
-storing just the positions the swaps displace.  So a draw costs O(n_h)
-time and memory per stratum, independent of the stratum size N_h; the
-step table it reads is built once per population and is O(n_h) too.
+replicate's sample depends on nothing but the seed and its own index.
+Each thread keeps one generator and resets it to the state of a fresh
+one keyed (seed, r) for every draw, which costs a fraction of building
+one; two threads never share a generator.  A replicate's draw is a
+partial Fisher-Yates shuffle that is never written out: the targets of
+all its steps, across all strata, are taken in one array pass, and only
+a stratum that repeats a target replays its walk, storing just the
+positions the swaps displace.  Each stratum's y and x at its units go
+into one zero-padded array, and the one sample-mean rule of
+``stratum_means`` gives every stratum's means at once.  So a draw costs
+O(n_h) time and memory per stratum, independent of the stratum size N_h;
+the step table it reads is built once per population and is O(n_h) too.
 Replicates run in index order on the calling thread, and their bias and
 MSE rows are reduced by ``exactsum.row_sums``, the bits of ``math.fsum``.
 There is no worker pool: a replicate's NumPy calls and Python steps hold
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations, count, islice, repeat
@@ -62,29 +68,35 @@ DEFAULT_ENUM_LIMIT = 10**7
 #: samples whose values the enumeration oracle holds before folding them
 BLOCK = 1024
 
+# each thread's Philox generator for draw_sample; see _philox
+_generators = threading.local()
+
 Sample = tuple[tuple[tuple[int, ...], ...], float, float]
+
+
+def _means(values: np.ndarray, n: int | np.ndarray) -> float | np.ndarray:
+    """The sample-mean rule both oracles share: along the last axis of
+    ``values``, the left-to-right sum (the last running sum of
+    ``np.add.accumulate``, which is ``np.cumsum`` without its Python
+    wrapper), plus 0.0, over ``n``; the same on every Python, where the
+    builtin ``sum`` is compensated from Python 3.12 on.  Adding 0.0 makes an
+    all ``-0.0`` selection sum to 0.0, as ``sum`` does.  So zeros padded
+    after the units change no mean: s + 0.0 is s, but for s = -0.0, which
+    the rule's own + 0.0 turns into 0.0 as well."""
+    return (np.add.accumulate(values, axis=-1)[..., -1] + 0.0) / n
 
 
 def stratum_means(
     stratum: StratumPopulation, idx: Sequence[int] | np.ndarray
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """(ybar_h, xbar_h): the plain means of y and x over units ``idx`` of a
-    stratum; for a 2-D ``idx``, two arrays holding the means of each row.
-
-    Both oracles take their sample means from here.  Each mean is the
-    left-to-right sum of the selected values (the last running sum of
-    ``np.add.accumulate``, which is ``np.cumsum`` without its Python
-    wrapper) over n_h, on every Python: the builtin ``sum`` is compensated
-    from Python 3.12 on.  Adding 0.0 makes an all ``-0.0`` selection sum
-    to 0.0, as ``sum`` does.
+    stratum, by ``_means``; for a 2-D ``idx``, two arrays holding the means
+    of each row.  The enumeration takes its combination means from here,
+    and a Monte Carlo draw applies the same rule to all its strata at once.
     """
     idx = np.asarray(idx)
     n = stratum.small_n
-    # .T[-1] is the last running sum: a scalar for one index set, an array
-    # of one per row for a 2-D idx.
-    ysum = np.add.accumulate(stratum.y.take(idx), axis=-1).T[-1]
-    xsum = np.add.accumulate(stratum.x.take(idx), axis=-1).T[-1]
-    return (ysum + 0.0) / n, (xsum + 0.0) / n
+    return _means(stratum.y.take(idx), n), _means(stratum.x.take(idx), n)
 
 
 @dataclass(frozen=True)
@@ -353,6 +365,21 @@ def _replay(targets: list[int]) -> list[int]:
     return chosen
 
 
+def _philox(seed: int, rep: int) -> np.random.Philox:
+    """This thread's Philox4x64 generator, reset to the state of a fresh
+    ``Philox(key=[seed, rep])``: setting a state costs a fraction of
+    constructing a generator.  Each thread has its own, so threads drawing
+    at once never share one."""
+    philox = getattr(_generators, "philox", None)
+    if philox is None:
+        philox = _generators.philox = np.random.Philox(key=np.zeros(2, np.uint64))
+        _generators.fresh = philox.state  # counter 0, empty buffer
+    fresh = _generators.fresh
+    fresh["state"]["key"][:] = seed, rep
+    philox.state = fresh
+    return philox
+
+
 def draw_sample(pop: StratifiedPopulation, seed: int, rep: int) -> Sample:
     """Draw the stratified SRSWOR sample (index_sets, ybar_st, xbar_st) for
     replicate ``rep``.
@@ -362,7 +389,8 @@ def draw_sample(pop: StratifiedPopulation, seed: int, rep: int) -> Sample:
     a partial Fisher-Yates shuffle, in stratum order; step i of stratum h
     swaps position i with j = i + raw mod (N_h - i) and the first n_h
     positions are the sample.  A seed or rep that is not an integer is a
-    ``TypeError``, and one outside [0, 2**64) a ``ValueError``.
+    ``TypeError``, and one outside [0, 2**64) a ``ValueError``.  The
+    generator is this thread's own, reset to that key (``_philox``).
 
     The shuffle is never written out.  Every step's target j is taken at
     once, as ``raw % divisors + offsets`` over the population's
@@ -375,11 +403,14 @@ def draw_sample(pop: StratifiedPopulation, seed: int, rep: int) -> Sample:
     positions its swaps displace.  A draw costs O(n_h) time and memory per
     stratum whatever N_h is, and selects exactly the units the dense
     shuffle would.
+
+    Each stratum's y and x at its units are taken into one (2, strata,
+    max n_h) array, zero-padded, and ``_means``, the rule of
+    ``stratum_means``, gives every stratum's two means at once.
     """
     seed, rep = _key_word("seed", seed), _key_word("rep", rep)
-    divisors, offsets, bases, stratum_bases, bounds = pop.draw_steps
-    bg = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))
-    chosen = (bg.random_raw(divisors.size) % divisors).astype(np.intp) + offsets
+    divisors, offsets, bases, stratum_bases, bounds, sizes, weights = pop.draw_steps
+    chosen = (_philox(seed, rep).random_raw(divisors.size) % divisors).astype(np.intp) + offsets
     keys = np.sort(chosen + bases)
     repeats = keys[1:][keys[1:] == keys[:-1]]
     # a repeated key lies in stratum h - 1 for h = searchsorted(..., "right")
@@ -387,13 +418,17 @@ def draw_sample(pop: StratifiedPopulation, seed: int, rep: int) -> Sample:
         start, stop = bounds[h - 1], bounds[h]
         chosen[start:stop] = _replay(chosen[start:stop].tolist())
     spans = list(zip(bounds, bounds[1:]))
-    means = [stratum_means(s, chosen[start:stop]) for s, (start, stop) in zip(pop.strata, spans)]
-    weights = pop.weights
+    values = np.zeros((2, len(spans), max(stop - start for start, stop in spans)))
+    for s, (start, stop), ys, xs in zip(pop.strata, spans, *values):
+        units = chosen[start:stop]
+        ys[: stop - start] = s.y[units]
+        xs[: stop - start] = s.x[units]
+    weighted = _means(values, sizes)
+    weighted *= weights  # W_h * ybar_h and W_h * xbar_h, each one rounding
     flat = chosen.tolist()
     return (
         tuple(tuple(flat[start:stop]) for start, stop in spans),
-        math.fsum(w * yb for w, (yb, _) in zip(weights, means)),
-        math.fsum(w * xb for w, (_, xb) in zip(weights, means)),
+        *map(math.fsum, weighted.tolist()),
     )
 
 

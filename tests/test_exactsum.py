@@ -72,7 +72,9 @@ def check(block: np.ndarray) -> None:
         assert same_bits(value, reference(row)), (value, reference(row))
 
 
-LENGTHS = [KERNEL_MIN_LENGTH - 1, KERNEL_MIN_LENGTH, KERNEL_MIN_LENGTH + 1, 1000]
+# both sides of the cutoff; 255 is the shortest row whose filter sigma
+# needs 2**9 >= n + 2
+LENGTHS = [KERNEL_MIN_LENGTH - 1, KERNEL_MIN_LENGTH, KERNEL_MIN_LENGTH + 1, 255, 256, 257, 1000]
 
 wide_floats = st.floats(allow_nan=False, allow_infinity=False)
 any_floats = st.floats(allow_nan=True, allow_infinity=True)
@@ -333,12 +335,12 @@ class TestRowMeans:
         top = sys.float_info.max
         row = np.resize([top, -top], length)
         assert math.fsum(row.tolist()) == top
-        assert row_means(np.stack((row, np.ones(length)))) == [top / length, 1.0]
+        assert row_means(np.stack((row, np.ones(length)))) == ([top / length, 1.0], [top, 1.0])
 
     @pytest.mark.parametrize("length", [5, 301])
     def test_large_entries_with_representable_deviations(self, length):
         row = np.resize([8e307, -8e307], length)
-        assert row_means(np.stack((row, -row))) == [8e307 / length, -8e307 / length]
+        assert row_means(np.stack((row, -row)))[0] == [8e307 / length, -8e307 / length]
 
     @pytest.mark.parametrize("keep_sign", [False, True])
     @pytest.mark.parametrize("length", [5, 301])
@@ -351,7 +353,7 @@ class TestRowMeans:
         cancelling[-1] = -0.0
         block = np.stack((np.full(length, -0.0), mixed, cancelling, -cancelling))
         with mock.patch.object(exactsum.math, "fsum", sign_keeping_fsum if keep_sign else _fsum):
-            assert [v.hex() for v in row_means(block)] == ["0x0.0p+0"] * 4
+            assert [v.hex() for v in row_means(block)[0]] == ["0x0.0p+0"] * 4
 
     @pytest.mark.parametrize("length", [5, 301])
     def test_sums_past_the_float_range_give_the_fsum_value(self, length):
@@ -364,7 +366,7 @@ class TestRowMeans:
         block[3, :2] = (math.inf, -math.inf)
         block[4, :2] = (1.7976931348623157e308, 1e308)
         block[5, :2] = (-1.7976931348623157e308, -1e308)
-        got = row_means(block)
+        got = row_means(block)[0]
         for row, mean in zip(block, got):
             assert same_bits(mean, reference(row)), (mean, reference(row))
         inf = math.inf
@@ -377,7 +379,7 @@ class TestRowMeans:
         rng = np.random.default_rng(1)
         for trial in range(1141):
             row = rng.standard_normal(16) * 10.0 ** rng.integers(-100, 101, 16).astype(float)
-            got = row_means(np.stack((row, -row)))
+            got = row_means(np.stack((row, -row)))[0]
             want = float(exact_sum(row.tolist()) / 16)
             assert got == [want, -want], trial
             if trial == 180:
@@ -403,11 +405,185 @@ class TestRowMeans:
             ([-6.353493061678613e-308, 6.6123709779374e-311, 1.619299232077181e-308,
               -4.895329279e-314, -2.67610556834e-313, -3.464986e-318],
              -7.879355192258262e-309),
-            # ties on rows the bucket kernel takes
-            ([1.0] * (KERNEL_MIN_LENGTH - 1) + [1 + 2.0**-45], 1.0),  # the lower neighbour is even
-            ([1.0] * (KERNEL_MIN_LENGTH - 1) + [1 + 3 * 2.0**-45], 1 + 2.0**-51),  # the upper one is
+            # ties on long rows, which the filter's bound straddles and the
+            # bucket kernel takes: a mean of 1 + 2**-53, whose lower
+            # neighbour is even, and of 1 + 3 * 2**-53, whose upper one is
+            ([1.0] * (KERNEL_MIN_LENGTH - 1) + [1 + KERNEL_MIN_LENGTH * 2.0**-53], 1.0),
+            ([1.0] * (KERNEL_MIN_LENGTH - 1) + [1 + 3 * KERNEL_MIN_LENGTH * 2.0**-53], 1 + 2.0**-51),
         ],
     )
     def test_near_and_at_a_midpoint(self, row, want):
         assert float(exact_sum(row) / len(row)) == want
-        assert row_means(np.array([row]))[0] == want
+        assert row_means(np.array([row]))[0] == [want]
+
+
+# Rows of the certified filter's shortest length.  A row whose largest
+# magnitude is 1.0 has sigma = 2**(M + 1), and the floats in [sigma, 2 sigma)
+# are G apart: an entry below G / 2 keeps nothing of itself in q.
+N = KERNEL_MIN_LENGTH
+M = math.ceil(math.log2(N + 2))  # the least M with 2**M >= N + 2
+G = 2.0 ** (M + 1) * 2.0**-52
+
+
+def padded(*entries: float) -> np.ndarray:
+    row = np.zeros(N)
+    row[: len(entries)] = entries
+    return row
+
+
+def sums_and_fallbacks(block: np.ndarray) -> tuple[list[float], list[int]]:
+    """``row_sums(block)``, and the indices of the rows the filter refused:
+    those that ``row_sums`` handed to ``exact_parts``."""
+    handed = []
+    real = exactsum.exact_parts
+
+    def spy(rows):
+        handed.extend(row.tobytes() for row in np.asarray(rows))
+        return real(rows)
+
+    with mock.patch.object(exactsum, "exact_parts", spy):
+        sums = row_sums(block)
+    return sums, [i for i, row in enumerate(block) if row.tobytes() in handed]
+
+
+def filter_blocks(elements):
+    """1-4 rows on either side of ``KERNEL_MIN_LENGTH``, drawn, or drawn and
+    then made to cancel: a second half that negates the first, plus one
+    drawn entry scaled far down."""
+
+    @st.composite
+    def build(draw):
+        block = draw(blocks(elements, lengths=st.sampled_from(LENGTHS)))
+        if draw(st.booleans()):
+            half = block.shape[1] // 2
+            block[:, half : 2 * half] = -block[:, :half]
+            block[:, -1] *= 2.0 ** -draw(st.integers(0, 80))
+        return block
+
+    return build()
+
+
+# (row, whether the filter takes it): rows built against a weaker certificate
+CONSTRUCTED = [
+    # the error of p crosses r's midpoint after the cancellation of
+    # 1 - 1: p = fl(3G/8 + (3G/8 + G 2**-54) + tiny) rounds down to 3G/4
+    # by a tie, and the exact sum is past 3G/4's upper midpoint
+    (padded(1.0, -1.0, 3 * G / 8, 3 * G / 8 + G * 2.0**-54, G * 2.0**-80), False),
+    # the same at a power of two: r = G/2
+    (padded(1.0, -1.0, G / 4, G / 4 + G * 2.0**-54, G * 2.0**-80), False),
+    # r = 1.0 by a tie to even, the exact sum just below that tie:
+    # within half the gap above 1.0, not within the quarter below it
+    (padded(1.0, -(2.0**-54), -(2.0**-200)), False),
+    # and well inside the quarter gap below 1.0
+    (padded(1.0, -(2.0**-56)), True),
+    # exact ties, at and off a power of two
+    (padded(1.0, 2.0**-53), False),
+    (padded(1.5, 2.0**-53), False),
+    (padded(1.5, 2.0**-55), True),
+    # t = -G/2 and p = G/2 cancel to r = 0; the exact sum is G 2**-100
+    (padded(1.0, -1.0, -G / 2, G / 4, G / 4, G * 2.0**-100), False),
+    # zero sums, for math.fsum's sign rule
+    (padded(1.0, -1.0), False),
+    (np.full(N, -0.0), False),
+    # mu at the edges of its guard, 2**-900 < mu < 2**(1000 - M)
+    (np.full(N, 2.0**-900), False),
+    (np.full(N, 2.0**-900 * (1 + 2.0**-52)), True),
+    (np.full(N, 2.0 ** (1000 - M)), False),
+    (np.full(N, 2.0 ** (1000 - M) * (1 - 2.0**-53)), True),
+    # subnormals, and a few below a unit of q
+    (np.full(N, 5e-324), False),
+    (padded(1.0, 5e-324, -1e-310, 2.0**-1022), True),
+    # entries that are not finite
+    (padded(1.0, math.inf), False),
+    (padded(math.inf, -math.inf), False),
+    (padded(1.0, math.nan), False),
+]
+
+
+class TestCertifiedFilter:
+    """Long rows are summed by the certified filter first; a row it cannot
+    certify goes to ``exact_parts``.  Every row has the bits of
+    ``math.fsum``, and the rows built to defeat a weaker certificate are
+    shown to take the fallback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        filter_blocks(
+            st.one_of(
+                st.floats(-1e3, 1e3),
+                st.integers(-(2**60), 2**60).map(float),
+                st.floats(-1e-300, 1e-300),
+                st.sampled_from([0.0, -0.0, 5e-324, 1.0, 2.0**-53, 1 + 2.0**-52]),
+            )
+        )
+    )
+    def test_differential_against_fsum(self, block):
+        got, _ = sums_and_fallbacks(block)
+        assert [v.hex() for v in got] == [math.fsum(row).hex() for row in block.tolist()]
+
+    def test_typical_rows_take_the_filter(self):
+        rng = np.random.default_rng(11)
+        for length in (N, 1000):
+            y = rng.uniform(1.0, 100.0, length).round(4)
+            x = rng.uniform(1.0, 50.0, length).round(4)
+            dy, dx = y - y.mean(), x - x.mean()
+            block = np.stack((y, x, dy * dy, dy * dx, dy**3, dx**4))
+            got, refused = sums_and_fallbacks(block)
+            assert refused == []
+            assert got == [math.fsum(row) for row in block.tolist()]
+
+    @pytest.mark.parametrize("row, takes_the_filter", CONSTRUCTED)
+    def test_constructed_rows(self, row, takes_the_filter):
+        got, refused = sums_and_fallbacks(np.stack((row, -row)))
+        want = [reference(row), reference(-row)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert refused == ([] if takes_the_filter else [0, 1])
+
+    def test_a_zero_sum_follows_fsums_sign_rule(self):
+        """Were math.fsum to keep the sign of an all -0.0 input, a long row
+        would too: the filter takes no zero sum."""
+        block = np.stack((np.full(N, -0.0), padded(1.0, -1.0)))
+        with mock.patch.object(exactsum.math, "fsum", sign_keeping_fsum):
+            assert [v.hex() for v in row_sums(block)] == ["-0x0.0p+0", "0x0.0p+0"]
+
+
+class TestRowMeansFilter:
+    @settings(max_examples=150, deadline=None)
+    @given(filter_blocks(st.one_of(st.floats(-1e6, 1e6), st.floats(-1e300, 1e300))))
+    def test_means_and_magnitudes_against_the_exact_mean(self, block):
+        means, mu = row_means(block)
+        for row, mean, top in zip(block.tolist(), means, mu):
+            assert mean.hex() == float(exact_sum(row) / len(row)).hex()
+            assert top == max(map(abs, row))
+
+    @pytest.mark.parametrize(
+        "last, want", [(1 + N * 2.0**-53, 1.0), (1 + 3 * N * 2.0**-53, 1 + 2.0**-51)]
+    )
+    def test_a_tie_takes_the_parts(self, last, want):
+        """The exact mean of ``row`` is a tie, so t + p less and plus the
+        bound round to its two neighbours, and the mean comes from the
+        row's parts; the filter gives the mean of an evenly spaced row."""
+        row = np.ones(N)
+        row[-1] = last
+        spaced = np.linspace(1.0, 2.0, N)
+        handed = []
+        real = exactsum.exact_parts
+
+        def spy(rows):
+            handed.extend(np.asarray(rows).tolist())
+            return real(rows)
+
+        with mock.patch.object(exactsum, "exact_parts", spy):
+            means, _ = row_means(np.stack((row, spaced)))
+        assert means == [want, float(exact_sum(spaced.tolist()) / N)]
+        assert handed == [row.tolist()]
+
+    @pytest.mark.parametrize("row, takes_the_filter", CONSTRUCTED)
+    def test_constructed_rows(self, row, takes_the_filter):
+        means, mu = row_means(np.stack((row, -row)))
+        if all(map(math.isfinite, row)):
+            want = float(exact_sum(row.tolist()) / N)
+            assert [v.hex() for v in means] == [want.hex(), (-want + 0.0).hex()]
+        else:
+            assert [v.hex() for v in means] == [v.hex() for v in (reference(row), reference(-row))]
+        assert mu == [max(map(abs, row.tolist()))] * 2 or math.isnan(mu[0])

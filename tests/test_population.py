@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -176,6 +177,16 @@ class TestValidation:
         ):
             s.y_mean
 
+    @pytest.mark.parametrize("length", [3, 300])
+    def test_a_deviation_in_range_past_the_magnitude_bound(self, length):
+        """y = (M, 0, ..., 0), M the largest float: M + |mean| is past the
+        float range, so the column's maximum and minimum are read, and the
+        largest deviation, M - M / N, is in it.  Short and long columns."""
+        top = sys.float_info.max
+        s = StratumPopulation("A", range(length), [top] + [0.0] * (length - 1), 2)
+        assert not math.isfinite(top + top / length)
+        assert (s.y_mean, s.x_mean) == (top / length, (length - 1) / 2)
+
 
 class TestSummaries:
     def test_variance_both_divisors(self):
@@ -226,8 +237,9 @@ class TestSummaries:
 
     @pytest.mark.parametrize("size", [256, 3000])
     def test_bucket_kernel_and_fsum_give_the_same_bits(self, size):
-        """A stratum long enough for the bucket kernel has the means and
-        moments that math.fsum of every column gives."""
+        """A stratum long enough for the certified filter, and the bucket
+        kernel behind it, has the means and moments that math.fsum of every
+        column gives."""
         rng = np.random.default_rng(size)
         xs = rng.lognormal(1.0, 0.5, size)
         ys = 3.0 * xs + rng.normal(0.0, 1.0, size)

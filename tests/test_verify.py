@@ -293,7 +293,7 @@ class TestEnumeration:
         assert got.hex() == (math.fsum(values) / 700).hex()
 
     @pytest.mark.parametrize("keep_sign", [False, True])
-    @pytest.mark.parametrize("block", [255, 700])
+    @pytest.mark.parametrize("block", [100, 255, 700])
     def test_expectation_of_negative_zeros(self, synthetic, monkeypatch, block, keep_sign):
         """Off and on the bucket kernel, which never gives a -0.0 part, a
         sum of -0.0 alone follows math.fsum's sign rule; were it to keep the
@@ -470,12 +470,13 @@ class TestExactBiasMse:
             "((0, 7), (0, 12, 14)): estimator t3s(alpha=-1e+06) overflows"
         )
 
-    @pytest.mark.parametrize("block", [699, 700, 701, 64, 255, 256, 257])
+    @pytest.mark.parametrize("block", [699, 700, 701, 64, 127, 128, 129, 255, 256, 257])
     def test_sums_have_the_bits_of_fsum_over_the_enumeration(self, synthetic, monkeypatch, block):
         """The 700 samples of the bundled population fill one block but one
         sample, exactly one block, one block and one sample, and 11 blocks;
         then blocks of one sample below, at and above
-        ``exactsum.KERNEL_MIN_LENGTH``, each with a shorter last block."""
+        ``exactsum.KERNEL_MIN_LENGTH`` (128) and 256, each with a shorter
+        last block."""
         monkeypatch.setattr(verify, "BLOCK", block)
         specs = [t1s(), t2s(), t3s(-7.5), t4s(2.5), t3s(100.0)]
         ybar, xbar = synthetic.grand_y_mean, synthetic.grand_x_mean
@@ -921,6 +922,74 @@ class TestDrawRule:
         finally:
             sys.setswitchinterval(interval)
         assert drawn == [serial] * threads
+
+
+    def test_two_threads_interleaving_replicates_draw_what_a_fresh_generator_does(self):
+        """Each thread's generator is reset to a fresh ``Philox(key=[seed,
+        rep])`` for every draw: two threads draw the even and the odd
+        replicates at once, and every draw is the dense shuffle of a fresh
+        generator, with its stratum means."""
+        pop = population_of([(1000, 20), (6, 5), (3000, 40), (40, 30), (2, 1)])
+        barrier = threading.Barrier(2)
+
+        def draw_all(first):
+            barrier.wait(timeout=60)
+            return {rep: draw_sample(pop, 23, rep) for rep in range(first, 300, 2)}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                parts = list(pool.map(draw_all, (0, 1), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        drawn = {**parts[0], **parts[1]}
+        assert sorted(drawn) == list(range(300))
+        for rep, (index_sets, ybar_st, xbar_st) in drawn.items():
+            assert index_sets == dense_draw(pop, 23, rep)
+            means = [stratum_means(s, idx) for s, idx in zip(pop.strata, index_sets)]
+            assert ybar_st == math.fsum(w * yb for w, (yb, _) in zip(pop.weights, means))
+            assert xbar_st == math.fsum(w * xb for w, (_, xb) in zip(pop.weights, means))
+
+    def test_the_generator_is_reset_to_a_fresh_ones_state(self):
+        """After a draw of seven words, which leaves the generator part-way
+        through a block of four, the reset state is a fresh generator's."""
+        pop = population_of([(50, 7)])
+        for seed, rep in [(0, 0), (5, 2**64 - 1), (2**64 - 1, 3)]:
+            draw_sample(pop, 99, 1)
+            want = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)).state
+            assert repr(verify._philox(seed, rep).state) == repr(want)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_padded_means_are_each_stratums_means(self, monkeypatch, seed):
+        """The one zero-padded (2, strata, max n_h) array of a draw gives,
+        bit for bit, each stratum's left-to-right means: with n_h = 1,
+        unequal n_h, and an all -0.0 y column in the widest stratum, which
+        no padding follows and whose mean is 0.0."""
+        pop = make_population(
+            ("one", [1.5, 2.5, 3.5], [-1.25, 7.0, 0.1], 1),
+            ("wide", [float(u) for u in range(20)], [-0.0] * 20, 9),
+            ("mid", [0.3 * u for u in range(10)], [1e-3 * u - 0.004 for u in range(10)], 4),
+        )
+        padded = []
+        real = verify._means
+
+        def spy(values, n):
+            means = real(values, n)
+            padded.append(means.copy())
+            return means
+
+        monkeypatch.setattr(verify, "_means", spy)
+        for rep in range(50):
+            index_sets = draw_sample(pop, seed, rep)[0]
+            (got,) = padded
+            padded.clear()
+            for s, idx, ybar, xbar in zip(pop.strata, index_sets, *got):
+                ys, xs = s.y.tolist(), s.x.tolist()
+                want_y = (reduce(operator.add, [ys[i] for i in idx]) + 0.0) / s.small_n
+                want_x = (reduce(operator.add, [xs[i] for i in idx]) + 0.0) / s.small_n
+                assert (ybar.hex(), xbar.hex()) == (want_y.hex(), want_x.hex())
+            assert got[0][1].hex() == "0x0.0p+0"
 
 
 class TestDrawKey:
