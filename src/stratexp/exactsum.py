@@ -26,22 +26,31 @@ underflows.  Every other row goes through a vectorized bucket kernel:
 
 * ``np.frexp`` writes each entry as ``m * 2**e`` with ``0.5 <= |m| < 1``,
   so ``M = m * 2**53`` is an integer below ``2**53`` in magnitude;
-* ``M`` is cut into a high part ``floor(M / 2**26)`` and a low part
-  ``M mod 2**26``, integers of at most 27 and 26 bits, with
-  ``x = hi * 2**(e - 27) + lo * 2**(e - 53)``;
+* ``M`` is cut into a high part ``hi = floor(M / 2**26)``, an integer of
+  magnitude at most ``2**27``, and a low part ``lo = M / 2**26 - hi``, a
+  multiple of ``2**-26`` in [0, 1), with ``x = (hi + lo) * 2**(e - 27)``;
 * ``np.bincount`` sums the high and the low parts per (row, e).  Every
-  partial sum is an integer below ``2**53``, so it is exact, and so is its
-  scaling by ``np.ldexp``;
+  partial sum of at most ``_KERNEL_MAX_LENGTH`` = 2**26 terms is exact:
+  of high parts an integer of magnitude at most ``2**53``, of low parts a
+  multiple of ``2**-26`` below ``2**26``.  So is its scaling by
+  ``np.ldexp``;
 * ``math.fsum`` of a row's few bucket values is then its exact sum,
   correctly rounded.
 
-``exact_parts(rows)`` gives those bucket values.  A row they cannot stand
-for comes back as its own entries, so ``fsum`` behaves as on the row: a
-row with an entry that is not finite or is near the top of the float
-range, and a row whose parts are all zero, since bucket parts are never
--0.0 and a zero sum follows ``math.fsum``'s own rule for signed zeros.
+``_Buckets`` keeps those bucket sums for every row of a stream of blocks,
+in two float64 arrays over a window of exponents that grows when a block
+falls outside it; before a bucket could pass 2**26 terms, the buckets are
+scaled and folded into exact running sums.  A row that the kernel cannot
+take in a block, one with an entry that is not finite or whose exponent
+is above ``_KERNEL_MAX_EXP``, folds that block's entries instead.
 
-``block_sums(blocks)`` folds each block's parts into exact running sums.
+``exact_parts(rows)`` is the one-block case: each row's scaled buckets.
+A row whose parts are all zero comes back as its own entries, since bucket
+parts are never -0.0 and a zero sum follows ``math.fsum``'s own rule for
+signed zeros.  ``block_sums(blocks)`` adds every block into one
+``_Buckets`` and sums each row's parts once, after the last block; a zero
+sum there is ``fsum([-0.0])`` only where every entry of the row was -0.0.
+
 ``quotient(parts, n)`` writes finite parts as one integer over a power of
 two, which Python's ``int / int`` divides by n correctly rounded, ties to
 even.  ``row_means(rows)`` gives each row's mean that way: of t + p less
@@ -61,7 +70,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,8 +82,8 @@ import numpy as np
 # as lists and 40 us by the filter, of 128 units 45 and 41 us; two columns'
 # means of 128 units 32 and 34 us, of 160 units 38 and 36 us.
 KERNEL_MIN_LENGTH = 128
-# Each bucket holds at most this many terms of below 2**27 each, so its sum
-# stays an exact integer below 2**53.
+# Each bucket holds at most this many terms, so its sum stays exact (see the
+# module docstring); a longer block is folded.
 _KERNEL_MAX_LENGTH = 2**26
 # A bucket sums at most 2**26 terms of magnitude below 2**960, so its scaled
 # value and every partial sum of a row stay far inside the float range.
@@ -126,42 +135,109 @@ def fold(values: list[float]) -> list[float]:
     return parts
 
 
+class _Buckets:
+    """Exact running sums of k rows, fed a block of equal-length float64
+    rows at a time, by the bucket kernel of the module docstring.
+
+    ``sums[0]`` and ``sums[1]``, each (k, span), hold the high and the low
+    parts of each row's entries so far, binned by the ``frexp`` exponents
+    ``low`` to ``low + span - 1``.  Every addition to a bucket is exact
+    while it holds at most ``_KERNEL_MAX_LENGTH`` terms: before any
+    bucket could pass ``_KERNEL_MAX_LENGTH`` terms, the buckets are scaled,
+    folded into ``folded`` and cleared.  A row that the kernel cannot take
+    in a block folds that block's entries into ``folded`` instead, and so
+    does every row of a block longer than ``_KERNEL_MAX_LENGTH``.  ``zeros``
+    marks the rows whose entries so far are all -0.0, which the buckets
+    cannot tell from +0.0.
+    """
+
+    def __init__(self, k: int) -> None:
+        self.low = 0
+        self.sums = np.zeros((2, k, 0))
+        self.terms = 0  # entries added to each row since the buckets were cleared
+        self.folded: list[list[float]] = [[] for _ in range(k)]
+        self.zeros = np.ones(k, dtype=bool)
+
+    def add(self, rows: Sequence[np.ndarray]) -> None:
+        """Add each of the equal-length float64 ``rows`` (a 2-D array or a
+        sequence of columns) to its row's running sum."""
+        entries = np.asarray(rows, dtype=np.float64)
+        if not entries.size:
+            return
+        if self.zeros.any():
+            self.zeros &= np.signbit(entries).all(axis=1) & ~entries.any(axis=1)
+        k, n = entries.shape
+        if n > _KERNEL_MAX_LENGTH:
+            self._fold(range(k), entries)
+            return
+        if self.terms + n > _KERNEL_MAX_LENGTH:
+            self.folded = [fold(parts) for parts in self.parts()]
+            self.sums[:] = 0.0
+            self.terms = 0
+        self.terms += n
+        block, exps = np.frexp(entries)
+        top = int(exps.max())
+        self._cover(int(exps.min()), top)
+        span = self.sums.shape[2]
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows
+            block *= 2.0**27
+            hi = np.floor(block)
+            block -= hi  # now the low part
+            bins = exps.astype(np.intp)
+            bins += (span * np.arange(k) - self.low)[:, None]
+            bins = bins.ravel()
+            hi = np.bincount(bins, hi.ravel(), k * span).reshape(k, span)
+            lo = np.bincount(bins, block.ravel(), k * span).reshape(k, span)
+        # a non-finite entry leaves nan in its row's low parts
+        refused = np.isnan(lo).any(axis=1)
+        if top > _KERNEL_MAX_EXP:
+            refused |= exps.max(axis=1) > _KERNEL_MAX_EXP
+        if refused.any():
+            hi[refused] = lo[refused] = 0.0
+            self._fold(np.flatnonzero(refused).tolist(), entries)
+        self.sums[0] += hi
+        self.sums[1] += lo
+
+    def _cover(self, low: int, top: int) -> None:
+        """Widen the window to hold the exponents ``low`` to ``top``."""
+        k, span = self.sums.shape[1:]
+        if span:
+            if self.low <= low and top < self.low + span:
+                return
+            low, top = min(low, self.low), max(top, self.low + span - 1)
+        sums = np.zeros((2, k, top - low + 1))
+        sums[:, :, self.low - low : self.low - low + span] = self.sums
+        self.low, self.sums = low, sums
+
+    def _fold(self, indices: Iterable[int], entries: np.ndarray) -> None:
+        for i in indices:
+            self.folded[i] = fold(self.folded[i] + entries[i].tolist())
+
+    def parts(self) -> list[list[float]]:
+        """For each row, floats whose exact sum is the row's exact sum and
+        whose ``fsum`` is that of the row, but for a zero sum's sign: its
+        folded parts, then its scaled high buckets and low buckets."""
+        _, k, span = self.sums.shape
+        scale = np.arange(self.low - 27, self.low - 27 + span)
+        values = np.ldexp(self.sums, scale).transpose(1, 0, 2).reshape(k, 2 * span)
+        return [f + v for f, v in zip(self.folded, values.tolist())]
+
+
 def exact_parts(rows: Sequence[np.ndarray]) -> list[list[float]]:
     """For each row, a list of floats whose exact sum is the row's exact sum.
 
     ``rows`` is a 2-D float64 array or a sequence of equal-length float64
-    columns.  A row that the kernel does not take, or whose parts are all
-    zero, is returned as its own entries, and no rows give no parts.
+    columns: one block of ``_Buckets``.  A row whose parts are all zero is
+    returned as its own entries, whose ``fsum`` keeps a zero sum's sign
+    rule, and no rows give no parts.
     """
-    if not len(rows) or not KERNEL_MIN_LENGTH <= len(rows[0]) <= _KERNEL_MAX_LENGTH:
-        return [row.tolist() for row in rows]
-    block = np.array(rows, dtype=np.float64)  # a fresh copy, split in place
-    exps = np.frexp(block, out=(block, np.empty(block.shape, np.intc)))[1]
-    top = exps.max(axis=1)
-    low = int(exps.min())
-    span = int(top.max()) - low + 1
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite rows
-        block *= 2.0**27
-        hi = np.floor(block)
-        block -= hi
-        block *= 2.0**26  # now the low part, an integer below 2**26
-        bins = exps.astype(np.intp)
-        bins += (span * np.arange(len(block), dtype=np.intp) - low)[:, None]
-        bins = bins.ravel()
-        size = len(block) * span
-        scale = np.arange(low, low + span, dtype=np.intp)
-        buckets = np.concatenate(
-            (
-                np.ldexp(np.bincount(bins, hi.ravel(), size).reshape(-1, span), scale - 27),
-                np.ldexp(np.bincount(bins, block.ravel(), size).reshape(-1, span), scale - 53),
-            ),
-            axis=1,
-        )
-        # all-zero parts would lose a zero sum's sign, which the row keeps
-        exact = (top <= _KERNEL_MAX_EXP) & np.isfinite(buckets).all(axis=1) & buckets.any(axis=1)
+    if not len(rows):
+        return []
+    buckets = _Buckets(len(rows))
+    buckets.add(rows)
     return [
-        parts if ok else row.tolist()
-        for parts, ok, row in zip(buckets.tolist(), exact.tolist(), rows)
+        parts if any(parts) else row.tolist()
+        for parts, row in zip(buckets.parts(), rows)
     ]
 
 
@@ -228,12 +304,23 @@ def row_sums(rows: Sequence[np.ndarray]) -> list[float]:
 
 def block_sums(blocks: Iterable[Sequence[np.ndarray]]) -> list[float]:
     """For each row k, ``fsum`` of row k of every block concatenated, with
-    the same bits.  Each block goes through one ``exact_parts`` call and is
-    folded into exact running sums, so one block is held at a time."""
-    sums: list[list[float]] = []
-    for rows in blocks:
-        sums = [fold(s + p) for s, p in zip_longest(sums, exact_parts(rows), fillvalue=[])]
-    return [fsum(s) for s in sums]
+    the same bits.  Every block, of the same number of rows, is added into
+    one ``_Buckets``, so one block is held at a time; each row's parts are
+    summed once, after the last block.  A zero sum is ``fsum([-0.0])``
+    where every entry of its row was -0.0, as ``math.fsum``'s sign rule
+    gives it."""
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None:
+        return []
+    buckets = _Buckets(len(first))
+    for rows in chain([first], blocks):
+        buckets.add(rows)
+    # a row with entries has parts; an empty one sums to fsum([])
+    return [
+        fsum([-0.0]) if zero and parts else fsum(parts)
+        for parts, zero in zip(buckets.parts(), buckets.zeros.tolist())
+    ]
 
 
 def quotient(parts: Iterable[float], n: int) -> float:

@@ -21,7 +21,8 @@ the ``exactsum.fsum`` of the weighted stratum means, are added with its
 bits by ``exactsum.fsum_columns``: an error-free TwoSum filter over the
 whole block that hands ``exactsum.fsum`` only a sum it cannot certify.  Each
 block's rows from the estimator step go to ``exactsum.block_sums``,
-which reduces them into exact running sums.  No Python object is kept
+which adds them into one set of exact bucket sums for the whole
+enumeration and sums each row once, at the end.  No Python object is kept
 per combination or per sample, so memory grows with the strata's
 combination counts, not with the joint space.
 
@@ -65,7 +66,8 @@ from .population import StratifiedPopulation, StratumPopulation
 
 DEFAULT_ENUM_LIMIT = 10**7
 
-#: samples whose values the enumeration oracle holds before folding them
+#: samples whose values the enumeration oracle holds before adding them
+#: into its bucket sums
 BLOCK = 1024
 
 # each thread's Philox generator for draw_sample; see _philox
@@ -218,11 +220,11 @@ def exact_expectation(
     """Exact design expectation of ``statistic(ybar_st, xbar_st)`` over every
     joint sample: the exactly rounded sum over the size of the space.
 
-    The values are held for ``BLOCK`` samples, then reduced by
-    ``exactsum.block_sums``.  An error the statistic raises propagates as
-    it is, and so does one converting a value to a float (a ``TypeError``,
-    say).  Aborts if the sum is not finite: a value is infinite or nan, or
-    the sum leaves the float range.
+    The values are held for ``BLOCK`` samples, then added into the exact
+    bucket sums of ``exactsum.block_sums``.  An error the statistic raises
+    propagates as it is, and so does one converting a value to a float (a
+    ``TypeError``, say).  Aborts if the sum is not finite: a value is
+    infinite or nan, or the sum leaves the float range.
     """
     dist = ExactDesignDistribution(pop, limit)
     # array("d") converts each value as math.fsum does; np.array would also
@@ -289,8 +291,9 @@ def exact_bias_mse(
 
     One pass over the sample space evaluates every estimator on each
     sample, ``BLOCK`` samples at a time, into one (2k, n) array of the
-    deviations d and their squares d * d; ``exactsum.block_sums`` reduces
-    the rows into exact running sums: memory does not grow with the space.
+    deviations d and their squares d * d; ``exactsum.block_sums`` adds
+    the rows into exact bucket sums and sums each row once, after the last
+    block: memory does not grow with the space.
     Aborts if an estimator fails anywhere on the sample space, naming the
     first failing sample in enumeration order and the first estimator in
     ``specs`` order that fails on it: exactness certifies, it does not skip.

@@ -201,6 +201,27 @@ def block_lists(draw, elements):
     return out
 
 
+@st.composite
+def shifting_block_lists(draw):
+    """2-6 blocks of four rows, each block of its own length.  Each block's
+    drawn entries are scaled by its own power of two, so the exponents move
+    up and down from block to block.  Row 2 gets an entry that is not
+    finite, and row 3 one of 2**960 or more, each only in a later block."""
+    count = draw(st.integers(2, 6))
+    late = draw(st.integers(1, count - 1)), draw(st.integers(1, count - 1))
+    entries = st.one_of(st.floats(-1e6, 1e6), st.integers(-(2**60), 2**60).map(float))
+    out = []
+    for b in range(count):
+        length = draw(st.sampled_from(LENGTHS))
+        block = draw(arrays(np.float64, (4, length), elements=entries, fill=entries))
+        block *= 2.0 ** draw(st.integers(-900, 900))
+        for row, specials in zip((2, 3), ([math.inf, -math.inf, math.nan], [2.0**960, -(2.0**1000), _TOP])):
+            if b == late[row - 2]:
+                block[row, draw(st.integers(0, length - 1))] = draw(st.sampled_from(specials))
+        out.append(block)
+    return out
+
+
 class TestBlockSums:
     @pytest.mark.parametrize("keep_sign", [False, True])
     @settings(max_examples=60, deadline=None)
@@ -213,8 +234,41 @@ class TestBlockSums:
             want = [reference(row) for row in np.concatenate(blocks, axis=1)]
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
+    @pytest.mark.parametrize("keep_sign", [False, True])
+    @pytest.mark.parametrize("limit", [2**26, 300])
+    @settings(max_examples=60, deadline=None)
+    @given(blocks=st.one_of(shifting_block_lists(), block_lists(wide_floats)))
+    def test_a_moving_window_and_cleared_buckets(self, keep_sign, limit, blocks):
+        """The exponent window grows both ways, rows turn non-finite or
+        reach the top of the range in a later block, and with a term limit
+        of 300 the buckets are cleared between blocks and a block of 1000
+        is folded; every row keeps the bits of ``fsum``, and no bucket
+        holds more terms than the limit."""
+        add = exactsum._Buckets.add
+
+        def add_within_the_limit(buckets, rows):
+            add(buckets, rows)
+            assert buckets.terms <= limit
+
+        with (
+            mock.patch.object(exactsum.math, "fsum", sign_keeping_fsum if keep_sign else _fsum),
+            mock.patch.object(exactsum, "_KERNEL_MAX_LENGTH", limit),
+            mock.patch.object(exactsum._Buckets, "add", add_within_the_limit),
+        ):
+            got = block_sums(iter(blocks))
+            want = [reference(row) for row in np.concatenate(blocks, axis=1)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_no_blocks_and_no_rows(self):
         assert block_sums([]) == block_sums([np.empty((0, 300))]) == []
+
+    @pytest.mark.parametrize("keep_sign", [False, True])
+    def test_empty_rows_sum_to_fsum_of_nothing(self, keep_sign):
+        """Rows with no entries have no -0.0 to keep: their sum is
+        ``fsum([])``, +0.0, under either sign rule."""
+        with mock.patch.object(exactsum.math, "fsum", sign_keeping_fsum if keep_sign else _fsum):
+            got = block_sums([np.empty((2, 0)), np.empty((2, 0))])
+        assert [v.hex() for v in got] == [(0.0).hex()] * 2
 
 
 class TestFold:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stratexp import verify
+from stratexp import exactsum, verify
 from stratexp.errors import ComputationError, DegenerateAuxiliaryError, EnumerationLimitError
 from stratexp.estimators import estimate, t1s, t2s, t3s, t4s
 from stratexp.exactsum import fsum, fsum_columns
@@ -484,6 +484,22 @@ class TestExactBiasMse:
             d = [estimate(spec, y, x, xbar) - ybar for _, y, x in reference_samples(synthetic)]
             assert bias_e.hex() == (math.fsum(d) / 700).hex(), spec
             assert mse_e.hex() == (math.fsum([v * v for v in d]) / 700).hex(), spec
+
+    def test_rows_are_not_folded_once_per_block(self, synthetic, monkeypatch):
+        """14 blocks of 50 samples go into one set of bucket sums: each of
+        the eight rows is folded at most once per call, not once per block."""
+        monkeypatch.setattr(verify, "BLOCK", 50)
+        folded = []
+        real = exactsum.fold
+
+        def spy(values):
+            folded.append(len(values))
+            return real(values)
+
+        monkeypatch.setattr(exactsum, "fold", spy)
+        specs = [t1s(), t2s(), t3s(-7.5), t4s(2.5)]
+        exact_bias_mse(synthetic, specs)
+        assert len(folded) <= 2 * len(specs)
 
     def test_memory_does_not_grow_across_blocks(self, monkeypatch):
         """Ten times the samples, 14 blocks against 140: the peak stays where
