@@ -36,15 +36,13 @@ of ``VTABLE_KEYS``: the mean over the stratum of
 between a population and the analysis; the S-quantities (divisor N_h - 1)
 are C_20, C_02 and C_11 times N_h / (N_h - 1).  The ten products of the
 deviation columns are written into the rows of one (10, N_h) array, and
-one :func:`stratexp.exactsum.row_sums` call per stratum gives their sums,
-exactly rounded with the bits of ``math.fsum``: for a long stratum, the
-certified filter's sum, and ``exact_parts`` only for a row the filter
-refuses.  Each sum is divided by N_h.  Where a sum of finite products
-leaves the float range, that row's ``exact_parts`` give the exact sum over
-N_h, correctly rounded (:func:`stratexp.exactsum.quotient`), so a moment
-in range is kept; a product that overflows gives an infinity, which
-``v_table`` reports, as it does an entry of the table that leaves the
-range.
+one :func:`stratexp.exactsum.row_reduce` call per stratum gives each row's
+moment by ``_moment``: its sum, exactly rounded with the bits of
+``math.fsum``, over N_h.  Where a sum of finite products leaves the float
+range, the moment is the exact sum over N_h, correctly rounded
+(:func:`stratexp.exactsum.quotient`), so a moment in range is kept.  A
+product that overflows gives an infinity, which ``v_table`` reports, as it
+does an entry of the table that leaves the range.
 """
 
 from __future__ import annotations
@@ -55,12 +53,12 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial, perm, prod
 from operator import itemgetter, mul
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ComputationError, MomentNormalizationError
-from .exactsum import exact_parts, fold, fsum as _fsum, quotient, row_sums
+from .exactsum import fsum as _fsum, quotient, row_reduce
 from .population import StratifiedPopulation, StratumPopulation
 
 # (a, b) = (power of e0, power of e1), every entry the table carries
@@ -97,14 +95,20 @@ def summarize_stratum(stratum: StratumPopulation) -> dict[tuple[int, int], float
         for (a, b), out in row.items():
             if a and b:
                 np.multiply(dy[a], dx[b], out=out)
-    moments = {}
-    for i, (key, s) in enumerate(zip(VTABLE_KEYS, row_sums(rows))):
-        if math.isinf(s) and np.isfinite(rows[i]).all():
-            # the sum of finite products leaves the float range, the mean may not
-            moments[key] = quotient(fold(exact_parts(rows[i : i + 1])[0]), n)
-        else:
-            moments[key] = s / n
-    return moments
+    return dict(zip(VTABLE_KEYS, row_reduce(rows, _moment(n))[0]))
+
+
+def _moment(n: int) -> Callable[[Sequence[float]], float]:
+    """The rule of the module docstring for C_ab of ``n`` units, from
+    floats whose exact sum is that of its products."""
+
+    def moment(parts: Sequence[float]) -> float:
+        s = _fsum(parts)
+        if math.isinf(s) and all(map(math.isfinite, parts)):
+            return quotient(parts, n)
+        return s / n
+
+    return moment
 
 
 def _partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -87,10 +87,10 @@ class EstimatorRequest:
         """Parse 't1s', 't3s:0.5', 't4s:optimize', ...
 
         A bare tunable kind ('t3s') is a :class:`ConfigError` naming
-        ':optimize'.  Spaces around the parameter are ignored, and an empty
-        parameter ('t1s:', 't3s: ') is a :class:`ConfigError` for every kind.
+        ':optimize'.  Spaces around the kind and the parameter are ignored;
+        an empty parameter ('t1s:', 't3s: ') is a :class:`ConfigError`.
         """
-        name, sep, param = text.strip().lower().partition(":")
+        name, sep, param = (part.strip() for part in text.lower().partition(":"))
         try:
             kind = EstimatorKind(name)
         except ValueError:
@@ -100,7 +100,6 @@ class EstimatorRequest:
             ) from None
         if not sep:
             return EstimatorRequest(kind=kind)
-        param = param.strip()
         if not param:
             raise ConfigError(f"estimator {text!r}: empty parameter after ':'")
         if param == "optimize":

@@ -21,8 +21,10 @@ from stratexp.exactsum import (
     fsum,
     quotient,
     row_means,
+    row_reduce,
     row_sums,
 )
+from stratexp.moments import _moment
 
 from helpers import sign_keeping_fsum
 
@@ -162,15 +164,22 @@ class TestExactParts:
             assert len(parts) < len(row)  # bucket values, not the row
             assert sum(map(Fraction, parts)) == sum(map(Fraction, row.tolist()))
 
-    @pytest.mark.parametrize("mixed", [False, True])
-    def test_zero_rows_come_back_as_their_entries(self, mixed):
-        """A kernel row of zeros has all-zero bucket parts, which carry no
-        -0.0; the row's own entries keep the sign for ``math.fsum``."""
+    @pytest.mark.parametrize("keep_sign", [False, True])
+    @pytest.mark.parametrize("kind", ["negative zeros", "mixed zeros", "cancelling"])
+    def test_zero_rows_keep_fsums_sign_rule(self, kind, keep_sign):
+        """Bucket parts carry no -0.0, so a row of -0.0 has the parts
+        [-0.0]: the ``fsum`` of a zero row's parts has the bits of
+        ``math.fsum`` of the row, also with ``math.fsum`` patched to keep
+        the sign of an all -0.0 input."""
         row = np.full(KERNEL_MIN_LENGTH, -0.0)
-        if mixed:
+        if kind == "mixed zeros":
             row[1::3] = 0.0
-        (parts,) = exact_parts(row[None, :])
-        assert [v.hex() for v in parts] == [v.hex() for v in row.tolist()]
+        elif kind == "cancelling":
+            row[:6] = (1e300, -2.5, 3e-300, -1e300, 2.5, -3e-300)
+        with mock.patch.object(exactsum.math, "fsum", sign_keeping_fsum if keep_sign else _fsum):
+            (parts,) = exact_parts(row[None, :])
+            assert fsum(parts).hex() == math.fsum(row.tolist()).hex()
+        assert exact_sum(parts) == 0
 
     def test_sequence_of_columns(self):
         rng = np.random.default_rng(4)
@@ -485,9 +494,9 @@ def padded(*entries: float) -> np.ndarray:
     return row
 
 
-def sums_and_fallbacks(block: np.ndarray) -> tuple[list[float], list[int]]:
-    """``row_sums(block)``, and the indices of the rows the filter refused:
-    those that ``row_sums`` handed to ``exact_parts``."""
+def sums_and_fallbacks(block: np.ndarray, reduce=row_sums) -> tuple[list[float], list[int]]:
+    """``reduce(block)``, ``row_sums`` by default, and the indices of the
+    rows the filter refused: those that it handed to ``exact_parts``."""
     handed = []
     real = exactsum.exact_parts
 
@@ -496,7 +505,7 @@ def sums_and_fallbacks(block: np.ndarray) -> tuple[list[float], list[int]]:
         return real(rows)
 
     with mock.patch.object(exactsum, "exact_parts", spy):
-        sums = row_sums(block)
+        sums = reduce(block)
     return sums, [i for i, row in enumerate(block) if row.tobytes() in handed]
 
 
@@ -641,3 +650,131 @@ class TestRowMeansFilter:
         else:
             assert [v.hex() for v in means] == [v.hex() for v in (reference(row), reference(-row))]
         assert mu == [max(map(abs, row.tolist()))] * 2 or math.isnan(mu[0])
+
+
+def mean_reference(row: list[float]) -> float:
+    """The exact mean, correctly rounded, ties to even; the ``fsum`` value
+    where the row sum is not finite."""
+    total = reference(np.array(row))
+    return float(exact_sum(row) / len(row)) if math.isfinite(total) else total
+
+
+def moment_reference(row: list[float]) -> float:
+    """``fsum`` over n; where a sum of finite entries leaves the float
+    range, the exact mean correctly rounded, or ``inf`` of its sign."""
+    total = reference(np.array(row))
+    if not (math.isinf(total) and all(map(math.isfinite, row))):
+        return total / len(row)
+    mean = exact_sum(row) / len(row)
+    try:
+        return float(mean)
+    except OverflowError:
+        return math.copysign(math.inf, mean)
+
+
+# the finishes of row_sums, row_means and moments.summarize_stratum, each a
+# function of the row length, and their references
+FINISHES = {
+    "fsum": (lambda n: fsum, lambda row: reference(np.array(row))),
+    "mean": (exactsum._mean, mean_reference),
+    "moment": (_moment, moment_reference),
+}
+
+
+def check_finishes(block: np.ndarray) -> dict[str, list[int]]:
+    """Each finish's values against its reference, bit for bit; returns
+    the rows that each handed to ``exact_parts``."""
+    refused = {}
+    for name, (finish, want) in FINISHES.items():
+        rule = finish(block.shape[1])
+        got, refused[name] = sums_and_fallbacks(block, lambda rows: row_reduce(rows, rule)[0])
+        for row, value in zip(block.tolist(), got):
+            assert same_bits(value, want(row)), (name, row, value, want(row))
+    return refused
+
+
+@st.composite
+def reducer_blocks(draw):
+    """1-4 rows on either side of ``KERNEL_MIN_LENGTH``: drawn, centred on
+    their float mean, or a drawn half and its negation plus a scaled-down
+    last entry.  Entries run from moderate to the top of the float range,
+    so that some sums leave it, and a few are not finite."""
+    elements = st.one_of(
+        st.floats(-1e6, 1e6),
+        st.floats(-1e-300, 1e-300),
+        st.sampled_from([1e308, -1e308, _TOP, 2.0**960, 0.0, -0.0]),
+        any_floats,
+    )
+    block = draw(blocks(elements, lengths=st.sampled_from(LENGTHS)))
+    kind = draw(st.sampled_from(["drawn", "centred", "cancelling"]))
+    with np.errstate(all="ignore"):
+        if kind == "centred":
+            block -= block.mean(axis=1, keepdims=True)
+        elif kind == "cancelling":
+            half = block.shape[1] // 2
+            block[:, half : 2 * half] = -block[:, :half]
+            block[:, -1] *= 2.0 ** -draw(st.integers(0, 80))
+    return block
+
+
+# long rows of N entries whose exact sum lies within the filter's bound of
+# a power of two or of a rounding midpoint: base + offset + tiny, with
+# entries A and -A, below G / 2 and so wholly in row - q, that widen the
+# bound to about 2**-87, past |tiny|; (base, offset, tiny, fsum of the row)
+A, TINY = G / 4, 2.0**-95
+NEAR_A_POWER_OF_TWO = [
+    # the power of two itself, from below and from above
+    (1.0, 0.0, -TINY, 1.0),
+    (1.0, 0.0, TINY, 1.0),
+    # the midpoint below a power of two, a quarter of its spacing away
+    (1.0, -(2.0**-54), -TINY, 1 - 2.0**-53),
+    (1.0, -(2.0**-54), TINY, 1.0),
+    # the midpoint above it, half its spacing away
+    (1.0, 2.0**-53, TINY, 1 + 2.0**-52),
+    (1.0, 2.0**-53, -TINY, 1.0),
+    # midpoints off a power of two, from below and from above
+    (1.5, 2.0**-53, TINY, 1.5 + 2.0**-52),
+    (1.5, 2.0**-53, -TINY, 1.5),
+    (1.5, -(2.0**-53), -TINY, 1.5 - 2.0**-52),
+    (1.5, -(2.0**-53), TINY, 1.5),
+]
+
+
+class TestRowReduce:
+    """``row_reduce`` gives each finish's value at the row's exact sum:
+    short rows by their entries, long rows by the filter's bracket where
+    its ends agree on a nonzero value, else by their exact parts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(reducer_blocks())
+    def test_three_finishes_against_exact_references(self, block):
+        check_finishes(block)
+
+    @pytest.mark.parametrize("base, offset, tiny, want", NEAR_A_POWER_OF_TWO)
+    def test_sums_within_the_bound_of_a_power_of_two_or_a_midpoint(self, base, offset, tiny, want):
+        """The bracket takes a sum within its bound of a power of two, and
+        refuses one that it straddles a midpoint with; every finish keeps
+        its bits, the row negated too.  N is a power of two, so each mean
+        and moment is the sum scaled."""
+        row = padded(base, offset, A, -A, tiny)
+        assert float(exact_sum(row.tolist())) == want
+        straddles = offset != 0.0
+        for refused in check_finishes(np.stack((row, -row))).values():
+            assert refused == ([0, 1] if straddles else [])
+
+    def test_zero_sums_take_the_parts(self):
+        """A bracket whose ends give zero is refused, so a zero sum follows
+        ``math.fsum``'s sign rule and a mean of zero is 0.0."""
+        block = np.stack((padded(1.0, -1.0), padded(-1.0, 1.0, -0.0)))
+        for refused in check_finishes(block).values():
+            assert refused == [0, 1]
+
+    def test_mean_centred_rows_the_filter_refuses(self):
+        """Columns less their float mean sum to a few units of their
+        rounding, which the bracket straddles; all three finishes keep
+        their bits on those rows, and on the uncentred rows it takes."""
+        rng = np.random.default_rng(13)
+        block = rng.uniform(1.0, 100.0, (20, 300)).round(4)
+        block = np.concatenate((block - block.mean(axis=1, keepdims=True), block))
+        for refused in check_finishes(block).values():
+            assert refused == list(range(20))

@@ -63,6 +63,13 @@ class TestEstimatorRequest:
         assert EstimatorRequest.parse("t3s: 0.5").parameter == 0.5
         assert EstimatorRequest.parse("t3s:-1.5").label() == "t3s:-1.5"
 
+    @pytest.mark.parametrize("text", ["t3s :0.5", " t3s : 0.5 ", "T3S\t:0.5", "t3s: 0.5"])
+    def test_spaces_around_the_kind_and_the_parameter(self, text, capsys):
+        assert EstimatorRequest.parse(text) == EstimatorRequest.parse("t3s:0.5")
+        argv = ["--population", synthetic_csv_path(), "--n", "A=3", "--n", "B=3", "--order", "1"]
+        assert main([*argv, "--estimator", text]) == 0
+        assert "t3s:0.5" in capsys.readouterr().out
+
     def test_label_keeps_every_digit_of_the_constant(self):
         labels = [EstimatorRequest.parse(t).label() for t in ("t3s:0.1234567", "t3s:0.1234568")]
         assert labels == ["t3s:0.1234567", "t3s:0.1234568"]
