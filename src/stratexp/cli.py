@@ -12,7 +12,10 @@ flags that are given are laid over that dict, and
 and ``{"order": "3"}`` fail with one message.  A flag argparse cannot parse
 is a ``ConfigError`` too, as a file value of the wrong JSON type is.  A
 key repeated anywhere in the config file, or a stratum repeated in ``--n``,
-is a ``ValidationError``: no setting is silently overwritten.
+is a ``ValidationError``: no setting is silently overwritten.  A stratum
+label, in ``--n`` or in the file's ``sample_sizes``, is stripped of the
+spaces around it, as the population file's labels are; so a label that
+repeats once stripped is given twice as well.
 
 Exit codes: 0 success, 1 invalid input (flags, config files, populations,
 designs), 2 a computation failed.
@@ -35,6 +38,7 @@ _JSON_TYPE_NAMES = {bool: "boolean", int: "integer", str: "string", dict: "objec
 
 def _parse_design_entry(text: str) -> tuple[str, int]:
     label, sep, size = text.partition("=")
+    label = label.strip()  # as the population reader strips its labels
     if not sep or not label:
         raise ValidationError(f"--n expects STRATUM=SIZE, got {text!r}")
     try:
@@ -141,6 +145,11 @@ def _load_config_file(path: str) -> dict:
             raise ConfigError(
                 f"config {key} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}"
             )
+    if "sample_sizes" in data:  # labels are stripped, as --n strips them
+        data["sample_sizes"] = _unique_dict(
+            ((label.strip(), n) for label, n in data["sample_sizes"].items()),
+            f"config file {path!r}: sample_sizes stratum",
+        )
     return data
 
 

@@ -143,7 +143,8 @@ class StratumPopulation:
 class DrawSteps(NamedTuple):
     """The selection steps of a Monte Carlo draw, strata in order, as
     read-only arrays: ``divisors``, ``offsets`` and ``bases`` hold one entry
-    per step, ``stratum_bases``, ``sizes`` and ``weights`` one per stratum.
+    per step, ``stratum_bases``, ``sizes`` and ``weights`` one per stratum;
+    ``bounds``, ``spans`` and ``width`` locate each stratum's steps.
     Its size is O(sum of n_h), whatever the N_h are.  ``divisors`` is
     uint64, as the generator's words are; the positions are ``np.intp``,
     which indexes a column without a cast."""
@@ -158,6 +159,10 @@ class DrawSteps(NamedTuple):
     stratum_bases: np.ndarray
     #: stratum h's steps are the entries bounds[h]:bounds[h + 1]
     bounds: tuple[int, ...]
+    #: (bounds[h], bounds[h + 1]) for each stratum h
+    spans: tuple[tuple[int, int], ...]
+    #: the largest n_h, the padded width of a draw's per-stratum values
+    width: int
     #: n_h per stratum, as float64, the divisors of the sample means
     sizes: np.ndarray
     #: W_h per stratum, as float64
@@ -194,12 +199,15 @@ class StratifiedPopulation:
         caps = [s.capital_n for s in self.strata]
         offsets = np.concatenate([np.arange(n, dtype=np.intp) for n in sizes])
         stratum_bases = np.cumsum([0, *caps[:-1]], dtype=np.intp)
+        bounds = tuple(np.cumsum([0, *sizes]).tolist())
         steps = DrawSteps(
             divisors=(np.repeat(caps, sizes) - offsets).astype(np.uint64),
             offsets=offsets,
             bases=np.repeat(stratum_bases, sizes),
             stratum_bases=stratum_bases,
-            bounds=tuple(np.cumsum([0, *sizes]).tolist()),
+            bounds=bounds,
+            spans=tuple(zip(bounds, bounds[1:])),
+            width=max(sizes),
             sizes=np.array(sizes, dtype=np.float64),
             weights=np.array(self.weights),
         )

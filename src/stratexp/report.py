@@ -234,7 +234,9 @@ def run(config: RunConfig) -> ComparisonReport:
                     all_outcomes.setdefault(request.label(), {})[f"order{order}"] = outcome
                     parameter = outcome.parameter
                 spec = EstimatorSpec(request.kind, parameter)
-                b, m = bias(spec, v, order), mse(spec, v, order)
+                b = bias(spec, v, order)
+                # an optimum's objective is already this spec's MSE
+                m = outcome.objective if request.optimize else mse(spec, v, order)
                 if m < 0:
                     cells["warnings"] += (f"negative_mse{order}",)
             cells[f"parameter_order{order}"] = parameter

@@ -40,11 +40,14 @@ into one zero-padded array, and the one sample-mean rule of
 ``stratum_means`` gives every stratum's means at once.  So a draw costs
 O(n_h) time and memory per stratum, independent of the stratum size N_h;
 the step table it reads is built once per population and is O(n_h) too.
-Replicates run in index order on the calling thread, and their bias and
-MSE rows are reduced by ``exactsum.row_sums``, the bits of ``math.fsum``.
-There is no worker pool: a replicate's NumPy calls and Python steps hold
-the interpreter lock, so threads would not run it faster, and the command
-line's ``--workers`` changes neither results nor speed.
+``monte_carlo`` keeps only each replicate's two means, so its draws build
+no index sets; it draws a failing replicate once more, with them, to name
+it.  Replicates run in index order on the calling thread, and their bias
+and MSE rows are reduced by ``exactsum.row_sums``, the bits of
+``math.fsum``.  There is no worker pool: a replicate's NumPy calls and
+Python steps hold the interpreter lock, so threads would not run it
+faster, and the command line's ``--workers`` changes neither results nor
+speed.
 """
 
 from __future__ import annotations
@@ -383,9 +386,16 @@ def _philox(seed: int, rep: int) -> np.random.Philox:
     return philox
 
 
-def draw_sample(pop: StratifiedPopulation, seed: int, rep: int) -> Sample:
+def draw_sample(
+    pop: StratifiedPopulation, seed: int, rep: int, *, index_sets: bool = True
+) -> Sample | tuple[None, float, float]:
     """Draw the stratified SRSWOR sample (index_sets, ybar_st, xbar_st) for
     replicate ``rep``.
+
+    With ``index_sets=False`` the first item is None: the draw, the replay
+    and the means are the same, and the two means have the same bits, but
+    no index-set tuples are built.  ``monte_carlo`` draws its replicates
+    so and asks for the index sets only to name a failing replicate.
 
     The draw identity is frozen: Philox4x64 keyed (seed, rep), both
     integers in [0, 2**64), supplies one 64-bit word per selection step of
@@ -408,31 +418,31 @@ def draw_sample(pop: StratifiedPopulation, seed: int, rep: int) -> Sample:
     shuffle would.
 
     Each stratum's y and x at its units are taken into one (2, strata,
-    max n_h) array, zero-padded, and ``_means``, the rule of
-    ``stratum_means``, gives every stratum's two means at once.
+    max n_h) array, zero-padded; the step table holds each stratum's span
+    of steps and that width.  ``_means``, the rule of ``stratum_means``,
+    gives every stratum's two means at once.
     """
     seed, rep = _key_word("seed", seed), _key_word("rep", rep)
-    divisors, offsets, bases, stratum_bases, bounds, sizes, weights = pop.draw_steps
+    divisors, offsets, bases, stratum_bases, _, spans, width, sizes, weights = pop.draw_steps
     chosen = (_philox(seed, rep).random_raw(divisors.size) % divisors).astype(np.intp) + offsets
     keys = np.sort(chosen + bases)
     repeats = keys[1:][keys[1:] == keys[:-1]]
     # a repeated key lies in stratum h - 1 for h = searchsorted(..., "right")
     for h in set(np.searchsorted(stratum_bases, repeats, "right").tolist()):
-        start, stop = bounds[h - 1], bounds[h]
+        start, stop = spans[h - 1]
         chosen[start:stop] = _replay(chosen[start:stop].tolist())
-    spans = list(zip(bounds, bounds[1:]))
-    values = np.zeros((2, len(spans), max(stop - start for start, stop in spans)))
+    values = np.zeros((2, len(spans), width))
     for s, (start, stop), ys, xs in zip(pop.strata, spans, *values):
         units = chosen[start:stop]
         ys[: stop - start] = s.y[units]
         xs[: stop - start] = s.x[units]
     weighted = _means(values, sizes)
     weighted *= weights  # W_h * ybar_h and W_h * xbar_h, each one rounding
+    ybar_st, xbar_st = map(math.fsum, weighted.tolist())
+    if not index_sets:
+        return None, ybar_st, xbar_st
     flat = chosen.tolist()
-    return (
-        tuple(tuple(flat[start:stop]) for start, stop in spans),
-        *map(math.fsum, weighted.tolist()),
-    )
+    return tuple(tuple(flat[start:stop]) for start, stop in spans), ybar_st, xbar_st
 
 
 def monte_carlo(
@@ -443,11 +453,13 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Seeded Monte Carlo bias and MSE of each estimator, with standard errors.
 
-    Draw, mask, evaluate, reduce.  Only each replicate's (ybar_st, xbar_st)
-    is kept.  Replicates where Xbar + xbar_st == 0.0, as ``estimate`` tests
-    it, are found by one array comparison, skipped with no estimator call
-    and counted.  The rest go through the enumeration's estimator step, so
-    a failure names the first failing replicate's sample, drawn again.  A
+    Draw, mask, evaluate, reduce.  Each replicate is drawn once, by
+    ``draw_sample`` with ``index_sets=False``, and only its (ybar_st,
+    xbar_st) is kept.  Replicates where Xbar + xbar_st == 0.0, as
+    ``estimate`` tests it, are found by one array comparison, skipped with
+    no estimator call and counted.  The rest go through the enumeration's
+    estimator step, so a failure names the first failing replicate by its
+    index sets, from one more ``draw_sample`` call of that replicate.  A
     mean or variance outside the float range aborts the run, naming the
     estimator.  Output is bit-identical for (population, specs, replicates, seed).
     """
@@ -463,7 +475,7 @@ def monte_carlo(
             f"cannot allocate {replicates} Monte Carlo replicates: {exc}"
         ) from None
     for r in range(replicates):
-        sample_means[:, r] = draw_sample(pop, seed, r)[1:]
+        sample_means[:, r] = draw_sample(pop, seed, r, index_sets=False)[1:]
     kept = np.flatnonzero(pop.grand_x_mean + sample_means[1] != 0.0)
     n = kept.size
     ybars, xbars = sample_means[:, kept].tolist()

@@ -215,7 +215,7 @@ class TestPipeline:
         monkeypatch.setattr(
             stratexp.verify,
             "draw_sample",
-            lambda *args: calls.append(args) or draw(*args),
+            lambda *args, **kwargs: calls.append(args) or draw(*args, **kwargs),
         )
         report = run(base_config(verify="mc", replicates=50, seed=3))
         assert len(report.rows) == 4
@@ -837,6 +837,50 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (
             "stratexp: error: ValidationError: --n stratum 'A' is given twice\n"
+        )
+
+    @pytest.mark.parametrize("form", ["flags", "config"])
+    def test_spaces_around_a_design_label_are_stripped(self, tmp_path, capsys, form):
+        """As the population file's labels are: "A =3", " A=3" and a
+        config key "B\t" name strata A and B."""
+        base = ["--population", synthetic_csv_path(), "--format", "json"]
+        assert main([*base, "--n", "A=3", "--n", "B=3"]) == 0
+        want = capsys.readouterr()
+        if form == "flags":
+            argv = [*base, "--n", "A =3", "--n", " B= 3"]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"sample_sizes": {" A ": 3, "B\t": 3}}))
+            argv = [*base, "--config", str(cfg)]
+        assert main(argv) == 0
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", " =3"], "--n expects STRATUM=SIZE, got ' =3'"),
+            (["--n", "A=3", "--n", "B=3", "--n", "A =5"], "--n stratum 'A' is given twice"),
+            (["--n", " B=3", "--n", "A=3", "--n", "B\t=3"], "--n stratum 'B' is given twice"),
+        ],
+        ids=["blank", "repeated", "both-padded"],
+    )
+    def test_a_stripped_label_that_is_blank_or_repeats(self, capsys, flags, message):
+        assert main(["--population", synthetic_csv_path(), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"stratexp: error: ValidationError: {message}\n"
+
+    def test_a_config_label_that_repeats_once_stripped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "population": synthetic_csv_path(), "sample_sizes": {"A": 3, "B": 3, "A ": 5},
+        }))
+        assert main(["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"stratexp: error: ValidationError: config file {str(cfg)!r}: "
+            "sample_sizes stratum 'A' is given twice\n"
         )
 
     @pytest.mark.parametrize(

@@ -697,9 +697,9 @@ class TestMonteCarlo:
         calls = {"draw_sample": 0, "estimate": 0}
 
         def counted(name, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
 
             return wrapper
 
@@ -708,6 +708,25 @@ class TestMonteCarlo:
         mc = monte_carlo(pop, [t1s(), t4s(0.5)], replicates=200, seed=4)
         assert mc.skipped > 0
         assert calls == {"draw_sample": 200, "estimate": 2 * (200 - mc.skipped)}
+
+    def test_index_sets_are_built_only_to_name_a_failing_replicate(self, monkeypatch):
+        """A run draws each replicate once without its index sets; a
+        failing run adds one default call, for the replicate it names."""
+        pop = make_population(("A", [-3, 1, 2, 4], [1, 2, 3, 4], 2))
+        calls = []
+        draw = verify.draw_sample
+
+        def spy(*args, **kwargs):
+            calls.append((args[2], kwargs))
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "draw_sample", spy)
+        monte_carlo(pop, [t1s(), t4s(0.5)], replicates=200, seed=4)
+        assert calls == [(r, {"index_sets": False}) for r in range(200)]
+        calls.clear()
+        with pytest.raises(ComputationError, match="failed on sample with index sets"):
+            monte_carlo(pop, [t3s(1e6), t3s(-2e6), t3s(-1e6)], replicates=10, seed=22)
+        assert calls == [(r, {"index_sets": False}) for r in range(10)] + [(2, {})]
 
     def test_failure_names_the_first_replicate_then_the_first_estimator(self):
         """x = {-3, 1, 2, 4}, Xbar = 1: at seed 22, replicates 0 and 1 hit
@@ -893,6 +912,29 @@ class TestDrawRule:
             assert draw_sample(pop, 5, rep)[0] == dense_draw(pop, 5, rep)
         assert mixed >= 100
 
+    @pytest.mark.parametrize("seed", [0, 601, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "design",
+        [
+            [(1000, 3), (5, 4), (100_000, 2), (6, 5), (50, 2)],
+            [(1000, 20), (6, 5), (3000, 40), (40, 30)],
+            [(7, 3), (1000, 50), (2, 1)],
+        ],
+        ids=["some-repeat", "mixed", "step-table"],
+    )
+    def test_means_only_draws_have_the_bits_of_the_default_call(self, seed, design):
+        """``index_sets=False`` gives None for the index sets and the
+        default call's two means, bit for bit, replayed strata included."""
+        pop = population_of(design)
+        replayed = 0
+        for rep in range(200):
+            _, ybar, xbar = draw_sample(pop, seed, rep)
+            none, ybar_only, xbar_only = draw_sample(pop, seed, rep, index_sets=False)
+            assert none is None
+            assert (ybar_only.hex(), xbar_only.hex()) == (ybar.hex(), xbar.hex())
+            replayed += any(len(set(t)) < len(t) for t in step_targets(pop, seed, rep))
+        assert replayed >= 20
+
     def test_step_table_is_built_once_and_read_only(self, monkeypatch):
         pop = population_of([(7, 3), (1000, 50), (2, 1)])
         builds = []
@@ -910,6 +952,7 @@ class TestDrawRule:
         assert steps.bases.tolist() == [0] * 3 + [7] * 50 + [1007]
         assert steps.stratum_bases.tolist() == [0, 7, 1007]
         assert steps.bounds == (0, 3, 53, 54)
+        assert steps.spans == ((0, 3), (3, 53), (53, 54)) and steps.width == 50
         for a in (steps.divisors, steps.offsets, steps.bases, steps.stratum_bases):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
