@@ -15,7 +15,8 @@ key repeated anywhere in the config file, or a stratum repeated in ``--n``,
 is a ``ValidationError``: no setting is silently overwritten.  A stratum
 label, in ``--n`` or in the file's ``sample_sizes``, is stripped of the
 spaces around it, as the population file's labels are; so a label that
-repeats once stripped is given twice as well.
+repeats once stripped is given twice as well, and one that is blank once
+stripped is a ``ValidationError`` where it is read.
 
 Exit codes: 0 success, 1 invalid input (flags, config files, populations,
 designs), 2 a computation failed.
@@ -146,9 +147,12 @@ def _load_config_file(path: str) -> dict:
                 f"config {key} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}"
             )
     if "sample_sizes" in data:  # labels are stripped, as --n strips them
+        what = f"config file {path!r}: sample_sizes stratum"
+        blank = [label for label in data["sample_sizes"] if not label.strip()]
+        if blank:
+            raise ValidationError(f"{what} label {blank[0]!r} is blank")
         data["sample_sizes"] = _unique_dict(
-            ((label.strip(), n) for label, n in data["sample_sizes"].items()),
-            f"config file {path!r}: sample_sizes stratum",
+            ((label.strip(), n) for label, n in data["sample_sizes"].items()), what
         )
     return data
 

@@ -6,6 +6,13 @@ planned SRSWOR sample size ``n_h`` with 1 <= n_h < N_h; its size ``N_h``
 is the column length.  Stratum weights are ``W_h = N_h / N`` so that the
 stratified sample mean is design-unbiased for the grand mean.
 
+A population keeps its units in one read-only float64 table,
+``columns``, of shape (2, N + 1): y in row 0 and x in row 1, the strata
+side by side in order, and one zero column last.  It is built once, with
+the population, and each stratum's ``y`` and ``x`` are then views of its
+span, so the units are held once.  A Monte Carlo draw gathers all its
+units, and the zero padding between strata, from it in one ``take``.
+
 A stratum mean is the exact mean correctly rounded, ties to even: the
 column's exact sum as one integer over a power of two, divided by N with
 Python's correctly rounded ``int / int``
@@ -39,7 +46,7 @@ import operator
 import os
 import stat
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Iterable, Mapping, NamedTuple
 
@@ -56,9 +63,10 @@ class StratumPopulation:
     """One stratum: its x and y columns and planned sample size.
 
     ``x`` and ``y`` accept any sequence of numbers and are stored as
-    read-only float64 arrays of equal length, in input order.  ``small_n``
-    is the SRSWOR sample size n_h, an integer (not a bool) stored as a
-    Python ``int``; it must satisfy 1 <= n_h < N_h.
+    read-only float64 arrays of equal length, in input order; a
+    :class:`StratifiedPopulation` points them at its column table.
+    ``small_n`` is the SRSWOR sample size n_h, an integer (not a bool)
+    stored as a Python ``int``; it must satisfy 1 <= n_h < N_h.
     """
 
     id: str
@@ -142,27 +150,30 @@ class StratumPopulation:
 
 class DrawSteps(NamedTuple):
     """The selection steps of a Monte Carlo draw, strata in order, as
-    read-only arrays: ``divisors``, ``offsets`` and ``bases`` hold one entry
-    per step, ``stratum_bases``, ``sizes`` and ``weights`` one per stratum;
-    ``bounds``, ``spans`` and ``width`` locate each stratum's steps.
-    Its size is O(sum of n_h), whatever the N_h are.  ``divisors`` is
-    uint64, as the generator's words are; the positions are ``np.intp``,
-    which indexes a column without a cast."""
+    read-only arrays: ``divisors``, ``offsets``, ``bases`` and ``slots``
+    hold one entry per step, ``stratum_bases``, ``sizes`` and ``weights``
+    one per stratum, and ``padding`` one per (stratum, width) slot;
+    ``spans`` and ``width`` locate each stratum's steps.  Its size is
+    O(strata x max n_h), whatever the N_h are.  ``divisors`` is uint64, as
+    the generator's words are; the positions are ``np.intp``, which indexes
+    ``StratifiedPopulation.columns`` without a cast."""
 
     #: N_h - i: the step's target is i + word mod (N_h - i)
     divisors: np.ndarray
     #: i, the position the step fixes
     offsets: np.ndarray
-    #: the step's stratum base: targets plus bases are distinct across strata
+    #: the step's stratum base: target plus base is the unit's column
     bases: np.ndarray
     #: stratum h's base, the sum of N_k over the strata k before it
     stratum_bases: np.ndarray
-    #: stratum h's steps are the entries bounds[h]:bounds[h + 1]
-    bounds: tuple[int, ...]
-    #: (bounds[h], bounds[h + 1]) for each stratum h
+    #: (start, stop) of stratum h's steps
     spans: tuple[tuple[int, int], ...]
     #: the largest n_h, the padded width of a draw's per-stratum values
     width: int
+    #: h * width + i: the step's flat slot in the (strata, width) layout
+    slots: np.ndarray
+    #: (strata, width), every entry N: the population's zero column
+    padding: np.ndarray
     #: n_h per stratum, as float64, the divisors of the sample means
     sizes: np.ndarray
     #: W_h per stratum, as float64
@@ -171,9 +182,15 @@ class DrawSteps(NamedTuple):
 
 @dataclass(frozen=True)
 class StratifiedPopulation:
-    """A validated stratified population with derived weights and grand means."""
+    """A validated stratified population with derived weights and grand means.
+
+    ``columns`` is the read-only (2, N + 1) table of the units, y over x,
+    strata in order, then one zero column; each stratum's ``y`` and ``x``
+    are views of its span, with the values the stratum was given.
+    """
 
     strata: tuple[StratumPopulation, ...]
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.strata:
@@ -181,6 +198,21 @@ class StratifiedPopulation:
         labels = [s.id for s in self.strata]
         if len(set(labels)) != len(labels):
             raise PopulationError(f"duplicate stratum labels: {labels}")
+        columns = np.empty((2, self.total_n + 1))
+        columns[:, -1] = 0.0
+        np.concatenate([s.y for s in self.strata], out=columns[0, :-1])
+        np.concatenate([s.x for s in self.strata], out=columns[1, :-1])
+        columns.flags.writeable = False
+        # The strata's own arrays are let go only once the table is whole:
+        # freeing each as soon as it was copied left the census workload's
+        # peak RSS about 0.3 MB higher.
+        lo = 0
+        for s in self.strata:
+            hi = lo + s.capital_n
+            object.__setattr__(s, "y", columns[0, lo:hi])
+            object.__setattr__(s, "x", columns[1, lo:hi])
+            lo = hi
+        object.__setattr__(self, "columns", columns)
 
     @property
     def total_n(self) -> int:
@@ -197,17 +229,19 @@ class StratifiedPopulation:
         """The Monte Carlo draw's step table; see :class:`DrawSteps`."""
         sizes = [s.small_n for s in self.strata]
         caps = [s.capital_n for s in self.strata]
+        width = max(sizes)
         offsets = np.concatenate([np.arange(n, dtype=np.intp) for n in sizes])
         stratum_bases = np.cumsum([0, *caps[:-1]], dtype=np.intp)
-        bounds = tuple(np.cumsum([0, *sizes]).tolist())
+        bounds = np.cumsum([0, *sizes]).tolist()
         steps = DrawSteps(
             divisors=(np.repeat(caps, sizes) - offsets).astype(np.uint64),
             offsets=offsets,
             bases=np.repeat(stratum_bases, sizes),
             stratum_bases=stratum_bases,
-            bounds=bounds,
             spans=tuple(zip(bounds, bounds[1:])),
-            width=max(sizes),
+            width=width,
+            slots=np.repeat(np.arange(len(sizes), dtype=np.intp) * width, sizes) + offsets,
+            padding=np.full((len(sizes), width), self.total_n, dtype=np.intp),
             sizes=np.array(sizes, dtype=np.float64),
             weights=np.array(self.weights),
         )
@@ -311,10 +345,15 @@ def load_population(
 
 
 def _attach_design(
-    columns: Mapping[str, tuple[Iterable[float], Iterable[float]]],
+    columns: dict[str, tuple[Iterable[float], Iterable[float]]],
     design: Mapping[str, int],
 ) -> StratifiedPopulation:
-    """Build the population from ``label -> (x, y)`` columns, in their order."""
+    """Build the population from ``label -> (x, y)`` columns, in their order.
+
+    ``columns`` is emptied: each stratum's columns are dropped once the
+    stratum holds its copy, so the parsed rows are let go before the
+    population builds its table.
+    """
     if not columns:
         raise PopulationError("population stream has no data rows")
 
@@ -327,8 +366,8 @@ def _attach_design(
 
     return StratifiedPopulation(
         strata=tuple(
-            StratumPopulation(id=label, x=xs, y=ys, small_n=design[label])
-            for label, (xs, ys) in columns.items()
+            StratumPopulation(label, *columns.pop(label), small_n=design[label])
+            for label in list(columns)
         )
     )
 
@@ -504,6 +543,7 @@ def load_population_file(path: str, design: Mapping[str, int]) -> StratifiedPopu
         raise PopulationError(f"cannot read population file {path!r}: {exc}") from exc
     columns = _file_columns(path, before, data) if len(data) >= _FAST_MIN_BYTES else None
     if columns is not None:
+        del data  # parsed: the population's table is built without the bytes
         return _attach_design(columns, design)
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     try:

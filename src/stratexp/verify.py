@@ -35,11 +35,13 @@ one; two threads never share a generator.  A replicate's draw is a
 partial Fisher-Yates shuffle that is never written out: the targets of
 all its steps, across all strata, are taken in one array pass, and only
 a stratum that repeats a target replays its walk, storing just the
-positions the swaps displace.  Each stratum's y and x at its units go
-into one zero-padded array, and the one sample-mean rule of
-``stratum_means`` gives every stratum's means at once.  So a draw costs
-O(n_h) time and memory per stratum, independent of the stratum size N_h;
-the step table it reads is built once per population and is O(n_h) too.
+positions the swaps displace.  One ``take`` from the population's
+column table gathers every stratum's y and x at its units into one array,
+zero-padded from the table's zero column, and the one sample-mean rule
+of ``stratum_means`` gives every stratum's means at once.  So a draw
+costs O(n_h) time and memory per stratum, independent of the stratum size
+N_h; the step table it reads is built once per population and is O(n_h)
+too.
 ``monte_carlo`` keeps only each replicate's two means, so its draws build
 no index sets; it draws a failing replicate once more, with them, to name
 it.  Replicates run in index order on the calling thread, and their bias
@@ -62,6 +64,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import trace
 from .errors import ComputationError, EnumerationLimitError
 from .estimators import EstimatorSpec, estimate
 from .exactsum import block_sums, fsum_columns, row_sums
@@ -314,6 +317,7 @@ def exact_bias_mse(
             )
 
     sums = block_sums(deviation_blocks())
+    trace.count(exact_samples=dist.size, exact_evaluations=dist.size * k)
     results = [(b / dist.size, m / dist.size) for b, m in zip(sums[:k], sums[k:])]
     for spec, (b, m) in zip(specs, results):
         if not (math.isfinite(b) and math.isfinite(m)):
@@ -417,26 +421,33 @@ def draw_sample(
     stratum whatever N_h is, and selects exactly the units the dense
     shuffle would.
 
-    Each stratum's y and x at its units are taken into one (2, strata,
-    max n_h) array, zero-padded; the step table holds each stratum's span
-    of steps and that width.  ``_means``, the rule of ``stratum_means``,
-    gives every stratum's two means at once.
+    The units are gathered in one ``take`` from the population's column
+    table (:attr:`StratifiedPopulation.columns`), y over x, strata side by
+    side, then a zero column.  A copy of the step table's padding index,
+    every entry that zero column, receives each step's column, its target
+    plus its stratum base, at the step's slot in the (strata, max n_h)
+    layout; the take then gives the (2, strata, max n_h) values,
+    zero-padded.  ``_means``, the rule of ``stratum_means``, gives every
+    stratum's two means at once.  The index sets hold the selected units'
+    positions within their strata.
     """
     seed, rep = _key_word("seed", seed), _key_word("rep", rep)
-    divisors, offsets, bases, stratum_bases, _, spans, width, sizes, weights = pop.draw_steps
-    chosen = (_philox(seed, rep).random_raw(divisors.size) % divisors).astype(np.intp) + offsets
+    divisors, offsets, bases, stratum_bases, spans, _, slots, padding, sizes, weights = (
+        pop.draw_steps
+    )
+    raw = _philox(seed, rep).random_raw(divisors.size)
+    # every word mod N_h - i is below 2**63, so its bits read as an int64
+    chosen = np.remainder(raw, divisors, out=raw).view(np.int64)
+    chosen += offsets
     keys = np.sort(chosen + bases)
     repeats = keys[1:][keys[1:] == keys[:-1]]
     # a repeated key lies in stratum h - 1 for h = searchsorted(..., "right")
     for h in set(np.searchsorted(stratum_bases, repeats, "right").tolist()):
         start, stop = spans[h - 1]
         chosen[start:stop] = _replay(chosen[start:stop].tolist())
-    values = np.zeros((2, len(spans), width))
-    for s, (start, stop), ys, xs in zip(pop.strata, spans, *values):
-        units = chosen[start:stop]
-        ys[: stop - start] = s.y[units]
-        xs[: stop - start] = s.x[units]
-    weighted = _means(values, sizes)
+    idx = padding.copy()
+    idx.put(slots, chosen + bases)
+    weighted = _means(pop.columns.take(idx, axis=1), sizes)
     weighted *= weights  # W_h * ybar_h and W_h * xbar_h, each one rounding
     ybar_st, xbar_st = map(math.fsum, weighted.tolist())
     if not index_sets:
@@ -478,10 +489,12 @@ def monte_carlo(
         sample_means[:, r] = draw_sample(pop, seed, r, index_sets=False)[1:]
     kept = np.flatnonzero(pop.grand_x_mean + sample_means[1] != 0.0)
     n = kept.size
+    trace.count(mc_replicates=replicates, mc_skipped=replicates - n)
     ybars, xbars = sample_means[:, kept].tolist()
     rows = _deviation_rows(
         pop, specs, ybars, xbars, lambda i: draw_sample(pop, seed, kept[i])[0], rows[:, :n]
     )
+    trace.count(mc_evaluations=n * k)
     if n < 2:
         raise ComputationError(f"only {n} usable replicates out of {replicates}")
     means = [s / n for s in row_sums(rows)]

@@ -379,3 +379,106 @@ class TestInvariants:
             assert shuf_moments[key] == pytest.approx(
                 value, rel=1e-9, abs=1e-12
             )
+
+
+# the design of test_verify's test_only_some_strata_repeat_a_target: some
+# strata repeat a target in a draw and are replayed, some do not
+TABLE_DESIGN = [(1000, 3), (5, 4), (100_000, 2), (6, 5), (50, 2)]
+
+
+def table_rows(interleaved: bool) -> list[tuple[str, float, float]]:
+    """The units of ``TABLE_DESIGN``, each stratum's in order: grouped, or
+    round-robin over the strata, so that every stratum but the largest
+    arrives in as many runs as it has units."""
+    strata = [
+        [(f"S{h}", 1.0 + (3 * u) % 7 + u / 8, 2.0 + u * u % 11 - u / 16) for u in range(cap)]
+        for h, (cap, _) in enumerate(TABLE_DESIGN)
+    ]
+    if not interleaved:
+        return [row for rows in strata for row in rows]
+    longest = max(len(rows) for rows in strata)
+    return [rows[u] for u in range(longest) for rows in strata if u < len(rows)]
+
+
+@pytest.fixture(scope="module")
+def table_files(tmp_path_factory):
+    """(grouped path, interleaved path) of one population, both plain and
+    far above 7 KiB, so both take NumPy's route."""
+    directory = tmp_path_factory.mktemp("table")
+    paths = []
+    for form in (False, True):
+        path = directory / ("interleaved.csv" if form else "grouped.csv")
+        path.write_text(
+            "stratum,x,y\n" + "".join(f"{s},{x!r},{y!r}\n" for s, x, y in table_rows(form))
+        )
+        paths.append(str(path))
+    return tuple(paths)
+
+
+TABLE_SIZES = {f"S{h}": n for h, (_, n) in enumerate(TABLE_DESIGN)}
+
+
+class TestColumnTable:
+    def test_strata_are_read_only_views_of_the_table(self):
+        pop = make_population(
+            ("A", [1.0, 2.0, 3.0], [4.0, -0.0, 6.5], 2),
+            ("B", np.arange(5.0), np.arange(5.0) ** 2, 1),
+        )
+        columns = pop.columns
+        assert columns.shape == (2, 9) and columns.dtype == np.float64
+        assert not columns.flags.writeable
+        assert columns[0].tolist() == [4.0, -0.0, 6.5, 0.0, 1.0, 4.0, 9.0, 16.0, 0.0]
+        assert columns[1].tolist() == [1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 3.0, 4.0, 0.0]
+        assert np.signbit(columns[0, 1]) and not np.signbit(columns[:, -1]).any()
+        for s in pop.strata:
+            for col in (s.x, s.y):
+                assert np.shares_memory(col, columns)
+                assert not col.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    col[0] = 1.0
+
+    def test_the_last_column_is_zero(self, synthetic):
+        assert synthetic.columns.shape == (2, synthetic.total_n + 1)
+        assert synthetic.columns[:, -1].tolist() == [0.0, 0.0]
+        assert not np.signbit(synthetic.columns[:, -1]).any()
+
+    def test_each_stratum_keeps_its_values(self):
+        xs, ys = [2.0, 4.5, 1.0, 7.25], [1.0, 9.0, 2.5, -4.0]
+        (s,) = make_population(("A", xs, ys, 2)).strata
+        assert (s.x.tolist(), s.y.tolist(), s.capital_n) == (xs, ys, 4)
+
+    def test_interleaved_runs_give_the_grouped_table(self, table_files, monkeypatch):
+        """The interleaved file's strata arrive in many runs, which NumPy's
+        route concatenates: the table, and each stratum's span of it, are
+        those of the grouped file."""
+        from stratexp import population
+
+        runs = []
+        real = population._columns
+        monkeypatch.setattr(
+            population, "_columns",
+            lambda values, spans: runs.append(max(map(len, spans.values()))) or real(values, spans),
+        )
+        grouped, interleaved = (load_population_file(p, TABLE_SIZES) for p in table_files)
+        assert runs == [1, 1000]  # the most runs of one stratum, per file
+        assert grouped.columns.tobytes() == interleaved.columns.tobytes()
+        lo = 0
+        for g, i in zip(grouped.strata, interleaved.strata):
+            assert g.id == i.id
+            for col_g, col_i, row in ((g.y, i.y, 0), (g.x, i.x, 1)):
+                assert col_g.tobytes() == col_i.tobytes()
+                assert np.shares_memory(col_i, interleaved.columns[row, lo : lo + i.capital_n])
+            lo += i.capital_n
+
+    @pytest.mark.parametrize("seed", [0, 601, 2**64 - 1])
+    def test_interleaved_runs_draw_the_grouped_samples(self, table_files, seed):
+        from stratexp.verify import draw_sample
+
+        grouped, interleaved = (load_population_file(p, TABLE_SIZES) for p in table_files)
+        for rep in range(200):
+            index_sets, ybar, xbar = draw_sample(grouped, seed, rep)
+            got_sets, got_ybar, got_xbar = draw_sample(interleaved, seed, rep)
+            assert got_sets == index_sets
+            assert (got_ybar.hex(), got_xbar.hex()) == (ybar.hex(), xbar.hex())
+            _, only_ybar, only_xbar = draw_sample(interleaved, seed, rep, index_sets=False)
+            assert (only_ybar.hex(), only_xbar.hex()) == (ybar.hex(), xbar.hex())

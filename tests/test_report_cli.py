@@ -883,6 +883,22 @@ class TestCli:
             "sample_sizes stratum 'A' is given twice\n"
         )
 
+    @pytest.mark.parametrize("label", [" ", "", "\t"])
+    def test_a_config_label_that_is_blank_once_stripped(self, tmp_path, capsys, label):
+        """Refused where the file is read, naming it, as ``--n " =1"`` is
+        refused where the flag is parsed; not later as an unknown stratum."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "population": synthetic_csv_path(), "sample_sizes": {label: 1, "A": 3, "B": 3},
+        }))
+        assert main(["--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"stratexp: error: ValidationError: config file {str(cfg)!r}: "
+            f"sample_sizes stratum label {label!r} is blank\n"
+        )
+
     @pytest.mark.parametrize(
         "text, key",
         [

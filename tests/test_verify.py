@@ -951,9 +951,14 @@ class TestDrawRule:
         assert steps.offsets.tolist() == [0, 1, 2, *range(50), 0]
         assert steps.bases.tolist() == [0] * 3 + [7] * 50 + [1007]
         assert steps.stratum_bases.tolist() == [0, 7, 1007]
-        assert steps.bounds == (0, 3, 53, 54)
         assert steps.spans == ((0, 3), (3, 53), (53, 54)) and steps.width == 50
-        for a in (steps.divisors, steps.offsets, steps.bases, steps.stratum_bases):
+        assert steps.slots.tolist() == [0, 1, 2, *range(50, 100), 100]
+        # every padding entry is the zero column, after the 1 009 units
+        assert steps.padding.shape == (3, 50) and set(steps.padding.flat) == {1009}
+        for a in (
+            steps.divisors, steps.offsets, steps.bases, steps.stratum_bases, steps.slots,
+            steps.padding,
+        ):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
 
