@@ -150,9 +150,9 @@ class StratumPopulation:
 
 class DrawSteps(NamedTuple):
     """The selection steps of a Monte Carlo draw, strata in order, as
-    read-only arrays: ``divisors``, ``offsets``, ``bases`` and ``slots``
-    hold one entry per step, ``stratum_bases``, ``sizes`` and ``weights``
-    one per stratum, and ``padding`` one per (stratum, width) slot;
+    read-only arrays: ``divisors``, ``offsets``, ``bases``, ``limits`` and
+    ``slots`` hold one entry per step, ``sizes`` and ``weights`` one per
+    stratum, and ``padding`` one per (stratum, width) slot;
     ``spans`` and ``width`` locate each stratum's steps.  Its size is
     O(strata x max n_h), whatever the N_h are.  ``divisors`` is uint64, as
     the generator's words are; the positions are ``np.intp``, which indexes
@@ -164,8 +164,9 @@ class DrawSteps(NamedTuple):
     offsets: np.ndarray
     #: the step's stratum base: target plus base is the unit's column
     bases: np.ndarray
-    #: stratum h's base, the sum of N_k over the strata k before it
-    stratum_bases: np.ndarray
+    #: base + n_h: a target column below it is the position that a step
+    #: of its stratum fixes, and that step reads it back
+    limits: np.ndarray
     #: (start, stop) of stratum h's steps
     spans: tuple[tuple[int, int], ...]
     #: the largest n_h, the padded width of a draw's per-stratum values
@@ -231,13 +232,13 @@ class StratifiedPopulation:
         caps = [s.capital_n for s in self.strata]
         width = max(sizes)
         offsets = np.concatenate([np.arange(n, dtype=np.intp) for n in sizes])
-        stratum_bases = np.cumsum([0, *caps[:-1]], dtype=np.intp)
+        bases = np.repeat(np.cumsum([0, *caps[:-1]], dtype=np.intp), sizes)
         bounds = np.cumsum([0, *sizes]).tolist()
         steps = DrawSteps(
             divisors=(np.repeat(caps, sizes) - offsets).astype(np.uint64),
             offsets=offsets,
-            bases=np.repeat(stratum_bases, sizes),
-            stratum_bases=stratum_bases,
+            bases=bases,
+            limits=bases + np.repeat(sizes, sizes),
             spans=tuple(zip(bounds, bounds[1:])),
             width=width,
             slots=np.repeat(np.arange(len(sizes), dtype=np.intp) * width, sizes) + offsets,

@@ -34,8 +34,8 @@ one keyed (seed, r) for every draw, which costs a fraction of building
 one; two threads never share a generator.  A replicate's draw is a
 partial Fisher-Yates shuffle that is never written out: the targets of
 all its steps, across all strata, are taken in one array pass, and only
-a stratum that repeats a target replays its walk, storing just the
-positions the swaps displace.  One ``take`` from the population's
+the steps that a repeated target can reach are walked, storing just the
+positions their swaps displace.  One ``take`` from the population's
 column table gathers every stratum's y and x at its units into one array,
 zero-padded from the table's zero column, and the one sample-mean rule
 of ``stratum_means`` gives every stratum's means at once.  So a draw
@@ -362,19 +362,6 @@ def _key_word(name: str, value: int) -> int:
     return word
 
 
-def _replay(targets: list[int]) -> list[int]:
-    """The units a stratum's sparse Fisher-Yates walk selects, given the
-    targets of its steps.  Position p holds ``moved.get(p, p)``: only the
-    positions a swap has displaced are stored."""
-    moved: dict[int, int] = {}
-    chosen = []
-    for i, j in enumerate(targets):
-        # Position i is final after this step and never read again.
-        chosen.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
-    return chosen
-
-
 def _philox(seed: int, rep: int) -> np.random.Philox:
     """This thread's Philox4x64 generator, reset to the state of a fresh
     ``Philox(key=[seed, rep])``: setting a state costs a fraction of
@@ -396,7 +383,7 @@ def draw_sample(
     """Draw the stratified SRSWOR sample (index_sets, ybar_st, xbar_st) for
     replicate ``rep``.
 
-    With ``index_sets=False`` the first item is None: the draw, the replay
+    With ``index_sets=False`` the first item is None: the draw, the walk
     and the means are the same, and the two means have the same bits, but
     no index-set tuples are built.  ``monte_carlo`` draws its replicates
     so and asks for the index sets only to name a failing replicate.
@@ -411,48 +398,67 @@ def draw_sample(
 
     The shuffle is never written out.  Every step's target j is taken at
     once, as ``raw % divisors + offsets`` over the population's
-    step table (:attr:`StratifiedPopulation.draw_steps`).  Step i's unit
-    is its target unless an earlier step of its stratum swapped that
-    position, which only an earlier equal target does; so a stratum whose
-    targets are distinct selects exactly its targets.  Equal targets are
-    found by one sort of all the targets, each offset by its stratum's
-    base.  Only the strata that have one replay the walk, storing just the
-    positions its swaps displace.  A draw costs O(n_h) time and memory per
-    stratum whatever N_h is, and selects exactly the units the dense
-    shuffle would.
+    step table (:attr:`StratifiedPopulation.draw_steps`), and offset by
+    its stratum's base to the unit's column of the population; strata
+    never share a column.  Before step i reads position j, only an earlier
+    step with the same target j has written it, so a draw whose targets
+    are distinct selects exactly its targets; one sort of the columns
+    finds the repeated ones.  A draw that repeats one walks, in step order and with one
+    dict of the positions the swaps displace, every step whose target is
+    repeated or below n_h, and no other:
+
+    - a step that is not walked selects its own target, which no earlier
+      step wrote, and its write to that position is never read;
+    - a walked step reads position i, the one it fixes, only if an earlier
+      step targeted i; that target is below n_h (i < n_h), so that step is
+      walked too.  A walk of the repeated targets alone misses it: with
+      N_h = 6, n_h = 3 and targets (1, 5, 5), step 0 moves unit 0 to
+      position 1, step 1 moves it on to position 5 and step 2 selects it,
+      where that walk selects unit 1 twice.
+
+    A draw costs O(n_h) time and memory per stratum whatever N_h is, and
+    selects exactly the units the dense shuffle would.
 
     The units are gathered in one ``take`` from the population's column
     table (:attr:`StratifiedPopulation.columns`), y over x, strata side by
     side, then a zero column.  A copy of the step table's padding index,
-    every entry that zero column, receives each step's column, its target
-    plus its stratum base, at the step's slot in the (strata, max n_h)
-    layout; the take then gives the (2, strata, max n_h) values,
-    zero-padded.  ``_means``, the rule of ``stratum_means``, gives every
+    every entry that zero column, receives each step's column at the
+    step's slot in the (strata, max n_h) layout; the take then gives the
+    (2, strata, max n_h) values, zero-padded.  ``_means``, the rule of ``stratum_means``, gives every
     stratum's two means at once.  The index sets hold the selected units'
     positions within their strata.
     """
     seed, rep = _key_word("seed", seed), _key_word("rep", rep)
-    divisors, offsets, bases, stratum_bases, spans, _, slots, padding, sizes, weights = (
+    divisors, offsets, bases, limits, spans, _, slots, padding, sizes, weights = (
         pop.draw_steps
     )
     raw = _philox(seed, rep).random_raw(divisors.size)
     # every word mod N_h - i is below 2**63, so its bits read as an int64
-    chosen = np.remainder(raw, divisors, out=raw).view(np.int64)
-    chosen += offsets
-    keys = np.sort(chosen + bases)
+    units = np.remainder(raw, divisors, out=raw).view(np.int64)
+    units += offsets
+    units += bases
+    keys = np.sort(units)
     repeats = keys[1:][keys[1:] == keys[:-1]]
-    # a repeated key lies in stratum h - 1 for h = searchsorted(..., "right")
-    for h in set(np.searchsorted(stratum_bases, repeats, "right").tolist()):
-        start, stop = spans[h - 1]
-        chosen[start:stop] = _replay(chosen[start:stop].tolist())
+    if repeats.size:
+        walked = repeats.take(np.searchsorted(repeats, units), mode="clip") == units
+        walked |= units < limits
+        steps = np.flatnonzero(walked)
+        fixed = offsets.take(steps) + bases.take(steps)
+        # position p holds moved.get(p, p); position i is final after its step
+        moved: dict[int, int] = {}
+        picked = []
+        for i, j in zip(fixed.tolist(), units.take(steps).tolist()):
+            picked.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        units.put(steps, picked)
     idx = padding.copy()
-    idx.put(slots, chosen + bases)
+    idx.put(slots, units)
     weighted = _means(pop.columns.take(idx, axis=1), sizes)
     weighted *= weights  # W_h * ybar_h and W_h * xbar_h, each one rounding
     ybar_st, xbar_st = map(math.fsum, weighted.tolist())
     if not index_sets:
         return None, ybar_st, xbar_st
-    flat = chosen.tolist()
+    flat = (units - bases).tolist()
     return tuple(tuple(flat[start:stop]) for start, stop in spans), ybar_st, xbar_st
 
 

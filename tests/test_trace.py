@@ -1,5 +1,7 @@
 """The program's own counters of the oracles' work, and the benchmark
-tracer's counts from outside, on the seed-1 exact and mc workloads."""
+tracer's counts from outside, on the exact and mc workloads at seeds 1,
+601 and 701: the workloads' shapes are fixed, so the counts are the same
+at every seed."""
 
 import contextlib
 import io
@@ -22,12 +24,15 @@ import workloads  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
 
-def traced_workload(name, workdir):
-    """Run every request of a seed-1 workload once through ``cli.main``,
-    under the external tracer and ``trace.counting()`` at once: (the
-    program's counts, the tracer's leaf calls by name, the tracer's
-    skipped replicates)."""
-    requests = workloads.build(name, 1, str(workdir), workers=1)
+SEEDS = [1, 601, 701]
+
+
+def traced_workload(name, seed, workdir):
+    """Run every request of a workload once through ``cli.main``, under
+    the external tracer and ``trace.counting()`` at once: (the program's
+    counts, the tracer's leaf calls by name, the tracer's skipped
+    replicates)."""
+    requests = workloads.build(name, seed, str(workdir), workers=1)
     tracer = Tracer()
     with trace.counting() as counts, tracer.installed():
         for index, request in enumerate(requests):
@@ -41,14 +46,16 @@ def traced_workload(name, workdir):
     return counts, calls, skipped
 
 
-def test_exact_counts_equal_the_tracers(tmp_path):
-    counts, calls, _ = traced_workload("exact", tmp_path)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_exact_counts_equal_the_tracers(seed, tmp_path):
+    counts, calls, _ = traced_workload("exact", seed, tmp_path)
     assert counts == {"exact_samples": 132_884, "exact_evaluations": 531_536}
     assert calls["estimators.estimate"] == counts["exact_evaluations"]
 
 
-def test_mc_counts_equal_the_tracers(tmp_path):
-    counts, calls, skipped = traced_workload("mc", tmp_path)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mc_counts_equal_the_tracers(seed, tmp_path):
+    counts, calls, skipped = traced_workload("mc", seed, tmp_path)
     assert counts == {"mc_replicates": 600, "mc_skipped": 0, "mc_evaluations": 2_400}
     assert calls["verify.draw_sample"] == counts["mc_replicates"]
     assert skipped == counts["mc_skipped"]

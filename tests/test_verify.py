@@ -935,6 +935,31 @@ class TestDrawRule:
             replayed += any(len(set(t)) < len(t) for t in step_targets(pop, seed, rep))
         assert replayed >= 20
 
+    @pytest.mark.parametrize(
+        "design, rep, targets, index_sets",
+        [
+            ([(6, 3)], 205, [[1, 5, 5]], ((1, 5, 0),)),
+            ([(6, 3)], 230, [[0, 4, 4]], ((0, 4, 1),)),
+            ([(6, 3), (6, 3)], 16281, [[1, 5, 5], [0, 4, 4]], ((1, 5, 0), (0, 4, 1))),
+        ],
+        ids=["below-n", "repeated", "two-strata"],
+    )
+    def test_the_walk_takes_every_step_a_repeated_target_reaches(
+        self, design, rep, targets, index_sets
+    ):
+        """Seed 0 draws that a walk of only some steps gets wrong.
+
+        Targets (1, 5, 5), n_h = 3: step 0's target 1 is below n_h, so step
+        1 reads back the unit 0 that step 0 put at position 1, and step 2
+        selects it; a walk of the repeated targets alone selects unit 1
+        twice.  Targets (0, 4, 4): step 1 puts unit 1 at position 4, where
+        step 2 selects it; a walk of the targets below n_h alone selects
+        unit 4 twice.  In two strata, both at once, in one walk keyed by
+        the units' columns."""
+        pop = population_of(design)
+        assert step_targets(pop, 0, rep) == targets
+        assert draw_sample(pop, 0, rep)[0] == index_sets == dense_draw(pop, 0, rep)
+
     def test_step_table_is_built_once_and_read_only(self, monkeypatch):
         pop = population_of([(7, 3), (1000, 50), (2, 1)])
         builds = []
@@ -950,13 +975,13 @@ class TestDrawRule:
         assert steps.divisors.tolist() == [7, 6, 5, *range(1000, 950, -1), 2]
         assert steps.offsets.tolist() == [0, 1, 2, *range(50), 0]
         assert steps.bases.tolist() == [0] * 3 + [7] * 50 + [1007]
-        assert steps.stratum_bases.tolist() == [0, 7, 1007]
+        assert steps.limits.tolist() == [3] * 3 + [57] * 50 + [1008]
         assert steps.spans == ((0, 3), (3, 53), (53, 54)) and steps.width == 50
         assert steps.slots.tolist() == [0, 1, 2, *range(50, 100), 100]
         # every padding entry is the zero column, after the 1 009 units
         assert steps.padding.shape == (3, 50) and set(steps.padding.flat) == {1009}
         for a in (
-            steps.divisors, steps.offsets, steps.bases, steps.stratum_bases, steps.slots,
+            steps.divisors, steps.offsets, steps.bases, steps.limits, steps.slots,
             steps.padding,
         ):
             with pytest.raises(ValueError, match="read-only"):
