@@ -10,8 +10,9 @@ A population keeps its units in one read-only float64 table,
 ``columns``, of shape (2, N + 1): y in row 0 and x in row 1, the strata
 side by side in order, and one zero column last.  It is built once, with
 the population, and each stratum's ``y`` and ``x`` are then views of its
-span, so the units are held once.  A Monte Carlo draw gathers all its
-units, and the zero padding between strata, from it in one ``take``.
+span, so the units are held once.  A block of Monte Carlo draws gathers
+all its units, and the zeros that pad its narrower strata, from it in one
+``take``.
 
 A stratum mean is the exact mean correctly rounded, ties to even: the
 column's exact sum as one integer over a power of two, divided by N with
@@ -152,8 +153,7 @@ class DrawSteps(NamedTuple):
     """The selection steps of a Monte Carlo draw, strata in order, as
     read-only arrays: ``divisors``, ``offsets``, ``bases``, ``limits`` and
     ``slots`` hold one entry per step, ``sizes`` and ``weights`` one per
-    stratum, and ``padding`` one per (stratum, width) slot;
-    ``spans`` and ``width`` locate each stratum's steps.  Its size is
+    stratum; ``spans`` and ``width`` locate each stratum's steps.  Its size is
     O(strata x max n_h), whatever the N_h are.  ``divisors`` is uint64, as
     the generator's words are; the positions are ``np.intp``, which indexes
     ``StratifiedPopulation.columns`` without a cast."""
@@ -171,10 +171,9 @@ class DrawSteps(NamedTuple):
     spans: tuple[tuple[int, int], ...]
     #: the largest n_h, the padded width of a draw's per-stratum values
     width: int
-    #: h * width + i: the step's flat slot in the (strata, width) layout
+    #: i * strata + h: the step's row in the (width, strata) layout of a
+    #: draw's per-stratum values, which strata with n_h < width pad
     slots: np.ndarray
-    #: (strata, width), every entry N: the population's zero column
-    padding: np.ndarray
     #: n_h per stratum, as float64, the divisors of the sample means
     sizes: np.ndarray
     #: W_h per stratum, as float64
@@ -241,8 +240,7 @@ class StratifiedPopulation:
             limits=bases + np.repeat(sizes, sizes),
             spans=tuple(zip(bounds, bounds[1:])),
             width=width,
-            slots=np.repeat(np.arange(len(sizes), dtype=np.intp) * width, sizes) + offsets,
-            padding=np.full((len(sizes), width), self.total_n, dtype=np.intp),
+            slots=offsets * len(sizes) + np.repeat(np.arange(len(sizes), dtype=np.intp), sizes),
             sizes=np.array(sizes, dtype=np.float64),
             weights=np.array(self.weights),
         )

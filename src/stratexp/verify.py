@@ -30,23 +30,27 @@ The Monte Carlo oracle is stochastic but fully reproducible: replicate r
 draws from a Philox4x64 counter-based generator keyed by (seed, r), so a
 replicate's sample depends on nothing but the seed and its own index.
 Each thread keeps one generator and resets it to the state of a fresh
-one keyed (seed, r) for every draw, which costs a fraction of building
-one; two threads never share a generator.  A replicate's draw is a
-partial Fisher-Yates shuffle that is never written out: the targets of
-all its steps, across all strata, are taken in one array pass, and only
-the steps that a repeated target can reach are walked, storing just the
-positions their swaps displace.  One ``take`` from the population's
-column table gathers every stratum's y and x at its units into one array,
-zero-padded from the table's zero column, and the one sample-mean rule
-of ``stratum_means`` gives every stratum's means at once.  So a draw
-costs O(n_h) time and memory per stratum, independent of the stratum size
-N_h; the step table it reads is built once per population and is O(n_h)
-too.
-``monte_carlo`` keeps only each replicate's two means, so its draws build
-no index sets; it draws a failing replicate once more, with them, to name
-it.  Replicates run in index order on the calling thread, and their bias
-and MSE rows are reduced by ``exactsum.row_sums``, the bits of
-``math.fsum``.  There is no worker pool: a replicate's NumPy calls and
+one keyed (seed, r) for every replicate, which costs a fraction of
+building one; two threads never share a generator.  Replicates are drawn
+a block at a time, ``DRAW_BLOCK`` padded (replicate, stratum, step) slots
+a block, by one routine, ``_draw_block``; ``draw_sample`` is that routine
+on a block of one, plus the index sets.  A draw is a partial Fisher-Yates
+shuffle that is never written out: the targets of every step of the
+block are taken in one array pass, and only the steps that a repeated
+target can reach are walked, storing just the positions their swaps
+displace.  One ``take`` from the population's column table gathers the
+block's y and x at its units into one array, zero-padded from the
+table's zero column; the one sample-mean rule of ``stratum_means`` gives
+every stratum's means in every replicate at once, and
+``exactsum.fsum_columns`` adds each replicate's weighted means.  So a
+draw costs O(n_h) time and memory per stratum, independent of the stratum
+size N_h; the step table it reads is built once per population and is
+O(n_h) too, and a block's memory is bounded whatever the replicate count.
+``monte_carlo`` keeps only each replicate's two means, so it builds no
+index sets; it draws a failing replicate once more, by ``draw_sample``,
+to name it.  Blocks run in replicate order on the calling thread, and the
+bias and MSE rows are reduced by ``exactsum.row_sums``, the bits of
+``math.fsum``.  There is no worker pool: a block's NumPy calls and
 Python steps hold the interpreter lock, so threads would not run it
 faster, and the command line's ``--workers`` changes neither results nor
 speed.
@@ -76,22 +80,29 @@ DEFAULT_ENUM_LIMIT = 10**7
 #: into its bucket sums
 BLOCK = 1024
 
-# each thread's Philox generator for draw_sample; see _philox
+#: padded slots, replicates x strata x max n_h, that one block of Monte
+#: Carlo draws holds; a block draws at least one replicate
+DRAW_BLOCK = 2**16
+
+# each thread's Philox generator for the draws; see _philox
 _generators = threading.local()
 
 Sample = tuple[tuple[tuple[int, ...], ...], float, float]
 
 
 def _means(values: np.ndarray, n: int | np.ndarray) -> float | np.ndarray:
-    """The sample-mean rule both oracles share: along the last axis of
-    ``values``, the left-to-right sum (the last running sum of
-    ``np.add.accumulate``, which is ``np.cumsum`` without its Python
-    wrapper), plus 0.0, over ``n``; the same on every Python, where the
-    builtin ``sum`` is compensated from Python 3.12 on.  Adding 0.0 makes an
-    all ``-0.0`` selection sum to 0.0, as ``sum`` does.  So zeros padded
-    after the units change no mean: s + 0.0 is s, but for s = -0.0, which
-    the rule's own + 0.0 turns into 0.0 as well."""
-    return (np.add.accumulate(values, axis=-1)[..., -1] + 0.0) / n
+    """The sample-mean rule both oracles share: along the first axis of
+    ``values``, the left-to-right sum, one add per entry (a vector add
+    over the other axes), plus 0.0, over ``n``; the same on every Python,
+    where the builtin ``sum`` is compensated from Python 3.12 on.  Adding
+    0.0 makes an all ``-0.0`` selection sum to 0.0, as ``sum`` does.  So
+    zeros padded after the units change no mean: s + 0.0 is s, but for
+    s = -0.0, which the rule's own + 0.0 turns into 0.0 as well."""
+    total = values[0].copy()
+    for row in values[1:]:
+        total += row
+    total += 0.0
+    return total / n
 
 
 def stratum_means(
@@ -100,9 +111,10 @@ def stratum_means(
     """(ybar_h, xbar_h): the plain means of y and x over units ``idx`` of a
     stratum, by ``_means``; for a 2-D ``idx``, two arrays holding the means
     of each row.  The enumeration takes its combination means from here,
-    and a Monte Carlo draw applies the same rule to all its strata at once.
+    and a block of Monte Carlo draws applies the same rule to all its
+    strata and replicates at once.
     """
-    idx = np.asarray(idx)
+    idx = np.asarray(idx).T  # a 2-D idx's rows run down the first axis, as _means sums
     n = stratum.small_n
     return _means(stratum.y.take(idx), n), _means(stratum.x.take(idx), n)
 
@@ -377,16 +389,75 @@ def _philox(seed: int, rep: int) -> np.random.Philox:
     return philox
 
 
-def draw_sample(
-    pop: StratifiedPopulation, seed: int, rep: int, *, index_sets: bool = True
-) -> Sample | tuple[None, float, float]:
-    """Draw the stratified SRSWOR sample (index_sets, ybar_st, xbar_st) for
-    replicate ``rep``.
+def _walked_steps(units: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """The steps that a block's walk takes, as flat indices into the
+    (replicates, steps) ``units``, in replicate and step order: none if no
+    replicate repeats a target, else every step whose target column is
+    repeated in its replicate or below its stratum's limit."""
+    # A row sorted by column << bits | step holds a repeated column's steps
+    # side by side.  A column is at most N and 2**bits is below 2N, so the
+    # keys stay below 2**63 for every N < 2**31; 2**31 units take 32 GiB.
+    per_row = units.shape[1]
+    bits = (per_row - 1).bit_length()
+    packed = units << bits
+    packed |= np.arange(per_row)
+    packed.sort()
+    cols = packed >> bits
+    same = cols[:, 1:] == cols[:, :-1]
+    if not same.any():
+        return np.empty(0, np.intp)
+    repeated = np.zeros(units.shape, bool)
+    repeated[:, 1:] = same
+    repeated[:, :-1] |= same
+    at = np.flatnonzero(repeated)
+    walked = units < limits
+    # a repeated entry's row start plus the step it came from
+    walked.ravel()[at - at % per_row + (packed.take(at) & ((1 << bits) - 1))] = True
+    return np.flatnonzero(walked)
 
-    With ``index_sets=False`` the first item is None: the draw, the walk
-    and the means are the same, and the two means have the same bits, but
-    no index-set tuples are built.  ``monte_carlo`` draws its replicates
-    so and asks for the index sets only to name a failing replicate.
+
+def _draw_block(
+    pop: StratifiedPopulation, seed: int, reps: range
+) -> tuple[np.ndarray, list[float], list[float]]:
+    """Draw replicates ``reps`` of ``seed`` at once, by the frozen rule of
+    ``draw_sample``: (units, ybar_st values, xbar_st values), where row r
+    of ``units`` holds the table columns of replicate reps[r]'s selected
+    units, in step order.  ``seed`` is a key word already checked."""
+    divisors, offsets, bases, limits, _, width, slots, sizes, weights = pop.draw_steps
+    count, strata = len(reps), sizes.size
+    raw = np.stack([_philox(seed, rep).random_raw(divisors.size) for rep in reps])
+    # every word mod N_h - i is below 2**63, so its bits read as an int64
+    units = np.remainder(raw, divisors, out=raw).view(np.int64)
+    units += offsets
+    units += bases
+    steps = _walked_steps(units, limits)
+    if steps.size:
+        rows, at = np.divmod(steps, divisors.size)
+        # the walk keys replicate r's columns plus r * (N + 1), which no
+        # other replicate's keys share
+        shift = rows * pop.columns.shape[1]
+        fixed = offsets.take(at) + bases.take(at) + shift
+        # key p holds moved.get(p, p); the key a step fixes is final after it
+        moved: dict[int, int] = {}
+        get, picked = moved.get, []
+        for i, j in zip(fixed.tolist(), (units.take(steps) + shift).tolist()):
+            picked.append(get(j, j))
+            moved[j] = get(i, i)
+        units.put(steps, np.subtract(picked, shift))
+    # every entry a step does not fill is -1, the table's zero column
+    idx = np.full((width * strata, count), -1, np.intp)
+    idx[slots] = units.T
+    values = pop.columns.take(idx, axis=1).reshape(2, width, strata, count)
+    weighted = _means(values.swapaxes(0, 1), sizes[:, None])
+    weighted *= weights[:, None]  # W_h * ybar_h and W_h * xbar_h, each one rounding
+    sums = fsum_columns(weighted.swapaxes(0, 1).reshape(strata, 2 * count))
+    return units, sums[:count], sums[count:]
+
+
+def draw_sample(pop: StratifiedPopulation, seed: int, rep: int) -> Sample:
+    """Draw the stratified SRSWOR sample (index_sets, ybar_st, xbar_st) for
+    replicate ``rep``: the block draw of ``monte_carlo``, on a block of one,
+    plus the index sets.
 
     The draw identity is frozen: Philox4x64 keyed (seed, rep), both
     integers in [0, 2**64), supplies one 64-bit word per selection step of
@@ -396,16 +467,20 @@ def draw_sample(
     ``TypeError``, and one outside [0, 2**64) a ``ValueError``.  The
     generator is this thread's own, reset to that key (``_philox``).
 
-    The shuffle is never written out.  Every step's target j is taken at
+    A block of R replicates puts their words in one (R, steps) array.  The
+    shuffle is never written out.  Every step's target j is taken at
     once, as ``raw % divisors + offsets`` over the population's
     step table (:attr:`StratifiedPopulation.draw_steps`), and offset by
     its stratum's base to the unit's column of the population; strata
     never share a column.  Before step i reads position j, only an earlier
     step with the same target j has written it, so a draw whose targets
-    are distinct selects exactly its targets; one sort of the columns
-    finds the repeated ones.  A draw that repeats one walks, in step order and with one
-    dict of the positions the swaps displace, every step whose target is
-    repeated or below n_h, and no other:
+    are distinct selects exactly its targets.  One sort of each
+    replicate's columns, each packed with its step, finds the repeated
+    ones and the steps that drew them.  A block where some replicate
+    repeats one walks, in replicate and step order and with one dict of
+    the positions the swaps displace, every step whose target is repeated
+    in its replicate or below n_h, and no other; the dict keys replicate
+    r's columns plus r * (N + 1), so no two replicates share a key:
 
     - a step that is not walked selects its own target, which no earlier
       step wrote, and its write to that position is never read;
@@ -421,45 +496,20 @@ def draw_sample(
 
     The units are gathered in one ``take`` from the population's column
     table (:attr:`StratifiedPopulation.columns`), y over x, strata side by
-    side, then a zero column.  A copy of the step table's padding index,
-    every entry that zero column, receives each step's column at the
-    step's slot in the (strata, max n_h) layout; the take then gives the
-    (2, strata, max n_h) values, zero-padded.  ``_means``, the rule of ``stratum_means``, gives every
-    stratum's two means at once.  The index sets hold the selected units'
-    positions within their strata.
+    side, then a zero column.  The take's index holds each step's column
+    at its slot in a (max n_h, strata, R) layout and the zero column
+    everywhere else, so it gives the (2, max n_h, strata, R) values,
+    zero-padded.  ``_means``, the rule of ``stratum_means``, sums them over
+    max n_h, which gives every stratum's two means for every replicate at
+    once; ``exactsum.fsum_columns`` adds each replicate's weighted means,
+    with the bits of ``math.fsum``.  The index sets hold the selected
+    units' positions within their strata.
     """
     seed, rep = _key_word("seed", seed), _key_word("rep", rep)
-    divisors, offsets, bases, limits, spans, _, slots, padding, sizes, weights = (
-        pop.draw_steps
-    )
-    raw = _philox(seed, rep).random_raw(divisors.size)
-    # every word mod N_h - i is below 2**63, so its bits read as an int64
-    units = np.remainder(raw, divisors, out=raw).view(np.int64)
-    units += offsets
-    units += bases
-    keys = np.sort(units)
-    repeats = keys[1:][keys[1:] == keys[:-1]]
-    if repeats.size:
-        walked = repeats.take(np.searchsorted(repeats, units), mode="clip") == units
-        walked |= units < limits
-        steps = np.flatnonzero(walked)
-        fixed = offsets.take(steps) + bases.take(steps)
-        # position p holds moved.get(p, p); position i is final after its step
-        moved: dict[int, int] = {}
-        picked = []
-        for i, j in zip(fixed.tolist(), units.take(steps).tolist()):
-            picked.append(moved.get(j, j))
-            moved[j] = moved.get(i, i)
-        units.put(steps, picked)
-    idx = padding.copy()
-    idx.put(slots, units)
-    weighted = _means(pop.columns.take(idx, axis=1), sizes)
-    weighted *= weights  # W_h * ybar_h and W_h * xbar_h, each one rounding
-    ybar_st, xbar_st = map(math.fsum, weighted.tolist())
-    if not index_sets:
-        return None, ybar_st, xbar_st
-    flat = (units - bases).tolist()
-    return tuple(tuple(flat[start:stop]) for start, stop in spans), ybar_st, xbar_st
+    units, (ybar_st,), (xbar_st,) = _draw_block(pop, seed, range(rep, rep + 1))
+    table = pop.draw_steps
+    flat = (units[0] - table.bases).tolist()
+    return tuple(tuple(flat[start:stop]) for start, stop in table.spans), ybar_st, xbar_st
 
 
 def monte_carlo(
@@ -470,8 +520,9 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Seeded Monte Carlo bias and MSE of each estimator, with standard errors.
 
-    Draw, mask, evaluate, reduce.  Each replicate is drawn once, by
-    ``draw_sample`` with ``index_sets=False``, and only its (ybar_st,
+    Draw, mask, evaluate, reduce.  Each replicate is drawn once, in
+    blocks of ``DRAW_BLOCK`` // (strata x max n_h) replicates (at least
+    one) by the routine of ``draw_sample``, and only its (ybar_st,
     xbar_st) is kept.  Replicates where Xbar + xbar_st == 0.0, as
     ``estimate`` tests it, are found by one array comparison, skipped with
     no estimator call and counted.  The rest go through the enumeration's
@@ -491,8 +542,11 @@ def monte_carlo(
         raise ComputationError(
             f"cannot allocate {replicates} Monte Carlo replicates: {exc}"
         ) from None
-    for r in range(replicates):
-        sample_means[:, r] = draw_sample(pop, seed, r, index_sets=False)[1:]
+    table = pop.draw_steps
+    block = max(1, DRAW_BLOCK // (table.width * table.sizes.size))
+    for start in range(0, replicates, block):
+        reps = range(start, min(start + block, replicates))
+        sample_means[:, start : reps.stop] = _draw_block(pop, seed, reps)[1:]
     kept = np.flatnonzero(pop.grand_x_mean + sample_means[1] != 0.0)
     n = kept.size
     trace.count(mc_replicates=replicates, mc_skipped=replicates - n)

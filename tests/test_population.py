@@ -480,5 +480,3 @@ class TestColumnTable:
             got_sets, got_ybar, got_xbar = draw_sample(interleaved, seed, rep)
             assert got_sets == index_sets
             assert (got_ybar.hex(), got_xbar.hex()) == (ybar.hex(), xbar.hex())
-            _, only_ybar, only_xbar = draw_sample(interleaved, seed, rep, index_sets=False)
-            assert (only_ybar.hex(), only_xbar.hex()) == (ybar.hex(), xbar.hex())

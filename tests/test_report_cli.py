@@ -210,16 +210,17 @@ class TestPipeline:
     def test_mc_draws_each_replicate_once_for_all_estimators(self, monkeypatch):
         import stratexp.verify
 
-        calls = []
-        draw = stratexp.verify.draw_sample
+        resets = []
+        philox = stratexp.verify._philox
         monkeypatch.setattr(
             stratexp.verify,
-            "draw_sample",
-            lambda *args, **kwargs: calls.append(args) or draw(*args, **kwargs),
+            "_philox",
+            lambda seed, rep: resets.append(rep) or philox(seed, rep),
         )
         report = run(base_config(verify="mc", replicates=50, seed=3))
         assert len(report.rows) == 4
-        assert len(calls) == 50
+        # one Philox reset per replicate, shared by the four estimators
+        assert resets == list(range(50))
 
     def test_exact_builds_each_stratum_combination_once(self, monkeypatch):
         import math

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from stratexp import cli, trace
+from stratexp import cli, trace, verify
 from stratexp.estimators import t1s, t3s
 from stratexp.errors import ComputationError
 from stratexp.verify import exact_bias_mse, monte_carlo
@@ -54,10 +54,16 @@ def test_exact_counts_equal_the_tracers(seed, tmp_path):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_mc_counts_equal_the_tracers(seed, tmp_path):
+def test_mc_counts_equal_the_tracers(seed, tmp_path, monkeypatch):
+    """Replicates are drawn in blocks, so the tracer sees no ``draw_sample``
+    call; each replicate's one Philox reset is counted instead."""
+    resets = []
+    philox = verify._philox
+    monkeypatch.setattr(verify, "_philox", lambda seed, rep: resets.append(rep) or philox(seed, rep))
     counts, calls, skipped = traced_workload("mc", seed, tmp_path)
     assert counts == {"mc_replicates": 600, "mc_skipped": 0, "mc_evaluations": 2_400}
-    assert calls["verify.draw_sample"] == counts["mc_replicates"]
+    assert calls["verify.draw_sample"] == 0
+    assert len(resets) == counts["mc_replicates"]
     assert skipped == counts["mc_skipped"]
     assert calls["estimators.estimate"] == counts["mc_evaluations"]
 

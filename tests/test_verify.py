@@ -691,10 +691,11 @@ class TestMonteCarlo:
                 assert getattr(got, field).hex() == getattr(want, field).hex(), field
 
     def test_one_draw_per_replicate_and_no_estimate_on_a_skipped_one(self, monkeypatch):
-        """Every replicate is drawn once; each estimator is called once on
-        each usable replicate and never on a skipped one."""
+        """Every replicate is drawn once, one Philox reset each; each
+        estimator is called once on each usable replicate and never on a
+        skipped one."""
         pop = make_population(("A", [-3, 1, 2, 4], [1, 2, 3, 4], 2))
-        calls = {"draw_sample": 0, "estimate": 0}
+        calls = {"_philox": 0, "estimate": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -703,30 +704,27 @@ class TestMonteCarlo:
 
             return wrapper
 
-        monkeypatch.setattr(verify, "draw_sample", counted("draw_sample", verify.draw_sample))
+        monkeypatch.setattr(verify, "_philox", counted("_philox", verify._philox))
         monkeypatch.setattr(verify, "estimate", counted("estimate", verify.estimate))
         mc = monte_carlo(pop, [t1s(), t4s(0.5)], replicates=200, seed=4)
         assert mc.skipped > 0
-        assert calls == {"draw_sample": 200, "estimate": 2 * (200 - mc.skipped)}
+        assert calls == {"_philox": 200, "estimate": 2 * (200 - mc.skipped)}
 
     def test_index_sets_are_built_only_to_name_a_failing_replicate(self, monkeypatch):
-        """A run draws each replicate once without its index sets; a
-        failing run adds one default call, for the replicate it names."""
+        """A run builds no index sets: it makes no ``draw_sample`` call.  A
+        failing run makes one, for the replicate it names, which is drawn
+        once more."""
         pop = make_population(("A", [-3, 1, 2, 4], [1, 2, 3, 4], 2))
-        calls = []
-        draw = verify.draw_sample
-
-        def spy(*args, **kwargs):
-            calls.append((args[2], kwargs))
-            return draw(*args, **kwargs)
-
-        monkeypatch.setattr(verify, "draw_sample", spy)
+        calls, resets = [], []
+        draw, philox = verify.draw_sample, verify._philox
+        monkeypatch.setattr(verify, "draw_sample", lambda *args: calls.append(args[2]) or draw(*args))
+        monkeypatch.setattr(verify, "_philox", lambda *args: resets.append(args[1]) or philox(*args))
         monte_carlo(pop, [t1s(), t4s(0.5)], replicates=200, seed=4)
-        assert calls == [(r, {"index_sets": False}) for r in range(200)]
-        calls.clear()
+        assert calls == [] and resets == list(range(200))
+        resets.clear()
         with pytest.raises(ComputationError, match="failed on sample with index sets"):
             monte_carlo(pop, [t3s(1e6), t3s(-2e6), t3s(-1e6)], replicates=10, seed=22)
-        assert calls == [(r, {"index_sets": False}) for r in range(10)] + [(2, {})]
+        assert calls == [2] and resets == [*range(10), 2]
 
     def test_failure_names_the_first_replicate_then_the_first_estimator(self):
         """x = {-3, 1, 2, 4}, Xbar = 1: at seed 22, replicates 0 and 1 hit
@@ -833,6 +831,23 @@ def population_of(design):
     ))
 
 
+def block_samples(pop, seed, reps, draw=None):
+    """The samples of one block draw of replicates ``reps``, by ``draw``
+    (``verify._draw_block`` by default), each as ``draw_sample`` gives it,
+    with its means as ``.hex()``."""
+    steps = pop.draw_steps
+    units, ybars, xbars = (draw or verify._draw_block)(pop, seed, reps)
+    return [
+        (tuple(tuple(row[a:b]) for a, b in steps.spans), y.hex(), x.hex())
+        for row, y, x in zip((units - steps.bases).tolist(), ybars, xbars)
+    ]
+
+
+def single_samples(pop, seed, reps):
+    """``draw_sample`` of each replicate of ``reps``, means as ``.hex()``."""
+    return [(s, y.hex(), x.hex()) for s, y, x in (draw_sample(pop, seed, r) for r in reps)]
+
+
 class TestDrawRule:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -912,29 +927,6 @@ class TestDrawRule:
             assert draw_sample(pop, 5, rep)[0] == dense_draw(pop, 5, rep)
         assert mixed >= 100
 
-    @pytest.mark.parametrize("seed", [0, 601, 2**64 - 1])
-    @pytest.mark.parametrize(
-        "design",
-        [
-            [(1000, 3), (5, 4), (100_000, 2), (6, 5), (50, 2)],
-            [(1000, 20), (6, 5), (3000, 40), (40, 30)],
-            [(7, 3), (1000, 50), (2, 1)],
-        ],
-        ids=["some-repeat", "mixed", "step-table"],
-    )
-    def test_means_only_draws_have_the_bits_of_the_default_call(self, seed, design):
-        """``index_sets=False`` gives None for the index sets and the
-        default call's two means, bit for bit, replayed strata included."""
-        pop = population_of(design)
-        replayed = 0
-        for rep in range(200):
-            _, ybar, xbar = draw_sample(pop, seed, rep)
-            none, ybar_only, xbar_only = draw_sample(pop, seed, rep, index_sets=False)
-            assert none is None
-            assert (ybar_only.hex(), xbar_only.hex()) == (ybar.hex(), xbar.hex())
-            replayed += any(len(set(t)) < len(t) for t in step_targets(pop, seed, rep))
-        assert replayed >= 20
-
     @pytest.mark.parametrize(
         "design, rep, targets, index_sets",
         [
@@ -977,13 +969,9 @@ class TestDrawRule:
         assert steps.bases.tolist() == [0] * 3 + [7] * 50 + [1007]
         assert steps.limits.tolist() == [3] * 3 + [57] * 50 + [1008]
         assert steps.spans == ((0, 3), (3, 53), (53, 54)) and steps.width == 50
-        assert steps.slots.tolist() == [0, 1, 2, *range(50, 100), 100]
-        # every padding entry is the zero column, after the 1 009 units
-        assert steps.padding.shape == (3, 50) and set(steps.padding.flat) == {1009}
-        for a in (
-            steps.divisors, steps.offsets, steps.bases, steps.limits, steps.slots,
-            steps.padding,
-        ):
+        # i * strata + h: step i of stratum h in the (max n_h, strata) layout
+        assert steps.slots.tolist() == [0, 3, 6, *range(1, 150, 3), 2]
+        for a in (steps.divisors, steps.offsets, steps.bases, steps.limits, steps.slots):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1
 
@@ -1051,8 +1039,8 @@ class TestDrawRule:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_padded_means_are_each_stratums_means(self, monkeypatch, seed):
-        """The one zero-padded (2, strata, max n_h) array of a draw gives,
-        bit for bit, each stratum's left-to-right means: with n_h = 1,
+        """The one zero-padded (max n_h, 2, strata, 1) array of a draw
+        gives, bit for bit, each stratum's left-to-right means: with n_h = 1,
         unequal n_h, and an all -0.0 y column in the widest stratum, which
         no padding follows and whose mean is 0.0."""
         pop = make_population(
@@ -1071,14 +1059,132 @@ class TestDrawRule:
         monkeypatch.setattr(verify, "_means", spy)
         for rep in range(50):
             index_sets = draw_sample(pop, seed, rep)[0]
-            (got,) = padded
+            (block,) = padded
             padded.clear()
+            assert block.shape == (2, 3, 1)  # a block of one replicate
+            got = block[..., 0]
             for s, idx, ybar, xbar in zip(pop.strata, index_sets, *got):
                 ys, xs = s.y.tolist(), s.x.tolist()
                 want_y = (reduce(operator.add, [ys[i] for i in idx]) + 0.0) / s.small_n
                 want_x = (reduce(operator.add, [xs[i] for i in idx]) + 0.0) / s.small_n
                 assert (ybar.hex(), xbar.hex()) == (want_y.hex(), want_x.hex())
             assert got[0][1].hex() == "0x0.0p+0"
+
+
+class TestDrawBlocks:
+    """``monte_carlo`` draws its replicates a block at a time, by the
+    routine that ``draw_sample`` runs on a block of one."""
+
+    @pytest.mark.parametrize("seed", [0, 601, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "design, first",
+        [
+            ([(1000, 3), (5, 4), (100_000, 2), (6, 5), (50, 2)], 0),
+            ([(1000, 20), (6, 5), (3000, 40), (40, 30)], 0),
+            ([(7, 3), (1000, 50), (2, 1)], 0),
+            ([(40, 7)], 0),
+            ([(2, 1), (9, 1), (1000, 1)], 0),
+            ([(2, 1), (4, 3), (6, 5), (60, 59)], 0),
+            # at seed 0, replicates 205 and 230, then 16281: the walk cases
+            # of test_the_walk_takes_every_step_a_repeated_target_reaches
+            ([(6, 3)], 200),
+            ([(6, 3), (6, 3)], 16_270),
+        ],
+        ids=["some-repeat", "mixed", "step-table", "one-stratum", "n=1", "n=N-1", "walk", "walk-two-strata"],
+    )
+    def test_block_draws_have_the_bits_of_draw_sample(self, seed, design, first):
+        """Index sets and both means, bit for bit, in strata of unequal
+        widths, with n_h = 1 and n_h = N_h - 1, and replicates that walk."""
+        pop = population_of(design)
+        reps = range(first, first + 40)
+        block = block_samples(pop, seed, reps)
+        assert block == single_samples(pop, seed, reps)
+        assert [index_sets for index_sets, _, _ in block] == [dense_draw(pop, seed, r) for r in reps]
+        # a stratum with n_h**2 > N_h repeats a target in most draws
+        walked = sum(any(len(set(t)) < len(t) for t in step_targets(pop, seed, r)) for r in reps)
+        assert walked >= (10 if any(n > 1 and n * n > cap for cap, n in design) else 0)
+
+    @pytest.mark.parametrize("seed", [0, 601, 2**64 - 1])
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_blocks_meet_at_the_budget(self, monkeypatch, seed, past):
+        """Four strata, the widest n_h = 400: 1 600 padded slots a
+        replicate, so a block holds DRAW_BLOCK // 1 600 of them.  One below,
+        at and one above that count, every replicate's sample is
+        ``draw_sample``'s."""
+        pop = population_of([(1000, 20), (6, 5), (3000, 400), (40, 30)])
+        size = verify.DRAW_BLOCK // 1600
+        assert size >= 2
+        replicates = size + past
+        want = single_samples(pop, seed, range(replicates))
+        blocks, samples = [], []
+        draw = verify._draw_block
+
+        def spy(pop, seed, reps):
+            blocks.append(reps)
+            samples.extend(block_samples(pop, seed, reps, draw))
+            return draw(pop, seed, reps)
+
+        monkeypatch.setattr(verify, "_draw_block", spy)
+        monte_carlo(pop, [t1s()], replicates=replicates, seed=seed)
+        assert blocks == [range(0, min(size, replicates)), *[range(size, replicates)] * (past > 0)]
+        assert samples == want
+
+    def test_threads_running_at_once_get_the_serial_bits(self):
+        """Each thread resets its own generator, so four runs at once on
+        one population, two at each of two seeds, give what each gives
+        alone."""
+        pop = population_of([(1000, 20), (6, 5), (3000, 40), (40, 30), (2, 1)])
+        specs = [t1s(), t4s(0.5)]
+        seeds = (41, 42, 41, 42)
+        serial = [repr(monte_carlo(pop, specs, replicates=600, seed=seed)) for seed in seeds]
+        barrier = threading.Barrier(len(seeds))
+
+        def run(seed):
+            barrier.wait(timeout=60)
+            return repr(monte_carlo(pop, specs, replicates=600, seed=seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(seeds)) as pool:
+                runs = list(pool.map(run, seeds, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == serial
+
+    def test_memory_does_not_grow_with_the_population_size(self):
+        """Four strata of N_h = 250 000 allocate what four of N_h = 1 000
+        do, not the ~8 MB that an O(sum of N_h) draw would."""
+        monte_carlo(population_of([(10, 5)] * 4), [t1s()], replicates=2, seed=3)
+        peaks = {}
+        for cap in (1000, 250_000):
+            pop = make_population(*(
+                (f"S{h}", np.ones(cap), np.arange(cap, dtype=np.float64), 5) for h in range(4)
+            ))
+            pop.grand_y_mean  # the population's own means read every unit
+            tracemalloc.start()
+            try:
+                monte_carlo(pop, [t1s()], replicates=200, seed=3)
+                _, peaks[cap] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[250_000] <= peaks[1000] + 4096
+        assert peaks[250_000] < 1024 * 1024
+
+    def test_many_replicates_stay_within_the_block_budget(self):
+        """10 000 replicates of 200 padded slots each: one take of them all
+        would hold 32 MB.  Past each replicate's results, under 128 bytes,
+        a run holds about one block, under 48 bytes a slot."""
+        pop = population_of([(1000, 50)] * 4)
+        monte_carlo(pop, [t1s()], replicates=2, seed=3)
+        replicates = 10_000
+        tracemalloc.start()
+        try:
+            monte_carlo(pop, [t1s()], replicates=replicates, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * replicates + 48 * verify.DRAW_BLOCK
 
 
 class TestDrawKey:
